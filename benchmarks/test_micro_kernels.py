@@ -20,6 +20,8 @@ from typing import Callable, Dict
 
 import pytest
 
+from repro.algorithms import star_cut
+from repro.core.classify import CutLabels
 from repro.core.tree import SpanningTree
 from repro.kernels import available_backends, numpy_available, resolve_kernel
 from repro.storage.serialization import pack_edges, unpack_edges
@@ -113,11 +115,13 @@ def kernel_ops(backend: str, load: _ChainForestWorkload):
 
 
 def division_ops(backend: str, load: _ChainForestWorkload):
-    """(collect_cross, route) closures — the division-scan hot ops."""
+    """(collect_pairs, route) closures — the division-scan hot ops."""
     kernel = resolve_kernel(backend)
     u_col, v_col = kernel.unpack_edge_columns(load.data)
-    index = kernel.make_index(load.tree)
-    assert index is not None
+    # the Divide-Star cut: γ plus the chain heads, one label per chain
+    cut_nodes, _ = star_cut(load.tree)
+    cut_index = kernel.make_cut_index(CutLabels(load.tree, cut_nodes))
+    assert cut_index is not None
     # one part per chain: the shape a real division's owner map has
     owner = {
         node: node % _ChainForestWorkload.CHAINS + 1
@@ -126,13 +130,15 @@ def division_ops(backend: str, load: _ChainForestWorkload):
     owner_index = kernel.make_owner_index(owner)
     assert owner_index is not None
 
-    def collect_cross():
-        return kernel.collect_cross_edges(index, u_col, v_col)
+    def collect_pairs():
+        pairs = set()
+        kernel.collect_cut_pairs(cut_index, u_col, v_col, pairs)
+        return pairs
 
     def route():
         return kernel.route_edges(owner_index, u_col, v_col)
 
-    return collect_cross, route
+    return collect_pairs, route
 
 
 def test_kernel_speedup_trajectory(report_text):
@@ -147,12 +153,12 @@ def test_kernel_speedup_trajectory(report_text):
     timings: Dict[str, Dict[str, float]] = {}
     for backend in available_backends():
         classify, pack, unpack = kernel_ops(backend, load)
-        collect_cross, route = division_ops(backend, load)
+        collect_pairs, route = division_ops(backend, load)
         timings[backend] = {
             "classify_s": best_of(classify),
             "pack_s": best_of(pack),
             "unpack_s": best_of(unpack),
-            "collect_cross_s": best_of(collect_cross),
+            "collect_pairs_s": best_of(collect_pairs),
             "route_s": best_of(route),
         }
     # reference: the row-at-a-time struct codec the columns replace
@@ -160,7 +166,7 @@ def test_kernel_speedup_trajectory(report_text):
         "pack_s": best_of(lambda: pack_edges(load.edges)),
         "unpack_s": best_of(lambda: unpack_edges(load.data)),
     }
-    for operation in ("classify", "pack", "unpack", "collect_cross", "route"):
+    for operation in ("classify", "pack", "unpack", "collect_pairs", "route"):
         entry: Dict[str, float] = {}
         for backend, values in timings.items():
             if f"{operation}_s" in values:
@@ -219,10 +225,12 @@ def test_unpack_columns(benchmark, backend):
 
 
 @pytest.mark.parametrize("backend", available_backends())
-def test_collect_cross_edges(benchmark, backend):
-    collect_cross, _ = division_ops(backend, workload(SMOKE_EDGES))
-    crossing = benchmark(collect_cross)
-    assert 0 < len(crossing) < SMOKE_EDGES
+def test_collect_cut_pairs(benchmark, backend):
+    collect_pairs, _ = division_ops(backend, workload(SMOKE_EDGES))
+    pairs = benchmark(collect_pairs)
+    # every ordered pair of distinct chains, at ~5% cross edges per block
+    chains = _ChainForestWorkload.CHAINS
+    assert len(pairs) == chains * (chains - 1)
 
 
 @pytest.mark.parametrize("backend", available_backends())

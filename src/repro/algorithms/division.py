@@ -4,8 +4,9 @@ Both Algorithm 3 and Algorithm 4 follow the same skeleton — they differ
 only in the cut they carve out of the spanning tree (the root's children
 versus a budgeted multi-level cut-tree):
 
-1. **Collect S-edges** (one scan): for each cross-edge whose LCA is an
-   expanded cut node, push it up to its sibling S-edge and add it to Σ.
+1. **Collect S-edges** (one scan): an edge whose endpoints' deepest cut
+   ancestors are unrelated is a cross-edge whose LCA is an expanded cut
+   node; each distinct such label pair is pushed up once, into Σ.
 2. **Contract Σ's SCCs** (Theorem 6.1): fresh virtual nodes absorb each
    multi-node SCC, in Σ and in the tree alike.
 3. **Build T_0 top-down**: expandable cut nodes contribute their children;
@@ -28,7 +29,7 @@ from ..errors import ReproError
 from ..kernels import resolve_kernel
 from ..obs import NULL_TRACER, Tracer
 from ..storage.edge_file import EdgeFile, PartitionWriter
-from ..core.classify import IntervalIndex
+from ..core.classify import CutLabels
 from ..core.tree import SpanningTree, VirtualNodeAllocator
 from .sgraph import SummaryGraph, contract_sigma_sccs, s_edge_endpoints
 
@@ -83,17 +84,17 @@ def _extract_subtree(tree: SpanningTree, root: int) -> Tuple[SpanningTree, List[
 
 def _simulate_part_count(
     tree: SpanningTree,
-    sigma: SummaryGraph,
+    sccs: List[List[int]],
     cut_nodes: Set[int],
     expanded: Set[int],
 ) -> int:
     """The number of parts the division would produce, without mutating.
 
     Mirrors the top-down ``T_0`` construction with every multi-node SCC of
-    Σ treated as a single (contracted) leaf.
+    Σ (``sccs``) treated as a single (contracted) leaf.
     """
     group_of: Dict[int, int] = {}
-    for group_id, component in enumerate(sigma.sccs()):
+    for group_id, component in enumerate(sccs):
         if len(component) > 1:
             for node in component:
                 group_of[node] = group_id
@@ -120,6 +121,52 @@ def _simulate_part_count(
     return leaves
 
 
+def collect_sigma(
+    edge_file: EdgeFile,
+    tree: SpanningTree,
+    cut_nodes: Set[int],
+    expanded: Set[int],
+    tracer: Tracer = NULL_TRACER,
+) -> SummaryGraph:
+    """Division step 1: Σ over the cut, in one scan (the ``sgraph`` span)."""
+    labels = CutLabels(tree, cut_nodes)
+    device = edge_file.device
+    # The device's kernel may decline a sparse id set (a dense numpy
+    # index would be mostly holes); the python kernel never declines, so
+    # it is the universal fallback — `convert` marks that scanned columns
+    # need re-materializing in the fallback backend's native column type
+    # (which also normalizes the endpoints back to plain python ints).
+    cut_kernel = device.kernel
+    cut_index = cut_kernel.make_cut_index(labels)
+    if cut_index is None:
+        cut_kernel = resolve_kernel("python")
+        cut_index = cut_kernel.make_cut_index(labels)
+    convert = cut_kernel is not device.kernel
+
+    sigma = SummaryGraph()
+    with tracer.span(
+        "sgraph", edges=edge_file.edge_count, cut_nodes=len(cut_nodes),
+        kernel=cut_kernel.name, codec=device.block_codec,
+    ) as sgraph_span:
+        for node in cut_nodes:
+            sigma.add_node(node)
+        for parent_node in expanded:
+            for child in tree.children(parent_node):
+                sigma.add_edge(parent_node, child)
+        pairs: Set[Tuple[int, int]] = set()
+        collect = cut_kernel.collect_cut_pairs
+        for u_col, v_col in edge_file.scan_columns():
+            if convert:
+                u_col, v_col = cut_kernel.make_columns(u_col, v_col)
+            collect(cut_index, u_col, v_col, pairs)
+        for cut_u, cut_v in sorted(pairs):
+            a, b, _ = s_edge_endpoints(tree, labels, cut_u, cut_v)
+            sigma.add_edge(a, b)
+        sgraph_span.annotate(cut_pairs=len(pairs), s_edges=sigma.edge_count)
+    tracer.count("sgraph.cut_pairs", len(pairs))
+    return sigma
+
+
 def divide_with_cut(
     edge_file: EdgeFile,
     tree: SpanningTree,
@@ -138,53 +185,20 @@ def divide_with_cut(
     """
     if len(cut_nodes) <= 1 or not expanded:
         return None
-    index = IntervalIndex(tree)
     device = edge_file.device
-
-    # Columnar kernel for both scans.  The device's kernel may decline a
-    # sparse id set (a dense numpy index would be mostly holes); the
-    # python kernel never declines, so it is the universal fallback —
-    # `convert` marks that scanned columns need re-materializing in the
-    # fallback backend's native column type (which also normalizes the
-    # endpoints back to plain python ints).
-    cross_kernel = device.kernel
-    classifier = cross_kernel.make_index(tree)
-    if classifier is None:
-        cross_kernel = resolve_kernel("python")
-        classifier = cross_kernel.make_index(tree)
-    convert = cross_kernel is not device.kernel
-
-    # Step 1: one scan collecting S-edges whose LCA is an expanded cut node.
-    sigma = SummaryGraph()
-    with tracer.span(
-        "sgraph", edges=edge_file.edge_count, cut_nodes=len(cut_nodes),
-        kernel=cross_kernel.name, codec=device.block_codec,
-    ) as sgraph_span:
-        for node in cut_nodes:
-            sigma.add_node(node)
-        for parent_node in expanded:
-            for child in tree.children(parent_node):
-                sigma.add_edge(parent_node, child)
-        collect = cross_kernel.collect_cross_edges
-        for u_col, v_col in edge_file.scan_columns():
-            if convert:
-                u_col, v_col = cross_kernel.make_columns(u_col, v_col)
-            for u, v in collect(classifier, u_col, v_col):
-                a, b, lca = s_edge_endpoints(tree, index, u, v)
-                if lca in expanded:
-                    sigma.add_edge(a, b)
-        sgraph_span.annotate(s_edges=sigma.edge_count)
+    sigma = collect_sigma(edge_file, tree, cut_nodes, expanded, tracer)
 
     # Before mutating anything, simulate the part count the contraction
     # would leave: each multi-node SCC of Σ collapses its sibling group
     # into ONE leaf.  An invalid division (p <= 1) must not alter the
     # tree — otherwise every failed attempt on a hard-to-divide graph
     # grows a chain of useless virtual nodes.
-    if _simulate_part_count(tree, sigma, cut_nodes, expanded) <= 1:
+    sccs = sigma.sccs()
+    if _simulate_part_count(tree, sccs, cut_nodes, expanded) <= 1:
         return None
 
     # Step 2: make Σ a DAG via SCC-aware contraction (mutates Σ and tree).
-    contractions = contract_sigma_sccs(sigma, tree, allocator)
+    contractions = contract_sigma_sccs(sigma, tree, allocator, sccs)
     new_virtuals = {virtual for virtual, _ in contractions}
 
     # Step 3: build T_0 top-down; contraction virtuals are leaves.

@@ -11,10 +11,10 @@ merges each multi-node SCC of ``Σ`` under a fresh virtual node.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..errors import InvalidDivisionError
-from ..core.classify import IntervalIndex
+from ..core.classify import CutLabels, IntervalIndex
 from ..core.inmemory import tarjan_scc, topological_sort
 from ..core.tree import SpanningTree, VirtualNodeAllocator
 
@@ -130,13 +130,14 @@ class SummaryGraph:
 
 
 def s_edge_endpoints(
-    tree: SpanningTree, index: IntervalIndex, u: int, v: int
+    tree: SpanningTree, index: Union[IntervalIndex, CutLabels], u: int, v: int
 ) -> Tuple[int, int, int]:
     """The S-edge of cross-edge ``(u, v)`` plus the LCA (Definition 6.3).
 
     Pushes each endpoint up while its parent is not an ancestor of the
     other endpoint; at the fixpoint both are children of the LCA, so the
-    S-edge always connects two siblings.
+    S-edge always connects two siblings.  ``index`` answers ancestry for
+    both endpoints and their ancestors (``CutLabels`` does, for cut nodes).
 
     Returns:
         ``(a, b, lca)`` where ``(a, b)`` is the S-edge.
@@ -167,19 +168,20 @@ def contract_sigma_sccs(
     sigma: SummaryGraph,
     tree: SpanningTree,
     allocator: VirtualNodeAllocator,
+    sccs: Optional[List[List[int]]] = None,
 ) -> List[Tuple[int, List[int]]]:
     """Apply the SCC-aware node contraction to ``Σ`` *and* the tree.
 
     Every multi-node SCC of Σ consists of siblings in the tree (S-edges
     only ever connect siblings, and tree edges cannot close a cycle), so
     contraction re-parents the members under a fresh virtual node that
-    takes their place.
+    takes their place.  ``sccs`` reuses an earlier ``sigma.sccs()``.
 
     Returns:
         ``[(virtual_node, members_in_sibling_order), ...]``.
     """
     contractions: List[Tuple[int, List[int]]] = []
-    for component in sigma.sccs():
+    for component in sigma.sccs() if sccs is None else sccs:
         if len(component) <= 1:
             continue
         members = set(component)

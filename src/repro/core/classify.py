@@ -17,12 +17,14 @@ frozen: one O(n) traversal assigns each node its preorder number and subtree
 size, making ancestorship an interval containment test.  Rebuild it after
 any tree mutation (the ``version`` handshake in the restructure loop does
 this); for classification *during* mutation use :mod:`repro.core.order`.
+:class:`CutLabels` numbers a division's cut tree the same way and labels
+every node with its deepest cut ancestor.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Tuple
+from typing import AbstractSet, Dict, List, Tuple, cast
 
 from .tree import SpanningTree
 
@@ -44,37 +46,17 @@ class IntervalIndex:
     ``v`` (a node is its own ancestor).
     """
 
-    __slots__ = ("pre", "size", "_parent")
+    __slots__ = ("pre", "size", "parent")
 
     def __init__(self, tree: SpanningTree) -> None:
         self.pre: Dict[int, int] = {}
         self.size: Dict[int, int] = {}
-        self._parent = tree.parent
+        self.parent = tree.parent
         self._build(tree)
 
     def _build(self, tree: SpanningTree) -> None:
-        if tree.root is None:
-            return
-        # Pass 1: preorder numbering (inlined sibling-resume walk — this
-        # runs once per restructure batch and per division; the generator
-        # indirection is measurable at that call rate).
-        first_child = tree.first_child
-        next_sibling = tree.next_sibling
-        root = tree.root
-        order: List[int] = []
-        append = order.append
-        stack = [root]
-        stack_pop = stack.pop
-        stack_push = stack.append
-        while stack:
-            node = stack_pop()
-            append(node)
-            sibling = next_sibling[node]
-            if sibling is not None and node != root:
-                stack_push(sibling)
-            child = first_child[node]
-            if child is not None:
-                stack_push(child)
+        # Pass 1: preorder numbering.
+        order = _preorder(tree)
         pre = self.pre
         for counter, node in enumerate(order):
             pre[node] = counter
@@ -105,7 +87,7 @@ class IntervalIndex:
 
     def classify(self, u: int, v: int) -> EdgeType:
         """Classify graph edge ``(u, v)`` against the indexed tree."""
-        if self._parent.get(v) == u:
+        if self.parent.get(v) == u:
             return EdgeType.TREE
         pre_u = self.pre[u]
         pre_v = self.pre[v]
@@ -121,3 +103,73 @@ class IntervalIndex:
         """:meth:`classify` plus both preorder positions (hot-loop helper)."""
         kind = self.classify(u, v)
         return kind, self.pre[u], self.pre[v]
+
+
+class CutLabels:
+    """Every node's cut label, and ancestry among the cut nodes.
+
+    A cut tree (Definition 6.5) holds the root and every ancestor of each
+    of its nodes, so ancestry among cut nodes is the same in the cut tree
+    as in the whole tree.  Cut nodes are numbered in cut-tree preorder.
+
+    ``label[x]`` is the number of ``x``'s deepest cut ancestor (a cut node
+    is its own), for every node reachable from the root.  ``order[r]`` is
+    the cut node numbered ``r`` and ``end[r]`` is ``r`` plus its cut
+    subtree size, so numbers ``r < s`` belong to unrelated cut nodes
+    exactly when ``s >= end[r]``.  One preorder sweep builds it.
+    """
+
+    __slots__ = ("label", "order", "end")
+
+    def __init__(self, tree: SpanningTree, cut_nodes: AbstractSet[int]) -> None:
+        if tree.root is not None and tree.root not in cut_nodes:
+            raise ValueError("a cut tree must contain the root")
+        # Only the root lacks a parent, and the root labels itself.
+        parent = cast(Dict[int, int], tree.parent)
+        label: Dict[int, int] = {}
+        order: List[int] = []
+        for node in _preorder(tree):
+            if node in cut_nodes:
+                label[node] = len(order)
+                order.append(node)
+            else:
+                label[node] = label[parent[node]]
+        sizes = [1] * len(order)
+        for rank in range(len(order) - 1, 0, -1):  # children before parents
+            sizes[label[parent[order[rank]]]] += sizes[rank]
+        self.label = label
+        self.order = order
+        self.end = [rank + size for rank, size in enumerate(sizes)]
+
+    def is_ancestor(self, a: int, b: int) -> bool:
+        """Whether cut node ``a`` is an ancestor of cut node ``b``."""
+        rank = self.label[a]
+        return rank <= self.label[b] < self.end[rank]
+
+
+def _preorder(tree: SpanningTree) -> List[int]:
+    """Every node reachable from the root, in preorder.
+
+    An inlined sibling-resume walk: it runs once per restructure batch and
+    per division, where a generator's indirection is measurable.
+    """
+    root = tree.root
+    if root is None:
+        return []
+    first_child = tree.first_child
+    next_sibling = tree.next_sibling
+    order: List[int] = []
+    append = order.append
+    stack = [root]
+    stack_pop = stack.pop
+    stack_push = stack.append
+    while stack:
+        node = stack_pop()
+        append(node)
+        sibling = next_sibling[node]
+        if sibling is not None and node != root:
+            stack_push(sibling)
+        child = first_child[node]
+        if child is not None:
+            stack_push(child)
+    return order

@@ -3,9 +3,9 @@
 A *kernel* bundles the per-edge hot operations the restructure and
 division passes perform millions of times — unpacking a disk block into
 columns, packing columns back to bytes, classifying a block of edges
-against the in-memory spanning tree, collecting a block's cross (S-)
-edges, and routing a block's edges to their owning parts.  Two backends
-exist:
+against the in-memory spanning tree, collecting a block's cross edges or
+the cut-label pairs of its S-edges, and routing a block's edges to their
+owning parts.  Two backends exist:
 
 * ``python`` — always available; stdlib-``array`` columns, scalar
   classification (the seed implementation's semantics, verbatim);
@@ -22,11 +22,12 @@ identical classification decisions, identical I/O accounting.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Protocol, Set, Tuple
 
 from ..errors import ReproError
 
 if TYPE_CHECKING:
+    from ..core.classify import CutLabels
     from ..core.tree import SpanningTree
 
 #: Environment variable consulted when no explicit backend is requested.
@@ -101,11 +102,24 @@ class Kernel(Protocol):
         """Emit a block's forward-/backward-cross edges, as python-int
         pairs in scan order.
 
-        The columnar S-edge primitive of the division step: tree edges,
-        forward (ancestor→descendant) edges, backward (descendant→ancestor)
-        edges and self-loops all vanish inside the interval tests; only
-        edges that cross subtrees survive.  ``index`` is whatever
-        :meth:`make_index` produced for the spanning tree.
+        Tree edges, forward (ancestor→descendant) edges, backward
+        (descendant→ancestor) edges and self-loops all vanish inside the
+        interval tests; only edges that cross subtrees survive.  ``index``
+        is whatever :meth:`make_index` produced for the spanning tree.
+        Division step 1 does not use it: :meth:`collect_cut_pairs` keeps
+        one pair per S-edge instead of every cross edge.
+        """
+
+    def make_cut_index(self, labels: "CutLabels") -> Optional[Any]:
+        """Build a cut-label index, or ``None`` to decline the labels."""
+
+    def collect_cut_pairs(
+        self, index: Any, u_col: Any, v_col: Any, pairs: Set[Tuple[int, int]]
+    ) -> None:
+        """Add a block's ``(c(u), c(v))`` pairs of unrelated cut nodes to
+        ``pairs`` (python ints); ``c(x)`` is ``x``'s deepest cut ancestor.
+        Exactly the cross edges whose LCA is an expanded cut node are kept,
+        each with its pair's S-edge; ``pairs`` stays within ``|V(T_c)|²``.
         """
 
     def make_owner_index(self, owner: Any) -> Optional[Any]:

@@ -11,12 +11,12 @@ unavailable".
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Tuple
+from typing import Collection, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 import numpy.typing as npt
 
-from ..core.classify import IntervalIndex
+from ..core.classify import CutLabels, IntervalIndex
 from ..core.tree import SpanningTree
 from .base import ClassifiedSlice
 
@@ -50,6 +50,32 @@ class DenseIntervalIndex:
         self.pre: "npt.NDArray[np.int64]" = pre
         self.size: "npt.NDArray[np.int64]" = size
         self.parent: "npt.NDArray[np.int64]" = parent
+
+
+class DenseCutIndex:
+    """Array-backed :class:`~repro.core.classify.CutLabels`.
+
+    ``label`` is keyed by node id (``-1`` in holes), ``end`` and ``order``
+    by cut number, so only ``label`` scales with the id range.
+    """
+
+    __slots__ = ("label", "end", "order")
+
+    def __init__(
+        self,
+        label: "npt.NDArray[np.int64]",
+        end: "npt.NDArray[np.int64]",
+        order: "npt.NDArray[np.int64]",
+    ) -> None:
+        self.label: "npt.NDArray[np.int64]" = label
+        self.end: "npt.NDArray[np.int64]" = end
+        self.order: "npt.NDArray[np.int64]" = order
+
+
+def _dense_length(keys: Collection[int]) -> Optional[int]:
+    """Length of a dense column over ``keys``, or ``None`` when too sparse."""
+    length = max(keys, default=-1) + 1
+    return length if 0 < length <= max(1024, _DENSITY_LIMIT * len(keys)) else None
 
 
 def _dense_column(
@@ -155,13 +181,10 @@ class NumpyKernel:
         (divide & conquer parts can hold sparse id subsets); the restructure
         loop falls back transparently and semantics are unchanged.
         """
-        if not tree.parent:
-            return None
-        max_id = max(tree.parent)
-        if max_id + 1 > max(1024, _DENSITY_LIMIT * len(tree.parent)):
+        length = _dense_length(tree.parent)
+        if length is None:
             return None
         index = IntervalIndex(tree)
-        length = max_id + 1
         return DenseIntervalIndex(
             pre=_dense_column(index.pre, length, -1),
             size=_dense_column(index.size, length, -1),
@@ -245,6 +268,39 @@ class NumpyKernel:
         return list(
             zip(u_col[positions].tolist(), v_col[positions].tolist())
         )
+
+    def make_cut_index(self, labels: CutLabels) -> Optional[DenseCutIndex]:
+        """Dense cut labels, or ``None`` on :meth:`make_index`'s sparse ids."""
+        length = _dense_length(labels.label)
+        if length is None:
+            return None
+        return DenseCutIndex(
+            label=_dense_column(labels.label, length, -1),
+            end=np.asarray(labels.end, dtype=np.int64),
+            order=np.asarray(labels.order, dtype=np.int64),
+        )
+
+    def collect_cut_pairs(
+        self,
+        index: DenseCutIndex,
+        u_col: "npt.NDArray[np.int32]",
+        v_col: "npt.NDArray[np.int32]",
+        pairs: Set[Tuple[int, int]],
+    ) -> None:
+        """Vectorized twin of ``PythonKernel.collect_cut_pairs``; pairs are
+        deduplicated as integer keys before they become python ints."""
+        label_u = index.label[u_col]
+        label_v = index.label[v_col]
+        low = np.minimum(label_u, label_v)
+        unrelated = np.maximum(label_u, label_v) >= index.end[low]
+        if not unrelated.any():
+            return
+        count = len(index.order)
+        keys = np.unique(label_u[unrelated] * count + label_v[unrelated])
+        pairs.update(zip(
+            index.order[keys // count].tolist(),
+            index.order[keys % count].tolist(),
+        ))
 
     # -- BFS relaxation ------------------------------------------------
     def make_level_column(

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union, cast
+from typing import Dict, List, Mapping, Sequence, Set, Tuple, Union, cast
 
-from ..core.classify import IntervalIndex
+from ..core.classify import CutLabels, IntervalIndex
 from ..core.tree import SpanningTree
 from .base import ClassifiedSlice
 
@@ -26,18 +26,6 @@ _TYPECODE = next(tc for tc in ("i", "l", "h") if array(tc).itemsize == 4)
 
 #: Native byte order vs. the on-disk little-endian format.
 _NEEDS_SWAP = sys.byteorder == "big"
-
-
-class _DictIndexClassifier:
-    """Scalar classifier over the dict-based :class:`IntervalIndex`."""
-
-    __slots__ = ("pre", "size", "parent")
-
-    def __init__(self, tree: SpanningTree) -> None:
-        index = IntervalIndex(tree)
-        self.pre: Dict[int, int] = index.pre
-        self.size: Dict[int, int] = index.size
-        self.parent: Dict[int, Optional[int]] = tree.parent
 
 
 class PythonKernel:
@@ -127,13 +115,13 @@ class PythonKernel:
         return column
 
     # -- classification ------------------------------------------------
-    def make_index(self, tree: SpanningTree) -> Optional[_DictIndexClassifier]:
-        """Build a classifier for :meth:`classify_slice` (never dense)."""
-        return _DictIndexClassifier(tree)
+    def make_index(self, tree: SpanningTree) -> IntervalIndex:
+        """The dict-based :class:`IntervalIndex` (never declines)."""
+        return IntervalIndex(tree)
 
     def classify_slice(
         self,
-        index: _DictIndexClassifier,
+        index: IntervalIndex,
         u_col: Sequence[int],
         v_col: Sequence[int],
         start: int,
@@ -184,7 +172,7 @@ class PythonKernel:
 
     def collect_cross_edges(
         self,
-        index: _DictIndexClassifier,
+        index: IntervalIndex,
         u_col: Sequence[int],
         v_col: Sequence[int],
     ) -> List[Tuple[int, int]]:
@@ -209,6 +197,35 @@ class PythonKernel:
             elif pre_u >= pre_v + size[v]:
                 cross.append((u, v))  # backward-cross
         return cross
+
+    def make_cut_index(self, labels: CutLabels) -> CutLabels:
+        """The cut labels are their own index (never declines)."""
+        return labels
+
+    def collect_cut_pairs(
+        self,
+        index: CutLabels,
+        u_col: Sequence[int],
+        v_col: Sequence[int],
+        pairs: Set[Tuple[int, int]],
+    ) -> None:
+        """Keep the label pairs whose cut nodes are unrelated.
+
+        Equal labels fail the test too: ``end[r]`` is always past ``r``.
+        """
+        label = index.label
+        end = index.end
+        kept: Set[Tuple[int, int]] = set()
+        for u, v in zip(u_col, v_col):
+            label_u = label[u]
+            label_v = label[v]
+            if label_u < label_v:
+                if label_v >= end[label_u]:
+                    kept.add((label_u, label_v))
+            elif label_u >= end[label_v]:
+                kept.add((label_u, label_v))
+        order = index.order
+        pairs.update((order[a], order[b]) for a, b in kept)
 
     # -- BFS relaxation ------------------------------------------------
     def make_level_column(self, levels: Sequence[int]) -> "array[int]":

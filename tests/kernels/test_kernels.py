@@ -220,12 +220,21 @@ class TestClassifySlice:
 
 
 class TestDivisionOps:
-    """The division-scan kernel ops: cross-edge collection and routing."""
+    """The division-scan kernel ops: cross edges, cut-label pairs, routing."""
 
     def columns_for(self, kernel, edges):
         return kernel.make_columns(
             [u for u, _ in edges], [v for _, v in edges]
         )
+
+    def cut_pairs(self, kernel, tree, cut_nodes, edges):
+        from repro.core.classify import CutLabels
+
+        index = kernel.make_cut_index(CutLabels(tree, cut_nodes))
+        assert index is not None
+        pairs = set()
+        kernel.collect_cut_pairs(index, *self.columns_for(kernel, edges), pairs)
+        return pairs
 
     @pytest.mark.parametrize("seed", [1, 4, 9])
     def test_collect_cross_edges_matches_the_classifier(self, kernel, seed):
@@ -259,6 +268,68 @@ class TestDivisionOps:
             np_kernel.make_index(tree), *self.columns_for(np_kernel, edges)
         )
         assert [(int(u), int(v)) for u, v in np_out] == list(py_out)
+
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    def test_full_cut_pairs_are_the_distinct_cross_edges(self, kernel, seed):
+        """With every node in the cut, each node is its own label and the
+        kept pairs are exactly the distinct cross edges."""
+        from repro.core.classify import EdgeType, IntervalIndex
+
+        tree, edges = converged_tree(seed=seed)
+        oracle = IntervalIndex(tree)
+        expected = {
+            (u, v)
+            for u, v in edges
+            if u != v and oracle.classify(u, v) in
+            (EdgeType.FORWARD_CROSS, EdgeType.BACKWARD_CROSS)
+        }
+        assert expected
+        assert self.cut_pairs(kernel, tree, set(tree.nodes), edges) == expected
+
+    @requires_numpy
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("cut_budget", [None, 16, 400, "all"])
+    def test_backends_collect_identical_cut_pairs(self, seed, cut_budget):
+        from repro.algorithms import build_cut_tree, star_cut
+
+        tree, edges = converged_tree(seed=seed)
+        if cut_budget is None:
+            cut_nodes, _ = star_cut(tree)
+        elif cut_budget == "all":
+            cut_nodes = set(tree.nodes)
+        else:
+            cut_nodes, _ = build_cut_tree(tree, cut_budget)
+        py_pairs = self.cut_pairs(resolve_kernel("python"), tree, cut_nodes, edges)
+        assert py_pairs
+        assert all(type(u) is int and type(v) is int for u, v in py_pairs)
+        np_pairs = self.cut_pairs(resolve_kernel("numpy"), tree, cut_nodes, edges)
+        assert all(type(u) is int and type(v) is int for u, v in np_pairs)
+        assert np_pairs == py_pairs
+
+    def test_collect_cut_pairs_on_an_empty_block(self, kernel):
+        tree, _ = converged_tree(seed=1)
+        assert self.cut_pairs(kernel, tree, {tree.root}, []) == set()
+
+    def test_equal_labels_keep_nothing(self, kernel):
+        """A root-only cut labels every node with the root: nothing is
+        kept, however many edges cross below it."""
+        tree, edges = converged_tree(seed=4)
+        assert self.cut_pairs(kernel, tree, {tree.root}, edges) == set()
+
+    def test_sparse_ids_decline_the_cut_index(self, kernel):
+        from repro.core.classify import CutLabels
+
+        tree = SpanningTree()
+        tree.add_node(10**7, virtual=True)
+        tree.root = 10**7
+        tree.add_node(0)
+        tree.attach(0, 10**7)
+        labels = CutLabels(tree, {10**7, 0})
+        index = kernel.make_cut_index(labels)
+        if kernel.name == "numpy":
+            assert index is None
+        else:  # the python kernel is the universal fallback
+            assert index is labels
 
     def test_make_columns_rejects_out_of_range(self, kernel):
         with pytest.raises(ValueError):
