@@ -183,9 +183,7 @@ class RunContext:
         algorithm: str,
         deadline_seconds: Optional[float] = None,
         tracer: Optional[Tracer] = None,
-        workers: int = 1,
         block_codec: Optional[str] = None,
-        worker_boundary: str = "shm",
     ) -> None:
         minimum = TREE_NODE_COST * graph.node_count
         if memory < minimum:
@@ -193,23 +191,9 @@ class RunContext:
                 f"semi-external model needs M >= {TREE_NODE_COST}*|V| = {minimum}; "
                 f"got M = {memory}"
             )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if worker_boundary not in ("shm", "pickle"):
-            raise ValueError(
-                f"worker_boundary must be 'shm' or 'pickle', got "
-                f"{worker_boundary!r}"
-            )
         self.graph = graph
         self.memory = memory
         self.algorithm = algorithm
-        self.workers = workers
-        #: How bulk data crosses the pool's process line: ``"shm"`` moves
-        #: spanning trees as framed int32 columns in shared memory (with a
-        #: per-part pickle fallback on shm-hostile hosts), ``"pickle"``
-        #: forces the legacy fully-pickled payloads.  Irrelevant when
-        #: ``workers == 1``.
-        self.worker_boundary = worker_boundary
         self.budget = MemoryBudget(memory)
         self.allocator = VirtualNodeAllocator(graph.node_count)
         self.passes = 0
@@ -256,17 +240,6 @@ class RunContext:
             raise ConvergenceError(
                 f"{self.algorithm} exceeded its wall-clock deadline"
             )
-
-    def remaining_seconds(self) -> Optional[float]:
-        """Wall-clock budget left before the deadline (``None`` = no limit).
-
-        The parallel part scheduler forwards this remainder to each worker
-        process so a part's recursion honours the same overall deadline.
-        """
-        if self._deadline is None:
-            return None
-        # repro: allow[SEX302] deadline bookkeeping; never alters the result tree
-        return max(0.0, self._deadline - time.perf_counter())
 
     def bump(self, key: str, amount: int = 1) -> None:
         """Increment a free-form counter."""

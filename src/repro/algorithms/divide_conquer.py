@@ -248,45 +248,36 @@ def _divide_conquer(
 
     part_trees: List[SpanningTree] = []
     try:
-        if context.workers > 1 and depth == 0 and division.part_count > 1:
-            # Top-level parts go to the process pool; each worker runs this
-            # same recursion sequentially on its own part (repro.parallel).
-            from ..parallel import conquer_parts
-
-            part_trees = conquer_parts(
-                division, context, strategy, depth + 1, pass_limit
-            )
-        else:
-            for part in division.parts:
-                # The deadline must also interrupt between parts: a division
-                # can produce hundreds of them, and a run that checked the
-                # clock only inside each part's restructure loop could
-                # overshoot its budget by a whole in-memory solve per part.
-                context.check_deadline()
-                with context.tracer.span(
-                    "part", depth=depth + 1, part=part.index,
-                    nodes=len(part.real_nodes), edges=part.edge_file.edge_count,
-                ):
-                    part_trees.append(
-                        _divide_conquer(
-                            part.edge_file,
-                            len(part.real_nodes),
-                            part.tree,
-                            context,
-                            strategy,
-                            depth + 1,
-                            owns_file=True,
-                            pass_limit=pass_limit,
-                        )
+        for part in division.parts:
+            # The deadline must also interrupt between parts: a division
+            # can produce hundreds of them, and a run that checked the
+            # clock only inside each part's restructure loop could
+            # overshoot its budget by a whole in-memory solve per part.
+            context.check_deadline()
+            with context.tracer.span(
+                "part", depth=depth + 1, part=part.index,
+                nodes=len(part.real_nodes), edges=part.edge_file.edge_count,
+            ):
+                part_trees.append(
+                    _divide_conquer(
+                        part.edge_file,
+                        len(part.real_nodes),
+                        part.tree,
+                        context,
+                        strategy,
+                        depth + 1,
+                        owns_file=True,
+                        pass_limit=pass_limit,
                     )
+                )
     # repro: allow[SEX402] cleanup-and-reraise at the recursion boundary; the error propagates untouched
     except Exception:
         # This level's division already replaced the parent edge file, so
         # its part files are owned here and nowhere else: without this
-        # sweep, an error raised inside any part (deadline, pass cap, a
-        # crashed pool worker) would leak every not-yet-consumed part file
-        # onto the device.  delete() is idempotent, so parts the recursion
-        # or a worker already consumed are unaffected.
+        # sweep, an error raised inside any part (deadline, pass cap)
+        # would leak every not-yet-consumed part file onto the device.
+        # delete() is idempotent, so parts the recursion already consumed
+        # are unaffected.
         for part in division.parts:
             part.edge_file.delete()
         raise
@@ -305,9 +296,7 @@ def _run(
     deadline_seconds: Optional[float],
     trace: bool,
     tracer: Optional[Tracer],
-    workers: int,
     block_codec: Optional[str],
-    worker_boundary: str,
 ) -> DFSResult:
     global _TRACE_TRACER_WARNED
     if tracer is None and trace:
@@ -324,8 +313,8 @@ def _run(
             stacklevel=3,
         )
     context = RunContext(
-        graph, memory, name, deadline_seconds, tracer, workers=workers,
-        block_codec=block_codec, worker_boundary=worker_boundary,
+        graph, memory, name, deadline_seconds, tracer,
+        block_codec=block_codec,
     )
     try:
         tree = initial_star_tree(graph, context.allocator, start)
@@ -357,9 +346,7 @@ def divide_star_dfs(
     deadline_seconds: Optional[float] = None,
     trace: bool = False,
     tracer: Optional[Tracer] = None,
-    workers: int = 1,
     block_codec: Optional[str] = None,
-    worker_boundary: str = "shm",
 ) -> DFSResult:
     """DivideConquerDFS with the Divide-Star division (Algorithm 3).
 
@@ -369,21 +356,13 @@ def divide_star_dfs(
             ``DFSResult.events``.
         tracer: a :class:`~repro.obs.Tracer` to receive the run's span
             events, metrics, and progress heartbeats.
-        workers: process-pool width for the top-level division's parts
-            (see :mod:`repro.parallel`); ``1`` keeps the sequential loop
-            and is bit-identical to earlier releases.
         block_codec: edge-block codec for files written during the run
             (``"fixed32"`` / ``"delta-varint"``; default: the device's
             setting).  Changes block counts only, never the DFS tree.
-        worker_boundary: how pooled part trees cross the process line —
-            ``"shm"`` (default) for framed shared-memory columns,
-            ``"pickle"`` to force the legacy pickled payloads.  Results
-            and I/O charges are identical either way.
     """
     return _run(
         graph, memory, star_strategy, "divide-star", start, max_passes,
-        deadline_seconds, trace, tracer, workers, block_codec,
-        worker_boundary,
+        deadline_seconds, trace, tracer, block_codec,
     )
 
 
@@ -395,9 +374,7 @@ def divide_td_dfs(
     deadline_seconds: Optional[float] = None,
     trace: bool = False,
     tracer: Optional[Tracer] = None,
-    workers: int = 1,
     block_codec: Optional[str] = None,
-    worker_boundary: str = "shm",
 ) -> DFSResult:
     """DivideConquerDFS with the Divide-TD division (Algorithm 4).
 
@@ -407,19 +384,11 @@ def divide_td_dfs(
             ``DFSResult.events``.
         tracer: a :class:`~repro.obs.Tracer` to receive the run's span
             events, metrics, and progress heartbeats.
-        workers: process-pool width for the top-level division's parts
-            (see :mod:`repro.parallel`); ``1`` keeps the sequential loop
-            and is bit-identical to earlier releases.
         block_codec: edge-block codec for files written during the run
             (``"fixed32"`` / ``"delta-varint"``; default: the device's
             setting).  Changes block counts only, never the DFS tree.
-        worker_boundary: how pooled part trees cross the process line —
-            ``"shm"`` (default) for framed shared-memory columns,
-            ``"pickle"`` to force the legacy pickled payloads.  Results
-            and I/O charges are identical either way.
     """
     return _run(
         graph, memory, td_strategy, "divide-td", start, max_passes,
-        deadline_seconds, trace, tracer, workers, block_codec,
-        worker_boundary,
+        deadline_seconds, trace, tracer, block_codec,
     )

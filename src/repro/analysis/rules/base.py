@@ -46,12 +46,6 @@ OBSERVABILITY_PATH_PREFIXES: Tuple[str, ...] = ("repro/obs/",)
 #: in a materializer is an O(E) memory-model breach.
 SCAN_METHOD_NAMES: Tuple[str, ...] = ("scan", "scan_blocks", "scan_columns")
 
-#: Files allowed to spawn worker processes.  Process-pool orchestration
-#: lives in exactly one module so its invariants — part-ordered
-#: reassembly, worker I/O absorption, span replay — cannot be bypassed
-#: by an ad-hoc pool elsewhere (the SEX5xx family).
-PARALLEL_LAYER_FILES: Tuple[str, ...] = ("repro/parallel.py",)
-
 #: Path prefixes of the serving layer.  Network listeners live in exactly
 #: one package so every served answer demonstrably comes from a sealed,
 #: checksummed artifact — a socket opened next to an algorithm could leak
@@ -142,11 +136,6 @@ def in_algorithm_core(relpath: str) -> bool:
 def in_observability_layer(relpath: str) -> bool:
     """Whether ``relpath`` is part of the observability layer."""
     return relpath.startswith(OBSERVABILITY_PATH_PREFIXES)
-
-
-def in_parallel_layer(relpath: str) -> bool:
-    """Whether ``relpath`` may orchestrate worker processes."""
-    return relpath in PARALLEL_LAYER_FILES
 
 
 def in_serve_layer(relpath: str) -> bool:

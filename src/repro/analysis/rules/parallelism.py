@@ -1,21 +1,14 @@
 """SEX5xx — parallelism containment.
 
-The process-pool part scheduler (:mod:`repro.parallel`) upholds three
-invariants that make ``workers > 1`` safe to reason about: part
-DFS-Trees are reassembled in part order (determinism), every worker's
-measured I/O is absorbed into the parent run's counter (accounting), and
-worker span events are replayed through the parent tracer (exact
-leaf-phase tiling).  An ad-hoc ``ProcessPoolExecutor`` or
-``multiprocessing`` pool anywhere else would sidestep all three — the
-classic way a "parallel speedup" silently stops being the same
-computation.  This rule confines process-spawning imports to the one
-module built to preserve the invariants.
-
-One carve-out: ``multiprocessing.shared_memory`` (and its
-``resource_tracker`` companion) spawns nothing — it is the OS-level
-allocation primitive behind the columnar worker boundary
-(:mod:`repro.storage.shm`), so the *storage layer* may import it.  The
-scheduler stays the only place allowed to create processes.
+The divide & conquer recursion conquers a division's parts one after
+another, in part order, exactly as the paper's Algorithm 2 does: the
+merge consumes the part DFS-Trees in that order, every block transfer
+is charged to the run's one :class:`~repro.storage.io_stats.IOStats`,
+and every span nests under the run's one tracer (exact leaf-phase
+tiling).  A process pool or shared-memory segment anywhere in the
+package would sidestep all three — the classic way a "parallel
+speedup" silently stops being the same computation — so this rule
+forbids process-spawning and shared-memory imports everywhere.
 """
 
 from __future__ import annotations
@@ -23,75 +16,43 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Tuple
 
-from .base import RawViolation, Rule, in_parallel_layer, in_storage_layer, register
+from .base import RawViolation, Rule, register
 
-#: Top-level modules whose import means "this file may spawn processes".
+#: Top-level modules whose import means "this file may spawn processes"
+#: (``multiprocessing`` also covers its ``shared_memory`` submodule).
 _PROCESS_MODULES: Tuple[str, ...] = ("multiprocessing", "concurrent")
-
-#: Non-spawning ``multiprocessing`` submodules the storage layer may use
-#: for the shared-memory column segments (repro/storage/shm.py).
-_SHM_SUBMODULES: Tuple[str, ...] = (
-    "multiprocessing.shared_memory",
-    "multiprocessing.resource_tracker",
-)
-
-_SHM_NAMES: Tuple[str, ...] = ("shared_memory", "resource_tracker")
 
 
 def _module_root(name: str) -> str:
     return name.split(".", 1)[0]
 
 
-def _storage_may_import(relpath: str, node: ast.AST) -> bool:
-    """Whether this import is the storage layer's shared-memory carve-out."""
-    if not in_storage_layer(relpath):
-        return False
-    if isinstance(node, ast.Import):
-        return all(alias.name in _SHM_SUBMODULES for alias in node.names)
-    if isinstance(node, ast.ImportFrom):
-        if node.module in _SHM_SUBMODULES:
-            return True
-        if node.module == "multiprocessing":
-            return all(alias.name in _SHM_NAMES for alias in node.names)
-    return False
-
-
 @register
 class ProcessPoolConfinementRule(Rule):
-    """Process-spawning imports outside ``repro/parallel.py``."""
+    """Process-spawning or shared-memory imports anywhere in the package."""
 
     code = "SEX501"
-    name = "par-pool-outside-scheduler"
+    name = "par-process-pool"
     summary = (
-        "multiprocessing/concurrent.futures imports are confined to "
-        "repro/parallel.py (shared_memory/resource_tracker additionally "
-        "allowed in repro/storage/); pooled work elsewhere would bypass "
-        "part-order reassembly, worker I/O absorption, and span replay"
+        "multiprocessing/concurrent.futures imports are forbidden: division "
+        "parts run sequentially in part order, and pooled work would bypass "
+        "the run's single I/O counter and span tree"
     )
-
-    def applies_to(self, relpath: str) -> bool:
-        return not in_parallel_layer(relpath)
 
     def check(self, module: ast.Module, relpath: str) -> Iterator[RawViolation]:
         for node in ast.walk(module):
             if isinstance(node, ast.Import):
-                if _storage_may_import(relpath, node):
-                    continue
                 for alias in node.names:
                     if _module_root(alias.name) in _PROCESS_MODULES:
                         yield self.violation(
                             node,
-                            f"import of {alias.name} outside the parallel "
-                            "scheduler; route pooled work through "
-                            "repro.parallel.conquer_parts",
+                            f"import of {alias.name}; division parts run "
+                            "sequentially, without a process pool",
                         )
             elif isinstance(node, ast.ImportFrom):
                 if node.module and _module_root(node.module) in _PROCESS_MODULES:
-                    if _storage_may_import(relpath, node):
-                        continue
                     yield self.violation(
                         node,
-                        f"import from {node.module} outside the parallel "
-                        "scheduler; route pooled work through "
-                        "repro.parallel.conquer_parts",
+                        f"import from {node.module}; division parts run "
+                        "sequentially, without a process pool",
                     )

@@ -55,7 +55,6 @@ from .base import (
     FlowRule,
     RawViolation,
     in_algorithm_core,
-    in_parallel_layer,
     register,
 )
 
@@ -235,11 +234,7 @@ class ResourceLeakRule(FlowRule):
     )
 
     def applies_to(self, relpath: str) -> bool:
-        return (
-            in_algorithm_core(relpath)
-            or in_parallel_layer(relpath)
-            or relpath.startswith("repro/apps/")
-        )
+        return in_algorithm_core(relpath) or relpath.startswith("repro/apps/")
 
     def check_flow(
         self, module: ast.Module, relpath: str, context: ProjectContext

@@ -9,7 +9,7 @@ or raw socket anywhere else — an algorithm module exposing progress over
 the network, a debug endpoint inside the storage layer — would leak
 unsealed state and un-charged I/O straight past the cost model and the
 artifact versioning.  This rule confines the stdlib networking imports
-to the serving package, mirroring SEX501's process-pool confinement.
+to the serving package, as SEX501 keeps process pools out of the package.
 """
 
 from __future__ import annotations

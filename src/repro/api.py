@@ -41,11 +41,6 @@ BATCH_OPTIONS = BASE_OPTIONS | {
     "order", "use_external_stack", "checkpoint_every", "initial_tree",
 }
 
-#: Options understood by the divide & conquer algorithms: the base set
-#: plus the process-pool width for the top-level parts and the worker
-#: boundary kind (repro.parallel).
-DIVIDE_OPTIONS = BASE_OPTIONS | {"workers", "worker_boundary"}
-
 #: Registered algorithms, as used throughout the benchmarks.  A
 #: ``Mapping[str, runner]`` whose keys include aliases (the paper's name
 #: for the batch baseline is ``SEMI-DFS``); see
@@ -69,13 +64,11 @@ ALGORITHMS.register(AlgorithmSpec(
     name="divide-star",
     runner=divide_star_dfs,
     description="divide & conquer with Divide-Star divisions",
-    options=DIVIDE_OPTIONS,
 ))
 ALGORITHMS.register(AlgorithmSpec(
     name="divide-td",
     runner=divide_td_dfs,
     description="divide & conquer with top-down (Divide-TD) divisions",
-    options=DIVIDE_OPTIONS,
 ))
 ALGORITHMS.register(AlgorithmSpec(
     name="bfs",

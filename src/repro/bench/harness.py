@@ -63,11 +63,6 @@ class CellResult:
     kernel: str = "python"
     retries: int = 0  # physical retry attempts (excluded from `ios`)
     faults: int = 0  # injected/observed block faults during the run
-    #: Process-pool width the cell ran with (1 = the sequential part loop).
-    workers: int = 1
-    #: How many pool dispatches had memory-share floors exceeding ``M``
-    #: (the ``worker_memory_oversubscribed`` counter; 0 when sequential).
-    oversubscribed: int = 0
     #: Edge-block codec the cell's device wrote with.
     codec: str = "fixed32"
     #: Raw/stored edge-byte ratio over the run (1.0 under ``fixed32``).
@@ -95,17 +90,15 @@ def run_cell(
     start: Optional[int] = None,
     dnf_seconds: Optional[float] = None,
     block_elements: int = 4096,
-    workers: int = 1,
     block_codec: Optional[str] = None,
 ) -> CellResult:
     """Materialize a workload on a fresh device and run one algorithm.
 
     Graph materialization I/O is *not* charged to the cell — the paper's
     datasets pre-exist on disk; measurement starts at the algorithm call.
-    ``workers > 1`` turns on the process-pool part scheduler (divide &
-    conquer algorithms only; see :mod:`repro.parallel`).  ``block_codec``
-    selects the edge-block write codec for the whole cell, input
-    materialization included (``None``: ``$REPRO_BLOCK_CODEC``/fixed32).
+    ``block_codec`` selects the edge-block write codec for the whole
+    cell, input materialization included (``None``:
+    ``$REPRO_BLOCK_CODEC``/fixed32).
     """
     if dnf_seconds is None:
         dnf_seconds = default_dnf_seconds()
@@ -125,7 +118,6 @@ def run_cell(
                 graph, memory, algorithm=algorithm, start=start,
                 options=RunOptions(
                     deadline_seconds=dnf_seconds, tracer=tracer,
-                    workers=workers,
                 ),
             )
         except ConvergenceError:
@@ -138,7 +130,6 @@ def run_cell(
                 node_count=node_count, edge_count=graph.edge_count, dnf=True,
                 kernel=device.kernel.name,
                 retries=delta.retries, faults=delta.faults,
-                workers=workers,
                 codec=device.block_codec,
                 compression_ratio=delta.compression_ratio,
                 blocks_per_scan=graph.edge_file.block_count,
@@ -152,10 +143,6 @@ def run_cell(
             node_count=node_count, edge_count=graph.edge_count,
             kernel=result.kernel,
             retries=result.io.retries, faults=result.io.faults,
-            workers=workers,
-            oversubscribed=getattr(result, "details", {}).get(
-                "worker_memory_oversubscribed", 0
-            ),
             codec=result.block_codec,
             compression_ratio=result.compression_ratio,
             blocks_per_scan=graph.edge_file.block_count,

@@ -99,14 +99,10 @@ def render_csv(results: Sequence[CellResult]) -> str:
 
     ``ios`` is the logical charge (identical under any survivable fault
     plan); ``retries``/``faults`` report what the resilience layer
-    absorbed; ``workers`` is the process-pool width the cell ran with
-    (1 = sequential) and ``oversubscribed`` how many pool dispatches had
-    memory-share floors exceeding the budget ``M`` (the
-    ``worker_memory_oversubscribed`` counter).  ``codec`` /
-    ``compression_ratio`` /
-    ``blocks_per_scan`` describe the edge-block codec: which one wrote
-    the cell's blocks, the raw/stored byte ratio it achieved, and how
-    many sealed blocks one full input scan reads.  The trailing
+    absorbed.  ``codec`` / ``compression_ratio`` / ``blocks_per_scan``
+    describe the edge-block codec: which one wrote the cell's blocks,
+    the raw/stored byte ratio it achieved, and how many sealed blocks
+    one full input scan reads.  The trailing
     ``<phase>_seconds``/``<phase>_ios`` column pairs break the run down
     over the non-overlapping span phases (restructure/divide/solve/
     merge); zero for phases the algorithm never entered or when the cell
@@ -117,7 +113,7 @@ def render_csv(results: Sequence[CellResult]) -> str:
     )
     lines = [
         "x,algorithm,time_seconds,ios,passes,divisions,nodes,edges,"
-        "retries,faults,dnf,kernel,workers,oversubscribed,codec,"
+        "retries,faults,dnf,kernel,codec,"
         f"compression_ratio,blocks_per_scan,{phase_headers}"
     ]
     for cell in results:
@@ -130,8 +126,7 @@ def render_csv(results: Sequence[CellResult]) -> str:
             f"{cell.x},{cell.algorithm},{cell.time_seconds:.4f},{cell.ios},"
             f"{cell.passes},{cell.divisions},{cell.node_count},"
             f"{cell.edge_count},{cell.retries},{cell.faults},"
-            f"{int(cell.dnf)},{cell.kernel},{cell.workers},"
-            f"{cell.oversubscribed},{cell.codec},"
+            f"{int(cell.dnf)},{cell.kernel},{cell.codec},"
             f"{cell.compression_ratio:.3f},{cell.blocks_per_scan},{phases}"
         )
     return "\n".join(lines)

@@ -162,10 +162,7 @@ def _command_dfs(args: argparse.Namespace) -> int:
         try:
             result = semi_external_dfs(
                 graph, memory, algorithm=args.algorithm, start=args.start,
-                options=RunOptions(
-                    tracer=tracer, workers=args.workers,
-                    worker_boundary=args.worker_boundary,
-                ),
+                options=RunOptions(tracer=tracer),
             )
         finally:
             if trace_sink is not None:
@@ -178,14 +175,6 @@ def _command_dfs(args: argparse.Namespace) -> int:
             f"depth={getattr(result, 'max_depth', 0)} kernel={result.kernel} "
             f"retries={result.retries} faults={result.faults}"
         )
-        if args.workers > 1:
-            details = getattr(result, "details", {})
-            print(
-                f"pool: workers={args.workers} "
-                f"dispatches={details.get('parallel_dispatches', 0)} "
-                f"oversubscribed={details.get('worker_memory_oversubscribed', 0)} "
-                f"boundary_fallbacks={details.get('worker_boundary_fallbacks', 0)}"
-            )
         if trace_sink is not None:
             print(
                 f"trace: {trace_sink.events_written} span events written "
@@ -513,15 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     dfs.add_argument("--algorithm", default="divide-td",
                      choices=sorted(ALGORITHMS))
     dfs.add_argument("--start", type=int, default=None)
-    dfs.add_argument("--workers", type=int, default=1,
-                     help="process-pool width for the top-level division's "
-                          "parts (divide & conquer only; 1 = sequential)")
-    dfs.add_argument("--worker-boundary", choices=("shm", "pickle"),
-                     default=None,
-                     help="how pooled part trees cross the process line: "
-                          "shared-memory columns (shm, the default) or the "
-                          "legacy pickled payloads (pickle); results are "
-                          "identical either way")
     dfs.add_argument("--verify", action="store_true",
                      help="scan the edge file to certify the DFS-Tree")
     dfs.add_argument("--output", help="write the DFS order here")
@@ -643,8 +623,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.handler(args)
     except (ReproError, ValueError) as exc:
         # ValueError covers configuration mistakes surfaced by the typed
-        # options layer (e.g. --workers with an algorithm that does not
-        # support it); both deserve a clean error line, not a traceback.
+        # options layer (e.g. an option the algorithm does not support);
+        # both deserve a clean error line, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -173,8 +173,7 @@ class SpanningTree:
         nonzero ``virtual_flags[i]`` marks a virtual node.  Because
         preorder lists each sibling group in sibling order, appending
         children per parent reproduces sibling keys 1..n exactly as the
-        attach loop would.  This is the constructor the shared-memory
-        worker boundary uses on both sides of the process line.
+        attach loop would.
 
         Raises:
             InvalidGraphError: mismatched column lengths or duplicates.

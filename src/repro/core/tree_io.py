@@ -26,7 +26,7 @@ are deprecated in favour of publishing through
 from __future__ import annotations
 
 import warnings
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Set
 
 from ..errors import StorageError
 from ..storage.block_device import BlockDevice
@@ -56,14 +56,8 @@ def _warn_bare_blob(name: str) -> None:
     )
 
 
-def tree_columns(tree: SpanningTree) -> Tuple[int, List[int], List[int], List[int]]:
-    """Decompose ``tree`` into ``(root, nodes, parents, flags)`` columns.
-
-    Nodes appear in preorder (so sibling order is recoverable by
-    appending), ``parents`` uses ``-1`` for the root, and ``flags``
-    carries the virtual bit.  This is the columnar form the
-    shared-memory worker boundary moves across the process line; the
-    row-oriented wire format below is a zip of the same columns.
+def tree_values(tree: SpanningTree) -> List[int]:
+    """Serialize ``tree`` to its int32 wire values (header + triples).
 
     Only the part of the tree reachable from the root is emitted
     (detached nodes are transient algorithm state, never
@@ -74,46 +68,15 @@ def tree_columns(tree: SpanningTree) -> Tuple[int, List[int], List[int], List[in
     """
     if tree.root is None:
         raise StorageError("cannot save a rootless tree")
-    nodes: List[int] = []
-    parents: List[int] = []
-    flags: List[int] = []
+    values = [MAGIC, tree.root, 0]
     for node in tree.preorder():
         parent = tree.parent[node]
-        nodes.append(node)
-        parents.append(_NO_PARENT if parent is None else parent)
-        flags.append(_FLAG_VIRTUAL if tree.is_virtual(node) else 0)
-    return tree.root, nodes, parents, flags
-
-
-def tree_from_columns(
-    root: int,
-    nodes: Sequence[int],
-    parents: Sequence[int],
-    flags: Sequence[int],
-    context: str = "tree columns",
-) -> SpanningTree:
-    """Rebuild a tree from :func:`tree_columns` output.
-
-    Raises:
-        StorageError: mismatched column lengths.
-    """
-    if len(nodes) != len(parents) or len(nodes) != len(flags):
-        raise StorageError(f"{context}: mismatched tree column lengths")
-    return SpanningTree.from_preorder(
-        root, nodes, parents, flags, no_parent=_NO_PARENT
-    )
-
-
-def tree_values(tree: SpanningTree) -> List[int]:
-    """Serialize ``tree`` to its int32 wire values (header + triples).
-
-    Raises:
-        StorageError: when the tree has no root.
-    """
-    root, nodes, parents, flags = tree_columns(tree)
-    values = [MAGIC, root, len(nodes)]
-    for triple in zip(nodes, parents, flags):
-        values.extend(triple)
+        values.extend((
+            node,
+            _NO_PARENT if parent is None else parent,
+            _FLAG_VIRTUAL if tree.is_virtual(node) else 0,
+        ))
+    values[2] = (len(values) - 3) // 3
     return values
 
 
@@ -132,8 +95,8 @@ def tree_from_values(values: List[int], context: str) -> SpanningTree:
             f"{context} truncated: expected {expected} values, got {len(values)}"
         )
     body = values[3:expected]
-    return tree_from_columns(
-        root, body[0::3], body[1::3], body[2::3], context=context
+    return SpanningTree.from_preorder(
+        root, body[0::3], body[1::3], body[2::3], no_parent=_NO_PARENT
     )
 
 

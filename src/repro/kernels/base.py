@@ -66,8 +66,8 @@ class Kernel(Protocol):
     def pack_int_column(self, values: Any) -> bytes:
         """Pack one int sequence into little-endian int32 bytes.
 
-        The single-column half of the edge codec, used by the framed
-        shared-memory segments at the worker boundary.  Raises
+        The single-column half of the edge codec.  No library path
+        calls it; ``benchmarks/e2e/layers.py`` still wraps it.  Raises
         ``ValueError`` for values outside int32 range.
         """
 

@@ -150,7 +150,7 @@ class NumpyKernel:
         """Zero-copy int32 view of ``count`` values at element ``offset``.
 
         The view aliases ``buffer`` — consume or copy it before the
-        underlying memory (e.g. a shared-memory segment) is released.
+        underlying memory is released.
         """
         return np.frombuffer(
             buffer, dtype=_EDGE_DTYPE, count=count, offset=offset * 4

@@ -221,48 +221,6 @@ class Tracer:
         for sink in self._sinks:
             sink.emit(event)
 
-    def replay(self, events: Sequence[SpanEvent], **attributes: object) -> None:
-        """Re-emit completed events recorded by another tracer.
-
-        The parallel part scheduler runs each part's recursion in a
-        worker process with its own tracer; the parent replays the
-        worker's event list here so the run's sinks see a single stream.
-        Span ids are remapped into this tracer's id space (parent/child
-        links inside the replayed batch are preserved), events whose
-        parent is not in the batch — and top-level worker spans — are
-        re-parented under the currently open span, and ``attributes``
-        (e.g. ``worker=3``) are merged into every event.  Events are
-        replayed in their original sequence order; each gets a fresh
-        sequence number here, so a sink's stream stays strictly ordered.
-        """
-        if not events:
-            return
-        base_parent = self._stack[-1].span_id if self._stack else None
-        base_depth = len(self._stack)
-        id_map: Dict[int, int] = {}
-        for event in sorted(events, key=lambda e: e.sequence):
-            span_id = self._next_id
-            self._next_id += 1
-            id_map[event.span_id] = span_id
-            parent_id = base_parent
-            if event.parent_id is not None and event.parent_id in id_map:
-                parent_id = id_map[event.parent_id]
-            merged = dict(event.attributes)
-            merged.update(attributes)
-            replayed = SpanEvent(
-                name=event.name,
-                span_id=span_id,
-                parent_id=parent_id,
-                depth=base_depth + event.depth,
-                sequence=self._sequence,
-                elapsed_seconds=event.elapsed_seconds,
-                io=event.io,
-                attributes=merged,
-            )
-            self._sequence += 1
-            for sink in self._sinks:
-                sink.emit(replayed)
-
     # ------------------------------------------------------------------
     # metrics + progress
     # ------------------------------------------------------------------
@@ -301,9 +259,6 @@ class NullTracer(Tracer):
 
     def span(self, name: str, **attributes: object) -> Span:
         return self._NULL_SPAN
-
-    def replay(self, events: Sequence[SpanEvent], **attributes: object) -> None:
-        return None
 
     def count(self, name: str, amount: int = 1) -> None:
         return None

@@ -37,10 +37,6 @@ class RunOptions:
             baseline only).
         tracer: a :class:`repro.obs.Tracer` to receive span events,
             metrics, and progress heartbeats for this run.
-        workers: process-pool width for the top-level division's parts
-            (divide & conquer only; see :mod:`repro.parallel`).  The
-            default ``1`` keeps the sequential part loop and is
-            bit-identical to earlier releases.
         block_codec: edge-block payload codec for files written during
             the run — ``"fixed32"`` (raw int32 pairs) or
             ``"delta-varint"`` (zig-zag delta + LEB128 varint columns).
@@ -48,12 +44,6 @@ class RunOptions:
             to ``$REPRO_BLOCK_CODEC``, then ``fixed32``).  The codec
             changes block counts and bytes on disk only — the DFS tree
             and order are bit-identical across codecs.
-        worker_boundary: how pooled part trees cross the process line
-            (divide & conquer only) — ``"shm"`` for framed shared-memory
-            columns with a per-part pickle fallback, ``"pickle"`` to
-            force the legacy fully-pickled payloads.  ``None`` defers to
-            the algorithm's default (``"shm"``).  Results, DFS order,
-            and I/O charges are identical across boundaries.
 
     Fields left at their defaults are never forwarded, so a default
     value an algorithm does not understand (e.g. ``use_external_stack``
@@ -68,9 +58,7 @@ class RunOptions:
     checkpoint_every: Optional[int] = None
     initial_tree: Optional["SpanningTree"] = None
     tracer: Optional["Tracer"] = None
-    workers: int = 1
     block_codec: Optional[str] = None
-    worker_boundary: Optional[str] = None
 
     def replace(self, **changes: object) -> "RunOptions":
         """A copy with the given fields changed (frozen-safe update)."""
@@ -91,8 +79,8 @@ class RunOptions:
         kwargs: Dict[str, object] = {}
         for name, value, default in self._items():
             if isinstance(default, (bool, int)):
-                # value comparison: small ints (workers=1) are not
-                # guaranteed to be interned, so identity is unreliable
+                # value comparison: ints are not guaranteed to be
+                # interned, so identity is unreliable
                 unchanged = value == default
             else:
                 unchanged = value is default

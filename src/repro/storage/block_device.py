@@ -33,28 +33,13 @@ import os
 import shutil
 import tempfile
 import time
-from typing import TYPE_CHECKING, BinaryIO, Optional, Protocol
+from typing import TYPE_CHECKING, BinaryIO, Optional
 
 from ..errors import ClosedFileError, CorruptBlockError, RetriesExhausted, TransientIOError
 
 if TYPE_CHECKING:
     from ..obs import Tracer
 
-
-class BlockReadHandle(Protocol):
-    """What :meth:`BlockDevice.read_block` needs from a readable handle.
-
-    Satisfied by ordinary binary file objects *and* by read-only
-    :class:`mmap.mmap` mappings, so the zero-copy scan path of sealed
-    edge files flows through the same resilient, I/O-counted entry point
-    as buffered reads — logical charges are identical either way.
-    """
-
-    def read(self, size: int, /) -> bytes: ...
-
-    def seek(self, position: int, /) -> object: ...
-
-    def tell(self) -> int: ...
 from .faults import FaultInjector, FaultPlan
 from .io_stats import IOStats
 from .serialization import (
@@ -257,7 +242,7 @@ class BlockDevice:
         )
 
     def read_block(
-        self, handle: BlockReadHandle, context: str = "block"
+        self, handle: BinaryIO, context: str = "block"
     ) -> Optional[bytes]:
         """Read one framed block at the handle's current position.
 

@@ -17,20 +17,9 @@ Divide-TD.
 
 from __future__ import annotations
 
-import mmap
 import os
 from itertools import islice
-from typing import (
-    BinaryIO,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ClosedFileError, StorageError
 from .block_device import BlockDevice
@@ -65,7 +54,6 @@ class EdgeFile:
         self.device = device
         self.path = path
         self.codec = device.block_codec
-        self._mapped = False
         self._write_buffer: List[Edge] = []
         self._encoder: Optional[DeltaVarintBlockEncoder] = (
             None
@@ -85,24 +73,15 @@ class EdgeFile:
         path: str,
         edge_count: int,
         block_count: int,
-        mapped: bool = False,
     ) -> "EdgeFile":
         """Adopt an already-sealed edge file written elsewhere.
 
-        The normal constructor truncates ``path`` for writing; a pool
-        worker instead *adopts* the sealed part file the parent process
-        materialized, re-binding it to the worker's own device so every
-        scan charges the worker's :class:`~repro.storage.io_stats.IOStats`.
-        The caller supplies the counts the writer recorded — the file is
-        never rescanned just to rediscover them.
-
-        Args:
-            mapped: scan through a read-only ``mmap`` of the file instead
-                of buffered reads.  A sealed file is immutable, so the
-                mapping shares the page cache across pool workers instead
-                of each worker re-reading the bytes; logical I/O charges
-                are identical because every block still flows through
-                :meth:`BlockDevice.read_block`.
+        The normal constructor truncates ``path`` for writing; adoption
+        instead re-binds a sealed file written by another device to
+        ``device``, so every scan charges that device's
+        :class:`~repro.storage.io_stats.IOStats`.  The caller supplies
+        the counts the writer recorded — the file is never rescanned
+        just to rediscover them.
         """
         if not os.path.exists(path):
             raise StorageError(f"cannot adopt edge file {path}: no such file")
@@ -112,7 +91,6 @@ class EdgeFile:
         adopted.device = device
         adopted.path = path
         adopted.codec = device.block_codec
-        adopted._mapped = mapped
         adopted._write_buffer = []
         adopted._encoder = None
         handle = open(path, "rb")
@@ -280,25 +258,6 @@ class EdgeFile:
         if not self._sealed:
             raise StorageError(f"edge file {self.path} must be sealed before scanning")
 
-    def _open_reader(self) -> Union[BinaryIO, "mmap.mmap"]:
-        """Open the sealed file for one scan: mmap when adopted ``mapped``.
-
-        Both return types satisfy ``BlockReadHandle`` (read/seek/tell and
-        the context-manager protocol), so scans are agnostic to which one
-        they got.  Zero-length files cannot be mapped (POSIX mmap rejects
-        them), so they fall back to the buffered handle — such a scan
-        yields no blocks either way.
-        """
-        handle = open(self.path, "rb")
-        if not self._mapped:
-            return handle
-        try:
-            mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):
-            return handle  # empty file or mmap-hostile filesystem
-        handle.close()  # the mapping outlives the descriptor
-        return mapping
-
     def scan_blocks(self) -> Iterator[List[Edge]]:
         """Yield one list of edges per block, charging one read I/O each.
 
@@ -312,7 +271,7 @@ class EdgeFile:
         """
         self._check_readable()
         device = self.device
-        with self._open_reader() as handle:
+        with open(self.path, "rb") as handle:
             while True:
                 data = device.read_block(handle, context=self.path)
                 if data is None:
@@ -333,7 +292,7 @@ class EdgeFile:
         self._check_readable()
         device = self.device
         kernel = device.kernel
-        with self._open_reader() as handle:
+        with open(self.path, "rb") as handle:
             while True:
                 data = device.read_block(handle, context=self.path)
                 if data is None:

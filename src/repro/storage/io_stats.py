@@ -146,26 +146,6 @@ class IOStats:
         self.edge_bytes_raw += raw
         self.edge_bytes_stored += stored
 
-    def absorb(self, delta: IOSnapshot) -> None:
-        """Fold another run's measured delta into this counter.
-
-        The parallel part scheduler uses this to aggregate each worker
-        process's I/O (measured on the worker's own device) into the
-        parent run's counter, so ``DFSResult.io`` reports the whole
-        run's block transfers no matter which process paid them.
-        """
-        if min(delta.reads, delta.writes, delta.retries, delta.faults,
-               delta.checksum_failures, delta.edge_bytes_raw,
-               delta.edge_bytes_stored) < 0:
-            raise ValueError("cannot absorb a negative I/O delta")
-        self.reads += delta.reads
-        self.writes += delta.writes
-        self.retries += delta.retries
-        self.faults += delta.faults
-        self.checksum_failures += delta.checksum_failures
-        self.edge_bytes_raw += delta.edge_bytes_raw
-        self.edge_bytes_stored += delta.edge_bytes_stored
-
     @property
     def total(self) -> int:
         """Total logical block transfers so far."""

@@ -169,10 +169,10 @@ def test_memory_budget_and_options_surface():
         disk = DiskGraph.from_digraph(device, graph)
         with pytest.raises(MemoryBudgetExceeded):
             semi_external_bfs(disk, 3 * 30 - 1)
-        with pytest.raises(ValueError, match="'workers'"):
+        with pytest.raises(ValueError, match="'checkpoint_every'"):
             semi_external_dfs(
                 disk, 3 * 30 + 50, algorithm="bfs",
-                options=RunOptions(workers=2),
+                options=RunOptions(checkpoint_every=2),
             )
         result = semi_external_dfs(
             disk, 3 * 30 + 50, algorithm="bfs",

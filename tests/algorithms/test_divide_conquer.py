@@ -130,6 +130,46 @@ class TestDeadline:
         assert_valid_dfs_result(result, disk, graph)
 
 
+def dense_clusters(cluster_count=4, cluster_size=300, degree=14):
+    """Disconnected power-law clusters, each too dense for the budget.
+
+    The top-level division splits off one part per cluster, and every
+    part still exceeds ``M``, so the recursion keeps restructuring inside
+    the parts — where a tight pass cap then trips *after* the part files
+    have been materialized.
+    """
+    graph = Digraph(cluster_count * cluster_size)
+    for cluster in range(cluster_count):
+        base = cluster * cluster_size
+        shape = power_law_graph(cluster_size, degree, seed=10 + cluster)
+        for u, v in shape.edges():
+            graph.add_edge(base + u, base + v)
+    return graph
+
+
+DENSE_MEMORY = 3 * 1200 + 150
+
+
+class TestFailureCleanup:
+    """A mid-recursion error must leave zero part artifacts behind."""
+
+    def test_pass_cap_error_leaves_no_part_files(self, device_factory):
+        device = device_factory(64)
+        disk = DiskGraph.from_digraph(device, dense_clusters())
+        files_before = set(os.listdir(device.directory))
+        with pytest.raises(ConvergenceError, match="restructure passes"):
+            divide_star_dfs(disk, DENSE_MEMORY, max_passes=2)
+        assert set(os.listdir(device.directory)) == files_before
+
+    def test_deadline_error_leaves_no_part_files(self, device_factory):
+        device = device_factory(64)
+        disk = DiskGraph.from_digraph(device, dense_clusters())
+        files_before = set(os.listdir(device.directory))
+        with pytest.raises(ConvergenceError, match="deadline"):
+            divide_star_dfs(disk, DENSE_MEMORY, deadline_seconds=0.0)
+        assert set(os.listdir(device.directory)) == files_before
+
+
 class TestDeterminism:
     def test_same_input_same_output(self, device_factory):
         graph = power_law_graph(300, 4, seed=13)

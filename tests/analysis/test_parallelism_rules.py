@@ -18,38 +18,26 @@ class TestProcessPoolConfinement:
         source = "from concurrent import futures\n"
         assert check(source, "repro/storage/snippet.py") == ["SEX501"]
 
-    def test_shared_memory_allowed_in_the_storage_layer(self, check):
-        source = """\
-        from multiprocessing import resource_tracker, shared_memory
-        from multiprocessing.shared_memory import SharedMemory
-        import multiprocessing.resource_tracker
-        """
-        assert check(source, "repro/storage/shm.py") == []
+    def test_shared_memory_flagged_in_the_storage_layer(self, check):
+        assert check(
+            "from multiprocessing import resource_tracker, shared_memory\n",
+            "repro/storage/snippet.py",
+        ) == ["SEX501"]
+        assert check(
+            "import multiprocessing.shared_memory\n", "repro/storage/shm.py"
+        ) == ["SEX501"]
 
     def test_shared_memory_flagged_outside_the_storage_layer(self, check):
         source = "from multiprocessing.shared_memory import SharedMemory\n"
         assert check(source, "repro/algorithms/snippet.py") == ["SEX501"]
         assert check(source, "repro/core/snippet.py") == ["SEX501"]
 
-    def test_storage_carve_out_is_shm_only(self, check):
-        # the carve-out must not let storage import anything that spawns
-        assert check(
-            "from multiprocessing import Pool, shared_memory\n",
-            "repro/storage/snippet.py",
-        ) == ["SEX501"]
-        assert check(
-            "import multiprocessing.pool\n", "repro/storage/snippet.py"
-        ) == ["SEX501"]
-        assert check(
-            "import multiprocessing\n", "repro/storage/snippet.py"
-        ) == ["SEX501"]
-
-    def test_allowed_inside_the_parallel_scheduler(self, check):
+    def test_flagged_at_the_former_scheduler_path(self, check):
         source = """\
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor, wait
         """
-        assert check(source, "repro/parallel.py") == []
+        assert check(source, "repro/parallel.py") == ["SEX501", "SEX501"]
 
     def test_unrelated_imports_ok(self, check):
         source = """\

@@ -110,9 +110,6 @@ class TestScope:
     def test_rule_silent_outside_gated_layers(self, check):
         assert check(LEAKY_ROUTING, path="repro/bench/harness.py") == []
 
-    def test_rule_active_in_parallel_layer(self, check):
-        assert check(LEAKY_ROUTING, path="repro/parallel.py") == ["SEX601"]
-
     def test_rule_active_in_apps(self, check):
         assert check(LEAKY_ROUTING, path="repro/apps/cli.py") == ["SEX601"]
 

@@ -389,7 +389,7 @@ class TestDivisionOps:
 
 
 class TestIntColumnOps:
-    """pack_int_column / int_column_from_buffer — the shm segment codec."""
+    """pack_int_column / int_column_from_buffer — the int32 column codec."""
 
     def test_round_trip(self, kernel):
         values = [0, 1, -1, 2**31 - 1, -(2**31), 42]

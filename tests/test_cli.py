@@ -66,17 +66,12 @@ class TestDFS:
         assert main(["dfs", "--input", graph_file, "--memory", "100"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_dfs_workers_flag(self, graph_file, capsys):
-        assert main(["dfs", "--input", graph_file, "--verify",
-                     "--algorithm", "divide-star", "--workers", "2",
-                     "--memory-ratio", "0.3"]) == 0
-        assert "VALID" in capsys.readouterr().out
-
-    def test_dfs_workers_rejected_by_baseline(self, graph_file, capsys):
-        assert main(["dfs", "--input", graph_file, "--algorithm",
-                     "edge-by-batch", "--workers", "2",
-                     "--memory-ratio", "0.3"]) == 1
-        assert "workers" in capsys.readouterr().err
+    def test_dfs_workers_flag_is_gone(self, graph_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dfs", "--input", graph_file, "--algorithm",
+                  "divide-star", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_dfs_start_node(self, graph_file, capsys):
         assert main(["dfs", "--input", graph_file, "--start", "17",

@@ -71,48 +71,8 @@ class TestRunOptions:
     def test_option_names_match_the_dataclass(self):
         assert OPTION_NAMES == {
             "max_passes", "deadline_seconds", "use_external_stack", "order",
-            "checkpoint_every", "initial_tree", "tracer", "workers",
-            "block_codec", "worker_boundary",
+            "checkpoint_every", "initial_tree", "tracer", "block_codec",
         }
-
-    def test_default_worker_boundary_not_forwarded(self):
-        # worker_boundary defaults to None (the algorithm's own default,
-        # shm) so algorithms without a pool never see the option.
-        assert RunOptions().to_kwargs(BASE_OPTIONS, "edge-by-batch") == {}
-
-    def test_explicit_worker_boundary_forwarded_to_divide_algorithms(self):
-        from repro.api import DIVIDE_OPTIONS
-
-        kwargs = RunOptions(worker_boundary="pickle").to_kwargs(
-            DIVIDE_OPTIONS, "divide-td"
-        )
-        assert kwargs == {"worker_boundary": "pickle"}
-
-    def test_worker_boundary_unsupported_by_batch_baseline(self):
-        from repro.api import BATCH_OPTIONS
-
-        with pytest.raises(ValueError, match="'worker_boundary'"):
-            RunOptions(worker_boundary="shm").to_kwargs(
-                BATCH_OPTIONS, "edge-by-batch"
-            )
-
-    def test_default_workers_not_forwarded(self):
-        # workers defaults to 1; edge-by-batch does not accept it, but
-        # leaving it at the default must not raise (int fields compare by
-        # value, not identity — small ints may or may not be interned).
-        assert RunOptions(workers=1).to_kwargs(BASE_OPTIONS, "edge-by-batch") == {}
-
-    def test_explicit_workers_forwarded_to_divide_algorithms(self):
-        from repro.api import DIVIDE_OPTIONS
-
-        kwargs = RunOptions(workers=3).to_kwargs(DIVIDE_OPTIONS, "divide-td")
-        assert kwargs == {"workers": 3}
-
-    def test_workers_unsupported_by_batch_baseline(self):
-        from repro.api import BATCH_OPTIONS
-
-        with pytest.raises(ValueError, match="'workers'"):
-            RunOptions(workers=2).to_kwargs(BATCH_OPTIONS, "edge-by-batch")
 
     def test_typo_is_a_construction_error(self):
         with pytest.raises(TypeError):
