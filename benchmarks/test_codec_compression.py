@@ -20,7 +20,6 @@ import pytest
 from repro import BlockDevice, DiskGraph, semi_external_dfs
 from repro.bench import bench_scale
 from repro.graph import power_law_graph_edges
-from repro.options import RunOptions
 from repro.storage import BLOCK_CODECS
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -51,7 +50,7 @@ def run_once(algorithm: str, codec: str) -> Tuple[List[int], Dict[str, object]]:
         disk = build_disk(device)
         result = semi_external_dfs(
             disk, memory=3 * NODE_COUNT + 4 * BLOCK_ELEMENTS,
-            algorithm=algorithm, options=RunOptions(block_codec=codec),
+            algorithm=algorithm,
         )
         assert result.block_codec == codec
         return result.order, {

@@ -5,16 +5,19 @@ Topological sort is the first application the paper's introduction
 motivates.  This example models a large generated build system — tens of
 thousands of targets with dependency edges — too big (by assumption) to
 hold in memory, computes a build order with one semi-external DFS, and
-then demonstrates cycle diagnosis after a bad edge is introduced.
+then demonstrates cycle diagnosis after a bad edge is introduced: the
+broken graph's DFS is sealed once and both questions are answered from
+the sealed artifact.
 
 Run:  python examples/toposort_pipeline.py
 """
 
 import random
 
-from repro import BlockDevice, DiskGraph
-from repro.apps import find_cycle, topological_order
+from repro import BlockDevice, DiskGraph, semi_external_dfs
+from repro.apps import find_cycle, sealed_topological_order, topological_order
 from repro.errors import NotADAGError
+from repro.serve import seal_result
 
 
 def build_dependency_edges(target_count: int, seed: int = 3):
@@ -38,7 +41,7 @@ def main() -> None:
         print(f"build graph: {target_count} targets, "
               f"{graph.edge_count} dependency edges on disk")
 
-        order = topological_order(graph, memory, algorithm="divide-td")
+        order = sealed_topological_order(graph, memory, algorithm="divide-td")
         position = {target: i for i, target in enumerate(order)}
         violations = sum(
             1 for u, v in graph.scan() if position[u] >= position[v]
@@ -54,12 +57,16 @@ def main() -> None:
             list(graph.scan()) + [(target_count - 1, 5)],
             validate=False,
         )
+        sealed = seal_result(
+            broken, semi_external_dfs(broken, memory),
+            with_scc=False, graph_digest=False,
+        )
         try:
-            topological_order(broken, memory)
+            topological_order(sealed)
             print("ERROR: cycle not detected!")
-        except NotADAGError as exc:
-            print(f"\ncycle correctly rejected: {exc}")
-        witness = find_cycle(broken, memory)
+        except NotADAGError:
+            print("\ncycle correctly rejected: the build graph is not a DAG")
+        witness = find_cycle(sealed)
         print(f"offending dependency cycle has {len(witness)} targets, "
               f"e.g. {witness[:6]} ...")
 

@@ -13,21 +13,16 @@ context, budget, tracer, and I/O accounting stay shared.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from ..errors import MemoryBudgetExceeded
 from ..graph.disk_graph import DiskGraph
-from ..obs import NULL_TRACER, MemorySink, SpanEvent, Tracer, legacy_trace_entries
+from ..obs import NULL_TRACER, MemorySink, SpanEvent, Tracer
 from ..storage.buffer_pool import TREE_NODE_COST, MemoryBudget
 from ..storage.io_stats import IOSnapshot
 from ..core.tree import SpanningTree, VirtualNodeAllocator
 from ..core.validation import real_preorder
-
-#: Whether the ``RunResult.trace`` deprecation has been announced (the
-#: property warns once per process, not once per access).
-_TRACE_DEPRECATION_WARNED = False
 
 
 @dataclass
@@ -51,15 +46,13 @@ class RunResult:
         kernel: name of the columnar kernel backend the run executed on
             (``python`` or ``numpy``); benchmarks record it so a result
             is attributable to a code path.
-        block_codec: edge-block codec the run wrote files with
-            (``fixed32`` or ``delta-varint``); like :attr:`kernel`, it
-            changes costs only, never the tree, and benchmarks record it.
+        block_codec: edge-block codec of the run's device (``fixed32``
+            or ``delta-varint``); like :attr:`kernel`, it changes costs
+            only, never the tree, and benchmarks record it.
         details: free-form per-algorithm counters.
         events: the run's completed :class:`~repro.obs.SpanEvent` records
             (populated when the run was given a real
             :class:`~repro.obs.Tracer`; empty under the null tracer).
-            The deprecated :attr:`trace` property renders these in the
-            old list-of-dicts shape.
     """
 
     tree: SpanningTree
@@ -77,25 +70,6 @@ class RunResult:
     #: Open it with ``ArtifactStore(os.path.dirname(os.path.dirname(p)))``
     #: or republish with full query columns via ``seal_result``.
     artifact_ref: Optional[str] = None
-
-    @property
-    def trace(self) -> List[Dict[str, object]]:
-        """Deprecated legacy view of :attr:`events` (list of dicts).
-
-        Renders the recorded span events in the shape the removed
-        ``RunContext.record()`` mechanism produced; use :attr:`events`
-        (typed, with I/O and timing deltas) instead.  See docs/API.md
-        for the migration table.
-        """
-        global _TRACE_DEPRECATION_WARNED
-        if not _TRACE_DEPRECATION_WARNED:
-            _TRACE_DEPRECATION_WARNED = True
-            warnings.warn(
-                "DFSResult.trace is deprecated; use DFSResult.events",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return legacy_trace_entries(self.events)
 
     @property
     def virtual_root(self) -> Optional[int]:
@@ -183,7 +157,6 @@ class RunContext:
         algorithm: str,
         deadline_seconds: Optional[float] = None,
         tracer: Optional[Tracer] = None,
-        block_codec: Optional[str] = None,
     ) -> None:
         minimum = TREE_NODE_COST * graph.node_count
         if memory < minimum:
@@ -206,17 +179,6 @@ class RunContext:
         self.tracer.bind(graph.device.stats)
         self._prior_device_tracer = graph.device.tracer
         graph.device.tracer = self.tracer
-        # Install the run's codec on the device (mirroring the tracer
-        # slot): files written during the run — part files, sort runs,
-        # rewrites — use it, and release() restores the prior setting.
-        # ``None`` keeps whatever the device was configured with.
-        self._prior_device_codec = graph.device.block_codec
-        if block_codec is not None:
-            from ..storage.serialization import resolve_block_codec
-
-            graph.device.block_codec = resolve_block_codec(block_codec)
-        #: The codec in effect for this run (for :attr:`DFSResult.block_codec`).
-        self.block_codec = graph.device.block_codec
         self._released = False
         self._start_io = graph.device.stats.snapshot()
         # repro: allow[SEX302] observational timing metric; never feeds tree construction
@@ -257,7 +219,6 @@ class RunContext:
             return
         self._released = True
         self.graph.device.tracer = self._prior_device_tracer
-        self.graph.device.block_codec = self._prior_device_codec
         self.tracer.detach(self._events)
         self.tracer.bind(None)
 
@@ -289,7 +250,7 @@ class RunContext:
             elapsed_seconds=elapsed,
             passes=self.passes,
             kernel=self.graph.device.kernel.name,
-            block_codec=self.block_codec,
+            block_codec=self.graph.device.block_codec,
             details=dict(self.details),
             events=events,
             **extra_fields,

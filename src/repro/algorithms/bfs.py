@@ -26,14 +26,13 @@ the run's device inside a ``checkpoint`` span so the write I/Os tile.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from ..core.tree import SpanningTree
 from ..errors import ConvergenceError
 from ..graph.disk_graph import DiskGraph
 from ..obs import Tracer
-from ..serve.store import TREE_FILE, ArtifactStore
+from ..serve.store import ArtifactStore
 from .base import BFSResult, RunContext, default_max_passes
 
 #: Level value marking an unreached node inside the kernel columns (the
@@ -92,7 +91,6 @@ def semi_external_bfs(
     max_passes: Optional[int] = None,
     deadline_seconds: Optional[float] = None,
     tracer: Optional[Tracer] = None,
-    block_codec: Optional[str] = None,
 ) -> BFSResult:
     """Compute a BFS-tree of an on-disk graph under a memory budget.
 
@@ -107,23 +105,19 @@ def semi_external_bfs(
         tracer: a :class:`~repro.obs.Tracer` to receive the run's span
             events (one ``relax`` span per pass, one ``checkpoint`` span
             for the sealed BFS-tree artifact) and progress heartbeats.
-        block_codec: edge-block codec for files written during the run.
 
     Returns:
         A :class:`~repro.algorithms.base.BFSResult`; ``levels[v]`` is
         ``None`` exactly when ``v`` is unreachable from ``start``, the
         parent of every reached non-start node is the scan-order-first
-        tail among its minimal-level in-edges, and
-        ``details["bfs_tree"]`` / the sealed artifact record the tree.
+        tail among its minimal-level in-edges, and ``artifact_ref`` is
+        the version directory of the sealed BFS-tree artifact.
 
     Raises:
         ConvergenceError: the pass cap or the deadline was exceeded.
         ValueError: ``start`` out of range.
     """
-    context = RunContext(
-        graph, memory, "bfs", deadline_seconds, tracer,
-        block_codec=block_codec,
-    )
+    context = RunContext(graph, memory, "bfs", deadline_seconds, tracer)
     node_count = graph.node_count
     try:
         if start is None and node_count:
@@ -195,7 +189,6 @@ def semi_external_bfs(
             ],
         )
         result.artifact_ref = ref.path
-        result.details["bfs_tree"] = os.path.join(ref.path, TREE_FILE)  # type: ignore[index]
         return result
     finally:
         context.release()

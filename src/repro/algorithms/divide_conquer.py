@@ -18,7 +18,6 @@ tree is a genuine DFS forest of ``G`` under the virtual root ``γ``.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import ConvergenceError
@@ -36,10 +35,6 @@ from .restructure import restructure
 
 #: A cut strategy maps (tree, memory budget) -> (cut_nodes, expanded).
 CutStrategy = Callable[[SpanningTree, MemoryBudget], Tuple[Set[int], Set[int]]]
-
-#: Whether the "trace= ignored next to tracer=" deprecation has been
-#: announced (once per process, mirroring the RunOptions kwargs shim).
-_TRACE_TRACER_WARNED = False
 
 
 def star_strategy(tree: SpanningTree, budget: MemoryBudget) -> Tuple[Set[int], Set[int]]:
@@ -294,28 +289,9 @@ def _run(
     start: Optional[int],
     max_passes: Optional[int],
     deadline_seconds: Optional[float],
-    trace: bool,
     tracer: Optional[Tracer],
-    block_codec: Optional[str],
 ) -> DFSResult:
-    global _TRACE_TRACER_WARNED
-    if tracer is None and trace:
-        tracer = Tracer()  # the legacy spelling of "record events"
-    elif tracer is not None and trace and not _TRACE_TRACER_WARNED:
-        # Passing both is almost always a half-finished migration; the
-        # explicit tracer wins, but silently dropping trace=True hides
-        # that.  Warn once per process, like the RunOptions kwargs shim.
-        _TRACE_TRACER_WARNED = True
-        warnings.warn(
-            "trace=True is ignored when an explicit tracer= is given; "
-            "drop the deprecated trace flag",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    context = RunContext(
-        graph, memory, name, deadline_seconds, tracer,
-        block_codec=block_codec,
-    )
+    context = RunContext(graph, memory, name, deadline_seconds, tracer)
     try:
         tree = initial_star_tree(graph, context.allocator, start)
         limit = (
@@ -344,25 +320,17 @@ def divide_star_dfs(
     start: Optional[int] = None,
     max_passes: Optional[int] = None,
     deadline_seconds: Optional[float] = None,
-    trace: bool = False,
     tracer: Optional[Tracer] = None,
-    block_codec: Optional[str] = None,
 ) -> DFSResult:
     """DivideConquerDFS with the Divide-Star division (Algorithm 3).
 
     Args:
-        trace: deprecated spelling of ``tracer=Tracer()`` — record
-            per-level restructure/division/in-memory events in
-            ``DFSResult.events``.
         tracer: a :class:`~repro.obs.Tracer` to receive the run's span
             events, metrics, and progress heartbeats.
-        block_codec: edge-block codec for files written during the run
-            (``"fixed32"`` / ``"delta-varint"``; default: the device's
-            setting).  Changes block counts only, never the DFS tree.
     """
     return _run(
         graph, memory, star_strategy, "divide-star", start, max_passes,
-        deadline_seconds, trace, tracer, block_codec,
+        deadline_seconds, tracer,
     )
 
 
@@ -372,23 +340,15 @@ def divide_td_dfs(
     start: Optional[int] = None,
     max_passes: Optional[int] = None,
     deadline_seconds: Optional[float] = None,
-    trace: bool = False,
     tracer: Optional[Tracer] = None,
-    block_codec: Optional[str] = None,
 ) -> DFSResult:
     """DivideConquerDFS with the Divide-TD division (Algorithm 4).
 
     Args:
-        trace: deprecated spelling of ``tracer=Tracer()`` — record
-            per-level restructure/division/in-memory events in
-            ``DFSResult.events``.
         tracer: a :class:`~repro.obs.Tracer` to receive the run's span
             events, metrics, and progress heartbeats.
-        block_codec: edge-block codec for files written during the run
-            (``"fixed32"`` / ``"delta-varint"``; default: the device's
-            setting).  Changes block counts only, never the DFS tree.
     """
     return _run(
         graph, memory, td_strategy, "divide-td", start, max_passes,
-        deadline_seconds, trace, tracer, block_codec,
+        deadline_seconds, tracer,
     )

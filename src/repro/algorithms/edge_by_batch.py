@@ -8,14 +8,13 @@ every pass even if a single forward-cross edge remains — the inefficiency
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence
 
 from ..core.tree import SpanningTree
 from ..errors import ConvergenceError
 from ..graph.disk_graph import DiskGraph
 from ..obs import Tracer
-from ..serve.store import TREE_FILE, ArtifactStore
+from ..serve.store import ArtifactStore
 from .base import DFSResult, RunContext, default_max_passes, initial_star_tree
 from .restructure import restructure
 
@@ -31,7 +30,6 @@ def edge_by_batch(
     checkpoint_every: Optional[int] = None,
     initial_tree: Optional[SpanningTree] = None,
     tracer: Optional[Tracer] = None,
-    block_codec: Optional[str] = None,
 ) -> DFSResult:
     """Compute a DFS-Tree with the SEMI-DFS batch heuristic.
 
@@ -48,15 +46,15 @@ def edge_by_batch(
         max_passes: cap on Restructure passes; defaults to ``2n + 16``.
         deadline_seconds: optional wall-clock limit (the paper's timeout).
         checkpoint_every: publish the spanning tree to the run's
-            artifact store (``<device>/artifacts``) every this many
-            passes; runs at paper scale take hours, and a checkpoint
-            makes them resumable.  The latest checkpoint's tree-blob
-            path lands in ``DFSResult.details`` / on the
-            :class:`~repro.errors.ConvergenceError` (``checkpoint_path``)
-            when a cap interrupts the run, and the version directory in
-            ``DFSResult.artifact_ref``.
-        initial_tree: resume from a tree loaded via
-            :func:`repro.core.load_tree` (or an artifact's tree) instead
+            artifact store (``<device>/artifacts``, artifact name
+            ``edge-by-batch-ckpt``) every this many passes; runs at
+            paper scale take hours, and a checkpoint makes them
+            resumable.  The latest checkpoint's version directory lands
+            in ``DFSResult.artifact_ref``, or in the
+            :class:`~repro.errors.ConvergenceError`'s ``artifact_ref``
+            when a cap interrupts the run.
+        initial_tree: resume from a checkpoint's tree
+            (``ArtifactStore.for_run(device).open(...).tree``) instead
             of the initial γ-star.
         tracer: a :class:`~repro.obs.Tracer` to receive the run's span
             events (one ``restructure`` span per pass, ``checkpoint``
@@ -66,10 +64,7 @@ def edge_by_batch(
         ConvergenceError: if the heuristic exceeds ``max_passes`` or the
             deadline.
     """
-    context = RunContext(
-        graph, memory, "edge-by-batch", deadline_seconds, tracer,
-        block_codec=block_codec,
-    )
+    context = RunContext(graph, memory, "edge-by-batch", deadline_seconds, tracer)
     context.budget.charge("tree", context.budget.tree_charge(graph.node_count))
     if initial_tree is not None:
         if start is not None or order is not None:
@@ -83,11 +78,10 @@ def edge_by_batch(
         tree = initial_star_tree(graph, context.allocator, start, order)
     stack_device = graph.device if use_external_stack else None
     limit = default_max_passes(graph.node_count) if max_passes is None else max_passes
-    checkpoint_path: Optional[str] = None
     checkpoint_ref: Optional[str] = None
 
     def take_checkpoint() -> None:
-        nonlocal checkpoint_path, checkpoint_ref
+        nonlocal checkpoint_ref
         with context.tracer.span("checkpoint", passes=context.passes):
             ref = ArtifactStore.for_run(graph.device).publish_tree(
                 tree, "edge-by-batch-ckpt", kind="checkpoint",
@@ -95,7 +89,6 @@ def edge_by_batch(
                 details={"passes": context.passes},
             )
             checkpoint_ref = ref.path
-            checkpoint_path = os.path.join(ref.path, TREE_FILE)
 
     try:
         while True:
@@ -120,7 +113,7 @@ def edge_by_batch(
             except ConvergenceError as exc:
                 if checkpoint_every:
                     take_checkpoint()
-                    exc.checkpoint_path = checkpoint_path  # type: ignore[attr-defined]
+                    exc.artifact_ref = checkpoint_ref
                 raise
             tree = outcome.tree
             context.passes += 1
@@ -134,9 +127,7 @@ def edge_by_batch(
                 take_checkpoint()
             if not outcome.update:
                 result = context.finish(tree)
-                if checkpoint_path is not None:
-                    result.details["checkpoint"] = checkpoint_path  # type: ignore[index]
-                    result.artifact_ref = checkpoint_ref
+                result.artifact_ref = checkpoint_ref
                 return result
             if context.passes >= limit:
                 error = ConvergenceError(
@@ -144,7 +135,7 @@ def edge_by_batch(
                 )
                 if checkpoint_every:
                     take_checkpoint()
-                    error.checkpoint_path = checkpoint_path  # type: ignore[attr-defined]
+                    error.artifact_ref = checkpoint_ref
                 raise error
     finally:
         context.release()

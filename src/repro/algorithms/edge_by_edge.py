@@ -30,7 +30,6 @@ def edge_by_edge(
     max_passes: Optional[int] = None,
     deadline_seconds: Optional[float] = None,
     tracer: Optional[Tracer] = None,
-    block_codec: Optional[str] = None,
 ) -> DFSResult:
     """Compute a DFS-Tree with the per-edge restructuring heuristic.
 
@@ -45,10 +44,7 @@ def edge_by_edge(
     Raises:
         ConvergenceError: if the heuristic exceeds ``max_passes``.
     """
-    context = RunContext(
-        graph, memory, "edge-by-edge", deadline_seconds, tracer,
-        block_codec=block_codec,
-    )
+    context = RunContext(graph, memory, "edge-by-edge", deadline_seconds, tracer)
     context.budget.charge("tree", context.budget.tree_charge(graph.node_count))
     tree = initial_star_tree(graph, context.allocator, start)
     limit = default_max_passes(graph.node_count) if max_passes is None else max_passes

@@ -15,17 +15,13 @@ Options are passed as a typed :class:`~repro.options.RunOptions` value::
         options=RunOptions(deadline_seconds=60.0, tracer=Tracer()),
     )
 
-Legacy keyword options (``semi_external_dfs(..., max_passes=8)``) still
-work but emit a ``DeprecationWarning`` once per option name; unknown
-names raise a ``ValueError`` listing the valid ones.  Algorithms live in
-an :class:`~repro.registry.AlgorithmRegistry` (``repro.ALGORITHMS``),
-extensible via :func:`register_algorithm`.
+Algorithms live in an :class:`~repro.registry.AlgorithmRegistry`
+(``repro.ALGORITHMS``), extensible via :func:`register_algorithm`.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Optional, Set
+from typing import Optional
 
 from .algorithms.base import RunResult
 from .algorithms.bfs import semi_external_bfs
@@ -33,7 +29,7 @@ from .algorithms.divide_conquer import divide_star_dfs, divide_td_dfs
 from .algorithms.edge_by_batch import edge_by_batch
 from .algorithms.edge_by_edge import edge_by_edge
 from .graph.disk_graph import DiskGraph
-from .options import OPTION_NAMES, RunOptions
+from .options import RunOptions
 from .registry import BASE_OPTIONS, AlgorithmRegistry, AlgorithmSpec
 
 #: Options understood by the edge-by-batch baseline on top of the base set.
@@ -41,10 +37,9 @@ BATCH_OPTIONS = BASE_OPTIONS | {
     "order", "use_external_stack", "checkpoint_every", "initial_tree",
 }
 
-#: Registered algorithms, as used throughout the benchmarks.  A
-#: ``Mapping[str, runner]`` whose keys include aliases (the paper's name
-#: for the batch baseline is ``SEMI-DFS``); see
-#: :class:`~repro.registry.AlgorithmRegistry` for the richer spec API.
+#: Registered algorithms, as used throughout the benchmarks; names
+#: include aliases (the paper's name for the batch baseline is
+#: ``SEMI-DFS``).  See :class:`~repro.registry.AlgorithmRegistry`.
 ALGORITHMS = AlgorithmRegistry()
 
 ALGORITHMS.register(AlgorithmSpec(
@@ -90,49 +85,12 @@ def register_algorithm(spec: AlgorithmSpec) -> AlgorithmSpec:
     return ALGORITHMS.register(spec)
 
 
-#: Legacy option names already warned about this process (the shim warns
-#: once per name, not once per call).
-_WARNED_OPTIONS: Set[str] = set()
-
-
-def _apply_legacy_options(
-    options: RunOptions,
-    legacy: Dict[str, object],
-) -> RunOptions:
-    """Fold deprecated ``**kwargs`` options into a :class:`RunOptions`."""
-    changes: Dict[str, object] = {}
-    for name, value in legacy.items():
-        if name == "trace":
-            # The pre-RunOptions spelling of "give me a tracer".
-            if value:
-                from .obs import Tracer
-
-                changes["tracer"] = Tracer()
-        elif name in OPTION_NAMES:
-            changes[name] = value
-        else:
-            known = ", ".join(sorted(OPTION_NAMES | {"trace"}))
-            raise ValueError(
-                f"unknown option {name!r}; valid options: {known}"
-            )
-        if name not in _WARNED_OPTIONS:
-            _WARNED_OPTIONS.add(name)
-            warnings.warn(
-                f"passing {name!r} as a keyword to semi_external_dfs() is "
-                f"deprecated; use options=RunOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-    return options.replace(**changes) if changes else options
-
-
 def semi_external_dfs(
     graph: DiskGraph,
     memory: int,
     algorithm: str = "divide-td",
     start: Optional[int] = None,
     options: Optional[RunOptions] = None,
-    **legacy_options: object,
 ) -> RunResult:
     """Run a registered semi-external traversal under a memory budget.
 
@@ -148,9 +106,6 @@ def semi_external_dfs(
         options: typed run options; fields explicitly set but not
             supported by the chosen algorithm raise ``ValueError``.
             See docs/API.md for the per-algorithm option table.
-        **legacy_options: deprecated keyword spelling of the same
-            options (plus ``trace``); emits a ``DeprecationWarning``
-            once per name.
 
     Returns:
         A :class:`~repro.algorithms.base.RunResult` with the tree, the
@@ -161,7 +116,5 @@ def semi_external_dfs(
     """
     spec = ALGORITHMS.spec(algorithm)
     resolved = options if options is not None else RunOptions()
-    if legacy_options:
-        resolved = _apply_legacy_options(resolved, legacy_options)
     kwargs = resolved.to_kwargs(spec.options, spec.name)
     return spec.runner(graph, memory, start=start, **kwargs)

@@ -1,70 +1,30 @@
-"""Semi-external cycle detection via DFS back edges.
+"""Cycle detection via DFS back edges, answered from a sealed artifact.
 
-The graph spellings run one semi-external DFS plus one verification
-scan per call; a sealed :class:`~repro.serve.TreeArtifact` already
-carries the scan's outcome (``is_dag`` + the first witness in scan
-order), so the artifact spellings are O(1) resident reads.  See
-docs/API.md for the migration table.
+A digraph contains a cycle iff a DFS of it has a back edge ``(u, v)``
+(``v`` an ancestor of ``u``); the cycle is then the tree path
+``v -> ... -> u`` closed by the edge.  Sealing a run
+(:func:`repro.serve.seal_result`) performs that verification scan once
+and records its outcome (``is_dag`` + the first witness in scan order),
+so both functions here are O(1) resident reads.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
-from ..api import semi_external_dfs
-from ..graph.disk_graph import DiskGraph
-from ..core.classify import IntervalIndex
 from ..serve.store import TreeArtifact
-from ._shims import warn_graph_signature
 
 
-def find_cycle(
-    source_data: Union[DiskGraph, TreeArtifact],
-    memory: Optional[int] = None,
-    algorithm: str = "divide-td",
-) -> Optional[List[int]]:
-    """Find a directed cycle, or ``None`` when the graph is acyclic.
-
-    On a graph: one semi-external DFS plus one scan — a digraph
-    contains a cycle iff a DFS of it has a back edge ``(u, v)`` (``v``
-    an ancestor of ``u``); the cycle is then the tree path
-    ``v -> ... -> u`` closed by the edge.  On a sealed artifact the
-    witness was recorded by the publish-time verification scan (same
-    scan order, same first witness) and is returned with zero I/O.
+def find_cycle(artifact: TreeArtifact) -> Optional[List[int]]:
+    """The sealed directed cycle, or ``None`` when the graph is acyclic.
 
     Returns:
         The cycle as a node list ``[v, ..., u]`` (so that consecutive
         nodes, wrapping around, are connected by edges), or ``None``.
     """
-    if isinstance(source_data, TreeArtifact):
-        return source_data.find_cycle()
-    warn_graph_signature("find_cycle")
-    if memory is None:
-        raise TypeError("find_cycle(graph, ...) requires a memory budget")
-    result = semi_external_dfs(source_data, memory, algorithm=algorithm)
-    tree = result.tree
-    index = IntervalIndex(tree)
-    for u, v in source_data.scan():
-        if u == v:
-            return [u]
-        if index.is_ancestor(v, u):
-            # Walk the tree path u -> v upward, then reverse it.
-            path = [u]
-            current = u
-            while current != v:
-                current = tree.parent[current]
-                path.append(current)
-            path.reverse()
-            return path
-    return None
+    return artifact.find_cycle()
 
 
-def has_cycle(
-    source_data: Union[DiskGraph, TreeArtifact],
-    memory: Optional[int] = None,
-    algorithm: str = "divide-td",
-) -> bool:
-    """Whether the graph (or sealed artifact) contains a directed cycle."""
-    if isinstance(source_data, TreeArtifact):
-        return source_data.has_cycle()
-    return find_cycle(source_data, memory, algorithm=algorithm) is not None
+def has_cycle(artifact: TreeArtifact) -> bool:
+    """Whether the sealed graph contains a directed cycle."""
+    return artifact.has_cycle()

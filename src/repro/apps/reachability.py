@@ -9,22 +9,21 @@ by the depth of the BFS layering compressed by in-scan chaining (edges
 that happen to be ordered source-first propagate within one pass —
 another face of the locality observation in the paper's §4.1).
 
-The artifact-first API answers from a sealed
-:class:`~repro.serve.TreeArtifact` instead: exact bitsets for sources
-pinned at publish time, and certificate-based verdicts (tree path, SCC
+:func:`reachable_mask` is that propagation.  The other functions
+answer from a sealed :class:`~repro.serve.TreeArtifact` instead: exact
+bitsets for sources pinned at publish time (sealed by
+:func:`reachable_mask`), and certificate-based verdicts (tree path, SCC
 membership, topological order) for arbitrary pairs — zero graph I/O
-either way.  The graph-scanning spellings below still work but warn
-once per name; see docs/API.md for the migration table.
+either way.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Union
+from typing import List, Set
 
 from ..errors import QueryError
 from ..graph.disk_graph import DiskGraph
 from ..serve.store import TreeArtifact
-from ._shims import warn_graph_signature
 
 
 def reachable_mask(
@@ -54,57 +53,35 @@ def reachable_mask(
     return marked
 
 
-def reachable_set(
-    source_data: Union[DiskGraph, TreeArtifact],
-    source: int,
-    max_passes: int = 0,
-) -> Set[int]:
+def reachable_set(artifact: TreeArtifact, source: int) -> Set[int]:
     """All nodes reachable from ``source`` (including itself).
 
-    Pass a :class:`~repro.serve.TreeArtifact` to answer from the sealed
-    bitset of a pinned source with zero graph I/O; passing a graph
-    propagates labels over the edge file (deprecated spelling).
+    Answers from the sealed bitset of a source pinned at publish time,
+    with zero graph I/O.
     """
-    if isinstance(source_data, TreeArtifact):
-        return set(source_data.reachable_set(source))
-    warn_graph_signature("reachable_set")
-    marked = reachable_mask(source_data, source, max_passes=max_passes)
-    return {node for node in range(source_data.node_count) if marked[node]}
+    return set(artifact.reachable_set(source))
 
 
-def reaches(
-    source_data: Union[DiskGraph, TreeArtifact], source: int, target: int
-) -> bool:
+def reaches(artifact: TreeArtifact, source: int, target: int) -> bool:
     """Whether ``target`` is reachable from ``source``.
 
-    On an artifact this uses the sealed certificates (pinned bitset,
-    tree path, SCC membership, topological order); when none of them
-    decides the pair it raises :class:`~repro.errors.QueryError` with
-    code ``undecidable`` rather than guessing — recompute from the
-    graph, or pin the source at publish time.
+    Uses the sealed certificates (pinned bitset, tree path, SCC
+    membership, topological order); when none of them decides the pair
+    it raises :class:`~repro.errors.QueryError` with code
+    ``undecidable`` rather than guessing — propagate labels over the
+    graph with :func:`reachable_mask`, or pin the source at publish
+    time.
     """
-    if isinstance(source_data, TreeArtifact):
-        verdict, _proof = source_data.reachable(source, target)
-        if verdict is None:
-            raise QueryError(
-                f"sealed columns cannot decide {source} ->* {target}; "
-                "pin the source at publish time for exact answers",
-                code="undecidable",
-            )
-        return verdict
-    warn_graph_signature("reaches")
-    if not 0 <= target < source_data.node_count:
-        raise ValueError(f"target {target} out of range")
-    return bool(reachable_mask(source_data, source)[target])
+    verdict, _proof = artifact.reachable(source, target)
+    if verdict is None:
+        raise QueryError(
+            f"sealed columns cannot decide {source} ->* {target}; "
+            "pin the source at publish time for exact answers",
+            code="undecidable",
+        )
+    return verdict
 
 
-def reachability_counts(
-    source_data: Union[DiskGraph, TreeArtifact], sources: List[int]
-) -> List[int]:
-    """Size of the reachable set for each source (one propagation each)."""
-    if isinstance(source_data, TreeArtifact):
-        return [len(source_data.reachable_set(source)) for source in sources]
-    warn_graph_signature("reachability_counts")
-    return [
-        sum(reachable_mask(source_data, source)) for source in sources
-    ]
+def reachability_counts(artifact: TreeArtifact, sources: List[int]) -> List[int]:
+    """Size of the sealed reachable set of each pinned source."""
+    return [len(artifact.reachable_set(source)) for source in sources]

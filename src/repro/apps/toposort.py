@@ -3,91 +3,32 @@
 A DFS forest's reverse finishing order is a topological order of a DAG,
 so topological sort on disk reduces to one semi-external DFS plus one
 verification scan that looks for back edges (which certify a cycle).
-
-The artifact-first API skips both: sealing a run
-(:func:`repro.serve.seal_result`) performs the verification scan once
+Sealing a run (:func:`repro.serve.seal_result`) performs the scan once
 and stores the reverse finishing order as the ``topo`` column, so
-``topological_order(artifact)`` is a resident O(n) read.  The
-``topological_order(graph, memory, ...)`` spelling still computes from
-scratch but warns once per process; see docs/API.md.
+``topological_order(artifact)`` is a resident O(n) read;
+:func:`sealed_topological_order` computes and seals from a graph.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union, overload
+from typing import List, Optional
 
 from ..api import semi_external_dfs
-from ..errors import NotADAGError
 from ..graph.disk_graph import DiskGraph
-from ..core.classify import IntervalIndex
 from ..serve.store import TreeArtifact, seal_result
-from ._shims import warn_graph_signature
 
 
-@overload
-def topological_order(
-    source_data: TreeArtifact,
-    memory: None = ...,
-    algorithm: str = ...,
-    start: Optional[int] = ...,
-) -> List[int]: ...
+def topological_order(artifact: TreeArtifact) -> List[int]:
+    """The sealed topological order of a DAG (sources first).
 
-
-@overload
-def topological_order(
-    source_data: DiskGraph,
-    memory: int,
-    algorithm: str = ...,
-    start: Optional[int] = ...,
-) -> List[int]: ...
-
-
-def topological_order(
-    source_data: Union[DiskGraph, TreeArtifact],
-    memory: Optional[int] = None,
-    algorithm: str = "divide-td",
-    start: Optional[int] = None,
-) -> List[int]:
-    """Topologically sort an on-disk DAG (or a sealed artifact of one).
-
-    Args:
-        source_data: a sealed :class:`~repro.serve.TreeArtifact`
-            (answers from the resident ``topo`` column, zero graph
-            I/O), or the graph on disk (deprecated; recomputes DFS).
-        memory: semi-external budget ``M`` (elements, ``>= 3 |V|``);
-            required for the graph spelling, ignored for artifacts.
-        algorithm: which semi-external DFS to use (graph spelling only).
-
-    Returns:
-        A topological order over all nodes (sources first).
+    Answers from the artifact's resident ``topo`` column, with zero
+    graph I/O.
 
     Raises:
-        NotADAGError: if the graph contains a cycle (detected by a back
-            edge w.r.t. the computed DFS forest).
+        NotADAGError: if the sealed graph contains a cycle (the message
+            carries the sealed witness).
     """
-    if isinstance(source_data, TreeArtifact):
-        return source_data.toposort_slice()
-    warn_graph_signature("topological_order")
-    if memory is None:
-        raise TypeError(
-            "topological_order(graph, ...) requires a memory budget"
-        )
-    result = semi_external_dfs(
-        source_data, memory, algorithm=algorithm, start=start
-    )
-    index = IntervalIndex(result.tree)
-    # A digraph is cyclic iff a DFS of it has a back edge: an edge whose
-    # target is a (non-strict) ancestor of its source.
-    for u, v in source_data.scan():
-        if u == v or index.is_ancestor(v, u):
-            raise NotADAGError(
-                f"graph has a cycle: edge ({u}, {v}) is a back edge"
-            )
-    finish_order = [
-        node for node in result.tree.postorder() if not result.tree.is_virtual(node)
-    ]
-    finish_order.reverse()
-    return finish_order
+    return artifact.toposort_slice()
 
 
 def sealed_topological_order(
@@ -98,11 +39,9 @@ def sealed_topological_order(
 ) -> List[int]:
     """Compute-and-seal helper: run DFS, seal, and read the topo column.
 
-    Equivalent to the deprecated graph spelling (identical order; a
-    cycle raises :class:`~repro.errors.NotADAGError` with the sealed
-    witness) but routed through :func:`repro.serve.seal_result` — the
-    CLI uses it so ``repro toposort`` exercises the artifact path
-    without a deprecation warning.
+    One semi-external DFS plus the seal's verification scan; a cycle
+    raises :class:`~repro.errors.NotADAGError` with the sealed witness.
+    ``repro toposort`` uses it.
     """
     result = semi_external_dfs(graph, memory, algorithm=algorithm, start=start)
     artifact = seal_result(graph, result, with_scc=False, graph_digest=False)

@@ -500,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     dfs = commands.add_parser("dfs", help="semi-external DFS")
     _add_common_graph_arguments(dfs)
     dfs.add_argument("--algorithm", default="divide-td",
-                     choices=sorted(ALGORITHMS))
+                     choices=ALGORITHMS.names())
     dfs.add_argument("--start", type=int, default=None)
     dfs.add_argument("--verify", action="store_true",
                      help="scan the edge file to certify the DFS-Tree")
@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     toposort = commands.add_parser("toposort", help="semi-external topological sort")
     _add_common_graph_arguments(toposort)
     toposort.add_argument("--algorithm", default="divide-td",
-                          choices=sorted(ALGORITHMS))
+                          choices=ALGORITHMS.names())
     toposort.add_argument("--output")
     toposort.set_defaults(handler=_command_toposort)
 
@@ -568,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     publish.add_argument("--name", required=True,
                          help="artifact name (re-publishing bumps the version)")
     publish.add_argument("--algorithm", default="divide-td",
-                         choices=sorted(ALGORITHMS))
+                         choices=ALGORITHMS.names())
     publish.add_argument("--start", type=int, default=None)
     publish.add_argument(
         "--sources", default="",

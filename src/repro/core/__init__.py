@@ -10,7 +10,6 @@ from .inmemory import (
 )
 from .order import classify_edge_dynamic, compare_preorder, find_lca, is_ancestor
 from .tree import SpanningTree, VirtualNodeAllocator
-from .tree_io import load_tree, save_tree
 from .validation import (
     DFSTreeReport,
     TreeCheckResult,
@@ -34,9 +33,7 @@ __all__ = [
     "dfs_preferring_tree",
     "find_lca",
     "is_ancestor",
-    "load_tree",
     "real_preorder",
-    "save_tree",
     "tarjan_scc",
     "topological_sort",
     "verify_dfs_tree",

@@ -8,6 +8,8 @@ memory model, and the algorithms themselves.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` package."""
@@ -73,7 +75,14 @@ class ConvergenceError(ReproError):
     The Sibeyn et al. procedures are heuristics whose worst case is ``n``
     passes over the edge file; the library caps passes (see
     ``max_passes``) and raises this error rather than loop unboundedly.
+
+    Attributes:
+        artifact_ref: version directory of the checkpoint the run sealed
+            before raising (``edge-by-batch`` with ``checkpoint_every``),
+            or ``None``.
     """
+
+    artifact_ref: Optional[str] = None
 
 
 class InvalidDivisionError(ReproError):

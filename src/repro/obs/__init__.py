@@ -7,10 +7,10 @@ events out to pluggable sinks.  See docs/OBSERVABILITY.md for the event
 schema and usage, :mod:`repro.obs.span` for the tracer itself.
 """
 
-from .events import SpanEvent, legacy_trace_entries
+from .events import SpanEvent
 from .metrics import Metrics
 from .profile import LEAF_PHASES, PhaseTotal, phase_totals, render_profile
-from .sinks import JSONLSink, LegacyTraceSink, MemorySink, TraceSink
+from .sinks import JSONLSink, MemorySink, TraceSink
 from .span import (
     NULL_TRACER,
     NullTracer,
@@ -22,7 +22,6 @@ from .span import (
 __all__ = [
     "JSONLSink",
     "LEAF_PHASES",
-    "LegacyTraceSink",
     "MemorySink",
     "Metrics",
     "NULL_TRACER",
@@ -33,7 +32,6 @@ __all__ = [
     "SpanEvent",
     "TraceSink",
     "Tracer",
-    "legacy_trace_entries",
     "phase_totals",
     "render_profile",
 ]

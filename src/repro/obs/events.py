@@ -7,18 +7,12 @@ order (``sequence``), the wall-clock it took, the
 included), and free-form JSON-compatible attributes.  The JSONL sink
 writes exactly :meth:`SpanEvent.to_dict` per line; the documented event
 schema lives in docs/OBSERVABILITY.md.
-
-:func:`legacy_trace_entries` is the compatibility bridge to the
-pre-``repro.obs`` ``DFSResult.trace`` list-of-dicts shape (the ad-hoc
-``record()`` mechanism this package replaced): span names are mapped
-back to the legacy event names and only the phases the old tracer knew
-about are surfaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 from ..storage.io_stats import IOSnapshot
 
@@ -109,35 +103,3 @@ class SpanEvent:
             ),
             attributes=dict(attributes),
         )
-
-
-# ----------------------------------------------------------------------
-# legacy DFSResult.trace compatibility
-# ----------------------------------------------------------------------
-
-#: Span name -> the event name the pre-obs ``record()`` tracer used, for
-#: the phases it knew about.  Only *successful* ``divide`` spans (those
-#: annotated with a ``parts`` attribute) become legacy ``division``
-#: entries, matching the old behaviour of recording only valid divisions.
-LEGACY_EVENT_NAMES: Mapping[str, str] = {
-    "restructure": "restructure",
-    "divide": "division",
-    "solve": "inmemory",
-}
-
-
-def legacy_trace_entries(
-    events: Sequence[SpanEvent],
-) -> List[Dict[str, object]]:
-    """Render span events in the legacy ``DFSResult.trace`` dict shape."""
-    entries: List[Dict[str, object]] = []
-    for event in sorted(events, key=lambda item: item.sequence):
-        legacy_name = LEGACY_EVENT_NAMES.get(event.name)
-        if legacy_name is None:
-            continue
-        if event.name == "divide" and "parts" not in event.attributes:
-            continue  # failed attempt: the old tracer never recorded it
-        entry: Dict[str, object] = {"event": legacy_name}
-        entry.update(event.attributes)
-        entries.append(entry)
-    return entries

@@ -9,17 +9,12 @@ attached sinks in attachment order.
 * :class:`JSONLSink` — appends one JSON object per event to a text file
   (the ``repro dfs --trace-out events.jsonl`` format); round-trips
   through :meth:`~repro.obs.events.SpanEvent.from_dict`.
-* :class:`LegacyTraceSink` — maintains the pre-``repro.obs``
-  ``DFSResult.trace`` list-of-dicts shape for callers that still consume
-  the deprecated attribute.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, TextIO
-
-from .events import legacy_trace_entries
+from typing import TYPE_CHECKING, List, Optional, Protocol, TextIO
 
 if TYPE_CHECKING:
     from .events import SpanEvent
@@ -79,19 +74,3 @@ class JSONLSink:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class LegacyTraceSink:
-    """Maintain the deprecated ``DFSResult.trace`` list-of-dicts shape.
-
-    Only the phases the pre-``repro.obs`` tracer knew about surface here
-    (``restructure``, successful ``divide`` attempts as ``division``,
-    ``solve`` as ``inmemory``); see
-    :data:`repro.obs.events.LEGACY_EVENT_NAMES`.
-    """
-
-    def __init__(self) -> None:
-        self.entries: List[Dict[str, object]] = []
-
-    def emit(self, event: "SpanEvent") -> None:
-        self.entries.extend(legacy_trace_entries([event]))

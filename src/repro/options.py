@@ -4,8 +4,8 @@
 an algorithm accepts is a declared, documented field, so a typo is a
 construction-time ``TypeError`` instead of a silently ignored kwarg, and
 an option the chosen algorithm does not support is a ``ValueError``
-naming the ones it does.  Legacy keyword calls still work through the
-shim in :mod:`repro.api` (with a once-per-name ``DeprecationWarning``).
+naming the ones it does.  The kernel and the block codec are not run
+options: they are set on the :class:`~repro.storage.BlockDevice`.
 """
 
 from __future__ import annotations
@@ -37,13 +37,6 @@ class RunOptions:
             baseline only).
         tracer: a :class:`repro.obs.Tracer` to receive span events,
             metrics, and progress heartbeats for this run.
-        block_codec: edge-block payload codec for files written during
-            the run — ``"fixed32"`` (raw int32 pairs) or
-            ``"delta-varint"`` (zig-zag delta + LEB128 varint columns).
-            ``None`` defers to the device's setting (itself defaulting
-            to ``$REPRO_BLOCK_CODEC``, then ``fixed32``).  The codec
-            changes block counts and bytes on disk only — the DFS tree
-            and order are bit-identical across codecs.
 
     Fields left at their defaults are never forwarded, so a default
     value an algorithm does not understand (e.g. ``use_external_stack``
@@ -58,7 +51,6 @@ class RunOptions:
     checkpoint_every: Optional[int] = None
     initial_tree: Optional["SpanningTree"] = None
     tracer: Optional["Tracer"] = None
-    block_codec: Optional[str] = None
 
     def replace(self, **changes: object) -> "RunOptions":
         """A copy with the given fields changed (frozen-safe update)."""
@@ -101,10 +93,3 @@ class RunOptions:
             (f.name, getattr(self, f.name), f.default)
             for f in dataclasses.fields(self)
         )
-
-
-#: Every option name :class:`RunOptions` declares, for error messages
-#: and the legacy-kwargs shim in :mod:`repro.api`.
-OPTION_NAMES: "frozenset[str]" = frozenset(
-    f.name for f in dataclasses.fields(RunOptions)
-)

@@ -4,25 +4,15 @@ Each algorithm is described by an :class:`AlgorithmSpec` — canonical
 name, aliases (the paper calls the batch baseline ``SEMI-DFS``), the
 runner callable, the set of :class:`~repro.options.RunOptions` fields it
 understands, and a one-line description for ``--help`` output.  The
-:class:`AlgorithmRegistry` resolves names and aliases, drives the CLI's
-``--algorithm`` choices and ``repro compare`` enumeration, and stays a
-``Mapping[str, callable]`` so existing ``ALGORITHMS[...]`` callers keep
-working unchanged.  Third parties add entries with
-:func:`register_algorithm`.
+:class:`AlgorithmRegistry` resolves names and aliases and drives the
+CLI's ``--algorithm`` choices and ``repro compare`` enumeration.  Third
+parties add entries with :func:`register_algorithm`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Callable, Dict, List, Tuple
 
 if TYPE_CHECKING:
     from .algorithms.base import RunResult
@@ -34,9 +24,7 @@ if TYPE_CHECKING:
 AlgorithmRunner = Callable[..., "RunResult"]
 
 #: Options every algorithm understands.
-BASE_OPTIONS = frozenset(
-    {"max_passes", "deadline_seconds", "tracer", "block_codec"}
-)
+BASE_OPTIONS = frozenset({"max_passes", "deadline_seconds", "tracer"})
 
 
 @dataclass(frozen=True)
@@ -62,12 +50,11 @@ class AlgorithmSpec:
     slow: bool = False
 
 
-class AlgorithmRegistry(Mapping[str, AlgorithmRunner]):
+class AlgorithmRegistry:
     """Name → algorithm resolution with alias support.
 
-    Iteration (and therefore ``len``/``in``/``set(...)``) covers both
-    canonical names and aliases, preserving the historical shape of the
-    ``repro.ALGORITHMS`` dict; :meth:`specs` yields each algorithm once.
+    :meth:`names` lists every name and alias; :meth:`specs` yields each
+    algorithm once.
     """
 
     def __init__(self) -> None:
@@ -94,7 +81,7 @@ class AlgorithmRegistry(Mapping[str, AlgorithmRunner]):
         try:
             return self._by_name[name]
         except KeyError:
-            known = ", ".join(sorted(self._by_name))
+            known = ", ".join(self.names())
             raise ValueError(
                 f"unknown algorithm {name!r}; known: {known}"
             ) from None
@@ -103,18 +90,9 @@ class AlgorithmRegistry(Mapping[str, AlgorithmRunner]):
         """Every registered spec once, in registration order."""
         return list(self._specs.values())
 
-    # Mapping[str, AlgorithmRunner] — the legacy ``ALGORITHMS`` dict shape.
-    def __getitem__(self, name: str) -> AlgorithmRunner:
-        spec = self._by_name.get(name)
-        if spec is None:
-            raise KeyError(name)
-        return spec.runner
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._by_name)
-
-    def __len__(self) -> int:
-        return len(self._by_name)
+    def names(self) -> List[str]:
+        """Every canonical name and alias :meth:`spec` resolves, sorted."""
+        return sorted(self._by_name)
 
     def __repr__(self) -> str:
-        return f"AlgorithmRegistry({sorted(self._by_name)})"
+        return f"AlgorithmRegistry({self.names()})"

@@ -33,8 +33,8 @@ allocates the next version number.
 
 :class:`TreeArtifact` is the loaded, read-only handle: dense columns
 indexed by node id, answering queries in O(answer) time with **zero**
-raw-graph I/O.  It is also the new first-class argument to the
-``repro.apps`` functions (see docs/API.md).
+raw-graph I/O.  It is also the argument of the ``repro.apps`` query
+functions (see docs/API.md).
 """
 
 from __future__ import annotations
@@ -440,10 +440,10 @@ def seal_result(
     """Build a full query artifact from a finished run.
 
     One verification scan classifies every edge against the tree
-    (acyclicity + cycle witness + self-loops, exactly the scan the
-    ``repro.apps`` functions perform); SCCs are computed only when the
-    graph turned out cyclic (on a DAG every node is its own SCC), which
-    needs a ``memory`` budget for the backward Kosaraju pass.
+    (acyclicity + cycle witness + self-loops); SCCs are computed only
+    when the graph turned out cyclic (on a DAG every node is its own
+    SCC), which needs a ``memory`` budget for the backward Kosaraju
+    pass.
 
     Args:
         graph: the graph the run traversed (scanned for verification).
@@ -473,8 +473,8 @@ def seal_result(
         if up is not None and not tree.is_virtual(up):
             parent[node] = up
 
-    # Verification scan: first witness in scan order, mirroring
-    # apps.cycles.find_cycle / apps.toposort edge-for-edge.
+    # Verification scan: the first witness in scan order (a self-loop,
+    # or the tree path closed by a back edge).
     selfloop = [0] * n
     witness: Optional[List[int]] = None
     for u, v in graph.scan():

@@ -1,12 +1,22 @@
 """Tests for run tracing and checkpoint/resume."""
 
+import os
+
 import pytest
 
-from repro import DiskGraph
+from repro import DiskGraph, Tracer
 from repro.algorithms import divide_td_dfs, edge_by_batch
-from repro.core import load_tree, verify_dfs_tree
+from repro.core import verify_dfs_tree
 from repro.errors import ConvergenceError
 from repro.graph import power_law_graph
+from repro.serve import ArtifactStore
+
+
+def open_checkpoint(device, ref):
+    """The tree of the checkpoint whose version directory is ``ref``."""
+    store = ArtifactStore.for_run(device)
+    name, version = os.path.split(os.path.relpath(ref, store.root))
+    return store.open(f"{name}@{version}").tree
 
 
 class TestTrace:
@@ -14,32 +24,37 @@ class TestTrace:
         graph = power_law_graph(300, 4, seed=1)
         disk = DiskGraph.from_digraph(device, graph)
         result = divide_td_dfs(disk, 3 * 300 + 200)
-        assert result.trace == []
+        assert result.events == []
 
     def test_trace_records_levels(self, device):
         graph = power_law_graph(500, 5, seed=2)
         disk = DiskGraph.from_digraph(device, graph)
-        result = divide_td_dfs(disk, 3 * 500 + 300, trace=True)
-        events = {entry["event"] for entry in result.trace}
-        assert "restructure" in events
+        result = divide_td_dfs(disk, 3 * 500 + 300, tracer=Tracer())
+        names = {event.name for event in result.events}
+        assert "restructure" in names
         if result.divisions:
-            assert "division" in events
-            division_events = [
-                e for e in result.trace if e["event"] == "division"
+            # a divide span is annotated with its parts only on success
+            divisions = [
+                event.attributes for event in result.events
+                if event.name == "divide" and "parts" in event.attributes
             ]
-            assert len(division_events) == result.divisions
-            for entry in division_events:
-                assert entry["parts"] >= 2
-                assert len(entry["part_sizes"]) == entry["parts"]
+            assert len(divisions) == result.divisions
+            for attributes in divisions:
+                assert attributes["parts"] >= 2
+                assert len(attributes["part_sizes"]) == attributes["parts"]
         if result.details.get("inmemory_solves"):
-            assert "inmemory" in events
+            assert "solve" in names
 
     def test_trace_depths_consistent(self, device):
         graph = power_law_graph(500, 5, seed=3)
         disk = DiskGraph.from_digraph(device, graph)
-        result = divide_td_dfs(disk, 3 * 500 + 300, trace=True)
-        max_traced = max((e["depth"] for e in result.trace), default=0)
-        assert max_traced == result.max_depth
+        result = divide_td_dfs(disk, 3 * 500 + 300, tracer=Tracer())
+        deepest = max(
+            (event.attributes["depth"] for event in result.events
+             if "depth" in event.attributes),
+            default=0,
+        )
+        assert deepest == result.max_depth
 
 
 class TestCheckpointResume:
@@ -48,8 +63,8 @@ class TestCheckpointResume:
         disk = DiskGraph.from_digraph(device, graph)
         result = edge_by_batch(disk, 3 * 300 + 200, checkpoint_every=1)
         assert result.passes >= 1
-        assert "checkpoint" in result.details
-        restored = load_tree(device, result.details["checkpoint"])
+        assert result.artifact_ref is not None
+        restored = open_checkpoint(device, result.artifact_ref)
         assert restored.root == result.tree.root
 
     def test_interrupted_run_resumes_to_valid_tree(self, device):
@@ -57,10 +72,10 @@ class TestCheckpointResume:
         disk = DiskGraph.from_digraph(device, graph)
         with pytest.raises(ConvergenceError) as exc_info:
             edge_by_batch(disk, 3 * 400 + 150, max_passes=2, checkpoint_every=1)
-        path = exc_info.value.checkpoint_path
-        assert path
+        ref = exc_info.value.artifact_ref
+        assert ref
 
-        restored = load_tree(device, path)
+        restored = open_checkpoint(device, ref)
         resumed = edge_by_batch(disk, 3 * 400 + 150, initial_tree=restored)
         assert verify_dfs_tree(disk, resumed.tree).ok
         # resuming skips the work the first run already did
@@ -71,7 +86,7 @@ class TestCheckpointResume:
         graph = power_law_graph(100, 3, seed=6)
         disk = DiskGraph.from_digraph(device, graph)
         first = edge_by_batch(disk, 3 * 100 + 100, checkpoint_every=1)
-        restored = load_tree(device, first.details["checkpoint"])
+        restored = open_checkpoint(device, first.artifact_ref)
         with pytest.raises(ValueError):
             edge_by_batch(disk, 3 * 100 + 100, initial_tree=restored, start=3)
 
@@ -79,7 +94,8 @@ class TestCheckpointResume:
         graph = power_law_graph(150, 3, seed=7)
         disk = DiskGraph.from_digraph(device, graph)
         result = edge_by_batch(disk, 3 * 150 + 150)
-        assert "checkpoint" not in result.details
+        assert result.artifact_ref is None
+        assert ArtifactStore.for_run(device).names() == []
 
     def test_deadline_raise_takes_the_checkpoint_path(self, device):
         # an already-expired deadline aborts before the first pass ends
@@ -91,8 +107,8 @@ class TestCheckpointResume:
             edge_by_batch(
                 disk, 3 * 200 + 150, deadline_seconds=0.0, checkpoint_every=1,
             )
-        path = exc_info.value.checkpoint_path
-        assert path
-        restored = load_tree(device, path)
+        ref = exc_info.value.artifact_ref
+        assert ref
+        restored = open_checkpoint(device, ref)
         resumed = edge_by_batch(disk, 3 * 200 + 150, initial_tree=restored)
         assert verify_dfs_tree(disk, resumed.tree).ok

@@ -1,15 +1,14 @@
-"""The artifact-first apps API: same answers, no recomputation.
+"""The artifact apps API: graph answers, no recomputation.
 
-``toposort``/``cycles``/``reachability`` accept a sealed
-:class:`~repro.serve.TreeArtifact` where they used to require
-``(graph, memory)``; the legacy signatures still work but warn once per
-function that they recompute from the raw graph.
+``toposort``/``cycles``/``reachability`` answer from a sealed
+:class:`~repro.serve.TreeArtifact`; each answer must equal one computed
+from the raw graph by an independent oracle (a written-out DFS plus
+back-edge scan, or networkx).
 """
 
 from __future__ import annotations
 
-import warnings
-
+import networkx as nx
 import pytest
 
 from repro import BlockDevice, DiskGraph, semi_external_dfs
@@ -25,6 +24,8 @@ from repro.graph import random_graph
 from repro.graph.digraph import Digraph
 from repro.serve import seal_result
 
+from ..conftest import dfs_back_edge_scan
+
 
 def seal(device, graph, sources=()):
     disk = DiskGraph.from_digraph(device, graph)
@@ -39,20 +40,27 @@ class TestArtifactOverloads:
     def test_toposort_matches_graph_signature(self, device):
         graph = Digraph.from_edges(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
         disk, memory, artifact = seal(device, graph)
-        assert topological_order(artifact) == topological_order(disk, memory)
+        _, finish_order = dfs_back_edge_scan(disk, memory)
+        assert topological_order(artifact) == finish_order
 
     def test_cycles_match_graph_signature(self, device):
         graph = Digraph.from_edges(4, [(0, 1), (1, 2), (2, 1), (3, 3)])
         disk, memory, artifact = seal(device, graph)
-        assert has_cycle(artifact) == has_cycle(disk, memory)
-        assert find_cycle(artifact) == find_cycle(disk, memory)
+        witness, _ = dfs_back_edge_scan(disk, memory)
+        assert witness is not None
+        assert has_cycle(artifact)
+        assert find_cycle(artifact) == witness
 
     def test_reachability_matches_graph_signature(self, device):
         graph = random_graph(25, 2, seed=3)
         disk, memory, artifact = seal(device, graph, sources=(0,))
-        assert reachable_set(artifact, 0) == reachable_set(disk, 0)
+        nx_graph = nx.DiGraph()
+        nx_graph.add_nodes_from(range(graph.node_count))
+        nx_graph.add_edges_from(graph.edges())
+        expected = {0} | nx.descendants(nx_graph, 0)
+        assert reachable_set(artifact, 0) == expected
         for v in range(25):
-            assert reaches(artifact, 0, v) == reaches(disk, 0, v)
+            assert reaches(artifact, 0, v) == (v in expected)
 
     def test_artifact_answers_do_no_io(self, device):
         graph = random_graph(30, 2, seed=4)
@@ -82,32 +90,3 @@ def topological_order_or_cycle(artifact):
         return topological_order(artifact)
     except Exception:
         return find_cycle(artifact)
-
-
-class TestLegacySignature:
-    def test_graph_signature_warns_once_per_function(self, device):
-        graph = Digraph.from_edges(3, [(0, 1), (1, 2)])
-        disk = DiskGraph.from_digraph(device, graph)
-        import repro.apps._shims as shims
-
-        shims._WARNED_GRAPH_API.discard("topological_order")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            topological_order(disk, 3 * 3 + 64)
-            topological_order(disk, 3 * 3 + 64)
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "topological_order" in str(w.message)
-        ]
-        assert len(deprecations) == 1
-
-    def test_graph_signature_without_memory_is_type_error(self, device):
-        graph = Digraph.from_edges(3, [(0, 1), (1, 2)])
-        disk = DiskGraph.from_digraph(device, graph)
-        with pytest.raises(TypeError):
-            topological_order(disk)
-        with pytest.raises(TypeError):
-            has_cycle(disk)
-        with pytest.raises(TypeError):
-            find_cycle(disk)

@@ -1,4 +1,4 @@
-"""Tests for semi-external cycle detection."""
+"""Tests for cycle detection: one DFS, sealed, then queried."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -7,18 +7,20 @@ from repro import BlockDevice, DiskGraph
 from repro.apps import find_cycle, has_cycle
 from repro.graph import Digraph, directed_cycle, random_dag, random_graph
 
+from ..conftest import seal_dfs
+
 
 class TestFindCycle:
     def test_simple_cycle_found(self, device):
         disk = DiskGraph.from_digraph(device, directed_cycle(10))
-        cycle = find_cycle(disk, memory=3 * 10 + 30)
+        cycle = find_cycle(seal_dfs(disk, memory=3 * 10 + 30))
         assert cycle is not None
         assert len(cycle) == 10
 
     def test_cycle_edges_are_real(self, device):
         graph = random_graph(100, 4, seed=1)
         disk = DiskGraph.from_digraph(device, graph)
-        cycle = find_cycle(disk, memory=3 * 100 + 120)
+        cycle = find_cycle(seal_dfs(disk, memory=3 * 100 + 120))
         assert cycle is not None
         edges = set(graph.edges())
         for i, node in enumerate(cycle):
@@ -27,21 +29,21 @@ class TestFindCycle:
 
     def test_dag_returns_none(self, device):
         disk = DiskGraph.from_digraph(device, random_dag(80, 300, seed=2))
-        assert find_cycle(disk, memory=3 * 80 + 100) is None
+        assert find_cycle(seal_dfs(disk, memory=3 * 80 + 100)) is None
 
     def test_self_loop_is_a_cycle(self, device):
         graph = Digraph.from_edges(3, [(0, 1), (2, 2)])
         disk = DiskGraph.from_digraph(device, graph)
-        assert find_cycle(disk, memory=3 * 3 + 30) == [2]
+        assert find_cycle(seal_dfs(disk, memory=3 * 3 + 30)) == [2]
 
     def test_has_cycle_wrapper(self, device):
-        assert has_cycle(
+        assert has_cycle(seal_dfs(
             DiskGraph.from_digraph(device, directed_cycle(5)), memory=3 * 5 + 20
-        )
-        assert not has_cycle(
+        ))
+        assert not has_cycle(seal_dfs(
             DiskGraph.from_digraph(device, random_dag(20, 50, seed=3)),
             memory=3 * 20 + 40,
-        )
+        ))
 
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -56,4 +58,5 @@ class TestFindCycle:
         expected = not nx.is_directed_acyclic_graph(nx_graph)
         with BlockDevice(block_elements=16) as device:
             disk = DiskGraph.from_digraph(device, graph)
-            assert has_cycle(disk, memory=3 * node_count + 50) == expected
+            artifact = seal_dfs(disk, memory=3 * node_count + 50)
+            assert has_cycle(artifact) == expected

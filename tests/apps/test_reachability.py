@@ -6,8 +6,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import BlockDevice, DiskGraph
-from repro.apps import reachability_counts, reachable_set, reaches
+from repro.apps import reachability_counts, reachable_mask
 from repro.graph import Digraph, directed_cycle, random_graph
+
+from ..conftest import seal_dfs
+
+
+def reachable_set(disk, source, max_passes=0):
+    """The nodes label propagation marks from ``source``."""
+    marked = reachable_mask(disk, source, max_passes=max_passes)
+    return {node for node in range(disk.node_count) if marked[node]}
 
 
 class TestReachableSet:
@@ -26,8 +34,8 @@ class TestReachableSet:
         graph = Digraph.from_edges(3, [(0, 1), (2, 1)])
         disk = DiskGraph.from_digraph(device, graph)
         assert reachable_set(disk, 0) == {0, 1}
-        assert not reaches(disk, 1, 0)
-        assert reaches(disk, 2, 1)
+        assert not reachable_mask(disk, 1)[0]
+        assert reachable_mask(disk, 2)[1]
 
     def test_adversarial_edge_order_still_converges(self, device):
         """Edges stored target-first force one extra pass per hop."""
@@ -47,14 +55,15 @@ class TestReachableSet:
     def test_invalid_source_rejected(self, device):
         disk = DiskGraph.from_digraph(device, Digraph(3))
         with pytest.raises(ValueError):
-            reachable_set(disk, 3)
+            reachable_mask(disk, 3)
         with pytest.raises(ValueError):
-            reaches(disk, 0, -1)
+            reachable_mask(disk, -1)
 
     def test_counts_helper(self, device):
         graph = Digraph.from_edges(4, [(0, 1), (1, 2)])
         disk = DiskGraph.from_digraph(device, graph)
-        assert reachability_counts(disk, [0, 1, 3]) == [3, 2, 1]
+        artifact = seal_dfs(disk, 3 * 4 + 64, sources=(0, 1, 3))
+        assert reachability_counts(artifact, [0, 1, 3]) == [3, 2, 1]
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

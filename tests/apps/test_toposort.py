@@ -1,4 +1,4 @@
-"""Tests for semi-external topological sort."""
+"""Tests for semi-external topological sort (DFS, seal, topo column)."""
 
 import networkx as nx
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import BlockDevice, DiskGraph
-from repro.apps import topological_order
+from repro.apps import sealed_topological_order
 from repro.errors import NotADAGError
 from repro.graph import Digraph, directed_cycle, random_dag
 
@@ -15,7 +15,7 @@ class TestTopologicalOrder:
     def test_valid_linearization(self, device):
         dag = random_dag(120, 500, seed=1)
         disk = DiskGraph.from_digraph(device, dag)
-        order = topological_order(disk, memory=3 * 120 + 150)
+        order = sealed_topological_order(disk, memory=3 * 120 + 150)
         position = {node: i for i, node in enumerate(order)}
         assert sorted(order) == list(range(120))
         for u, v in dag.edges():
@@ -24,17 +24,17 @@ class TestTopologicalOrder:
     def test_cycle_raises(self, device):
         disk = DiskGraph.from_digraph(device, directed_cycle(30))
         with pytest.raises(NotADAGError):
-            topological_order(disk, memory=3 * 30 + 50)
+            sealed_topological_order(disk, memory=3 * 30 + 50)
 
     def test_self_loop_raises(self, device):
         graph = Digraph.from_edges(3, [(0, 1), (1, 1)])
         disk = DiskGraph.from_digraph(device, graph)
         with pytest.raises(NotADAGError):
-            topological_order(disk, memory=3 * 3 + 50)
+            sealed_topological_order(disk, memory=3 * 3 + 50)
 
     def test_edgeless_graph(self, device):
         disk = DiskGraph.from_digraph(device, Digraph(10))
-        order = topological_order(disk, memory=3 * 10 + 20)
+        order = sealed_topological_order(disk, memory=3 * 10 + 20)
         assert sorted(order) == list(range(10))
 
     @pytest.mark.parametrize(
@@ -43,7 +43,9 @@ class TestTopologicalOrder:
     def test_every_algorithm_usable(self, device, algorithm):
         dag = random_dag(60, 200, seed=2)
         disk = DiskGraph.from_digraph(device, dag)
-        order = topological_order(disk, memory=3 * 60 + 100, algorithm=algorithm)
+        order = sealed_topological_order(
+            disk, memory=3 * 60 + 100, algorithm=algorithm
+        )
         position = {node: i for i, node in enumerate(order)}
         for u, v in dag.edges():
             assert position[u] < position[v]
@@ -65,7 +67,7 @@ class TestTopologicalOrder:
         assert nx.is_directed_acyclic_graph(nx_graph)
         with BlockDevice(block_elements=16) as device:
             disk = DiskGraph.from_digraph(device, dag)
-            order = topological_order(disk, memory=3 * node_count + 60)
+            order = sealed_topological_order(disk, memory=3 * node_count + 60)
         position = {node: i for i, node in enumerate(order)}
         for u, v in dag.edges():
             assert position[u] < position[v]

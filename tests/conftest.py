@@ -7,10 +7,11 @@ import os
 import pytest
 from hypothesis import settings as hypothesis_settings
 
-from repro import BlockDevice, DiskGraph
+from repro import BlockDevice, DiskGraph, semi_external_dfs
 from repro.core import check_spanning_tree, verify_dfs_tree
 from repro.core.tree import SpanningTree
 from repro.graph.digraph import Digraph
+from repro.serve import seal_result
 
 # Hypothesis profiles.  CI runs with HYPOTHESIS_PROFILE=ci: no deadline
 # (shared runners have noisy clocks) and print_blob, so a failing example
@@ -115,3 +116,45 @@ def reference_dfs_preorder(graph: Digraph, priority=None) -> list:
             if not advanced:
                 frames.pop()
     return order
+
+
+def dfs_back_edge_scan(disk_graph: DiskGraph, memory: int):
+    """Cycle and toposort answers of one DFS plus one back-edge scan.
+
+    Written out independently of the artifact seal: runs the default
+    semi-external DFS, then scans the edges in file order for the first
+    self-loop or back edge ``(u, v)`` (``v`` an ancestor of ``u``, found
+    by walking parent pointers up from ``u``).
+
+    Returns:
+        ``(witness, finish_order)``: the first cycle ``[v, ..., u]``
+        (``[u]`` for a self-loop) or ``None`` on a DAG, and the reverse
+        finishing order of the DFS forest's real nodes.
+    """
+    tree = semi_external_dfs(disk_graph, memory).tree
+
+    def tree_path(u, v):
+        """The tree path ``v -> ... -> u``, or None if ``v`` is not an
+        ancestor of ``u`` (a node is its own ancestor)."""
+        path = [u]
+        while path[-1] != v:
+            parent = tree.parent.get(path[-1])
+            if parent is None:
+                return None
+            path.append(parent)
+        return path[::-1]
+
+    witness = None
+    for u, v in disk_graph.scan():
+        witness = tree_path(u, v)
+        if witness is not None:
+            break
+    finish = [node for node in tree.postorder() if not tree.is_virtual(node)]
+    return witness, finish[::-1]
+
+
+def seal_dfs(disk_graph: DiskGraph, memory: int, sources=()):
+    """One default DFS of ``disk_graph``, sealed into a query artifact
+    (with exact reachability bitsets for ``sources``)."""
+    result = semi_external_dfs(disk_graph, memory)
+    return seal_result(disk_graph, result, memory=memory, sources=sources)

@@ -1,11 +1,13 @@
-"""Tests for spanning-tree checkpointing."""
+"""Tests for the spanning-tree wire format and its sealed round trip."""
 
 import random
 
 import pytest
 
-from repro.core import SpanningTree, load_tree, save_tree
+from repro.core import SpanningTree
+from repro.core.tree_io import tree_from_values, tree_values
 from repro.errors import StorageError
+from repro.serve import ArtifactStore
 
 
 def random_tree_with_virtuals(node_count: int, seed: int) -> SpanningTree:
@@ -20,11 +22,17 @@ def random_tree_with_virtuals(node_count: int, seed: int) -> SpanningTree:
     return tree
 
 
+def roundtrip(device, tree: SpanningTree) -> SpanningTree:
+    """Publish ``tree`` through the run's artifact store and open it back."""
+    store = ArtifactStore.for_run(device)
+    ref = store.publish_tree(tree, "tree")
+    return store.open(str(ref)).tree
+
+
 class TestRoundtrip:
     def test_structure_preserved(self, device):
         tree = random_tree_with_virtuals(60, seed=1)
-        path = save_tree(device, tree)
-        loaded = load_tree(device, path)
+        loaded = roundtrip(device, tree)
         assert loaded.root == tree.root
         assert list(loaded.preorder()) == list(tree.preorder())
         for node in tree.preorder():
@@ -35,7 +43,7 @@ class TestRoundtrip:
         tree = random_tree_with_virtuals(10, seed=2)
         tree.add_node(99, virtual=True)
         tree.attach(99, 0)
-        loaded = load_tree(device, save_tree(device, tree))
+        loaded = roundtrip(device, tree)
         assert loaded.is_virtual(10)
         assert loaded.is_virtual(99)
         assert not loaded.is_virtual(5)
@@ -43,14 +51,14 @@ class TestRoundtrip:
     def test_detached_nodes_not_saved(self, device):
         tree = random_tree_with_virtuals(5, seed=3)
         tree.add_node(77)  # never attached
-        loaded = load_tree(device, save_tree(device, tree))
+        loaded = roundtrip(device, tree)
         assert 77 not in loaded
 
     def test_single_node_tree(self, device):
         tree = SpanningTree()
         tree.add_node(0)
         tree.root = 0
-        loaded = load_tree(device, save_tree(device, tree))
+        loaded = roundtrip(device, tree)
         assert list(loaded.preorder()) == [0]
 
     def test_sibling_order_preserved_after_reorder(self, device):
@@ -61,46 +69,36 @@ class TestRoundtrip:
         for child in (1, 2, 3):
             tree.attach(child, 0)
         tree.reorder_children(0, [3, 1, 2])
-        loaded = load_tree(device, save_tree(device, tree))
+        loaded = roundtrip(device, tree)
         assert loaded.child_list(0) == [3, 1, 2]
 
 
 class TestIOAccounting:
     def test_save_and_load_charge_block_io(self, device_factory):
         device = device_factory(block_elements=16)
+        store = ArtifactStore.for_run(device)
         tree = random_tree_with_virtuals(50, seed=4)
         before = device.stats.snapshot()
-        path = save_tree(device, tree)
+        ref = store.publish_tree(tree, "tree")
         wrote = (device.stats.snapshot() - before).writes
-        # 3 header + 3*51 ints = 156 values -> ceil(156/16) = 10 blocks
+        # 3 header + 3*51 ints = 156 values -> ceil(156/16) = 10 blocks;
+        # a tree-only artifact has no query columns
         assert wrote == 10
         before = device.stats.snapshot()
-        load_tree(device, path)
+        store.open(str(ref))
         assert (device.stats.snapshot() - before).reads == 10
 
 
 class TestErrors:
-    def test_rootless_tree_rejected(self, device):
+    def test_rootless_tree_rejected(self):
         with pytest.raises(StorageError):
-            save_tree(device, SpanningTree())
+            tree_values(SpanningTree())
 
-    def test_bad_magic_rejected(self, device):
-        # A well-framed block (the checksum layer is satisfied) whose
-        # payload is not a checkpoint: the format check must still reject.
-        from repro.storage.serialization import frame_block, pack_ints
-
-        path = device.allocate_path(suffix=".tree")
-        with open(path, "wb") as handle:
-            handle.write(frame_block(pack_ints([0, 0, 0])))
+    def test_bad_magic_rejected(self):
         with pytest.raises(StorageError, match="not a tree checkpoint"):
-            load_tree(device, path)
+            tree_from_values([0, 0, 0], context="payload")
 
-    def test_truncated_file_rejected(self, device):
-        tree = random_tree_with_virtuals(20, seed=5)
-        path = save_tree(device, tree)
-        with open(path, "rb") as handle:
-            data = handle.read()
-        with open(path, "wb") as handle:
-            handle.write(data[: len(data) // 2 // 4 * 4])
+    def test_truncated_file_rejected(self):
+        values = tree_values(random_tree_with_virtuals(20, seed=5))
         with pytest.raises(StorageError, match="truncated"):
-            load_tree(device, path)
+            tree_from_values(values[: len(values) // 2], context="payload")

@@ -10,7 +10,6 @@ import os
 
 import pytest
 
-from repro.core import load_tree, save_tree
 from repro.core.tree import SpanningTree
 from repro.errors import (
     ClosedFileError,
@@ -18,6 +17,8 @@ from repro.errors import (
     RetriesExhausted,
     TransientIOError,
 )
+from repro.serve import ArtifactStore
+from repro.serve.store import TREE_FILE
 from repro.storage import (
     BlockDevice,
     ExternalStack,
@@ -237,14 +238,15 @@ class TestStructuresUnderFaults:
             tree.add_node(node)
             tree.attach(node, 10)
         with fault_device(block_elements=8) as device:
-            path = save_tree(device, tree)
-            with open(path, "r+b") as handle:
+            store = ArtifactStore.for_run(device)
+            ref = store.publish_tree(tree, "tree")
+            with open(os.path.join(ref.path, TREE_FILE), "r+b") as handle:
                 handle.seek(FRAME_HEADER_BYTES + 1)
                 byte = handle.read(1)[0]
                 handle.seek(FRAME_HEADER_BYTES + 1)
                 handle.write(bytes((byte ^ 0x01,)))
             with pytest.raises(CorruptBlockError):
-                load_tree(device, path)
+                store.open(str(ref))
 
     def test_tree_checkpoint_survives_transient_faults(self, fault_seed):
         tree = SpanningTree()
@@ -255,7 +257,8 @@ class TestStructuresUnderFaults:
             tree.attach(node, 30 if node == 0 else node - 1)
         plan = FaultPlan.transient(fault_seed, rate=0.3)
         with fault_device(plan, max_retries=32) as device:
-            path = save_tree(device, tree)
-            loaded = load_tree(device, path)
+            store = ArtifactStore.for_run(device)
+            loaded = store.open(str(store.publish_tree(tree, "tree"))).tree
+            assert device.stats.faults > 0
             assert loaded.parent == tree.parent
             assert loaded.virtual == tree.virtual

@@ -8,7 +8,13 @@ device per backend and assert the counters — not just the results — match.
 
 import pytest
 
-from repro import BlockDevice, DiskGraph, MemoryBudget, semi_external_dfs
+from repro import (
+    BlockDevice,
+    DiskGraph,
+    MemoryBudget,
+    RunOptions,
+    semi_external_dfs,
+)
 from repro.algorithms import initial_star_tree, restructure
 from repro.core.tree import VirtualNodeAllocator
 from repro.graph import random_graph
@@ -103,7 +109,7 @@ class TestFullRunEquivalence:
                 disk = DiskGraph.from_digraph(device, graph)
                 result = semi_external_dfs(
                     disk, memory, algorithm="edge-by-batch",
-                    use_external_stack=True,
+                    options=RunOptions(use_external_stack=True),
                 )
                 summaries[kernel] = (
                     result.order, result.io.reads, result.io.writes,

@@ -1,11 +1,10 @@
-"""Tests for phase aggregation, profile rendering, and legacy traces."""
+"""Tests for phase aggregation and profile rendering."""
 
 from repro.obs import (
     LEAF_PHASES,
     MemorySink,
     Metrics,
     Tracer,
-    legacy_trace_entries,
     phase_totals,
     render_profile,
 )
@@ -94,31 +93,3 @@ class TestRenderProfile:
     def test_no_metrics_section_when_empty(self):
         events = record_run([("solve", 1, {}, [])])
         assert "metrics:" not in render_profile(events, Metrics())
-
-
-class TestLegacyTraceEntries:
-    def test_names_and_order(self):
-        events = record_run([
-            ("restructure", 1, {"depth": 0}, []),
-            ("divide", 0, {"depth": 0, "parts": 2, "nodes": 10}, []),
-            ("solve", 0, {"depth": 1, "nodes": 5}, []),
-        ])
-        entries = legacy_trace_entries(events)
-        assert [e["event"] for e in entries] == [
-            "restructure", "division", "inmemory",
-        ]
-        assert entries[1]["parts"] == 2
-
-    def test_failed_divide_is_skipped(self):
-        events = record_run([
-            ("divide", 0, {"depth": 0}, []),  # no "parts": failed attempt
-        ])
-        assert legacy_trace_entries(events) == []
-
-    def test_unknown_span_names_are_skipped(self):
-        events = record_run([
-            ("part", 0, {}, []),
-            ("sort", 0, {}, []),
-            ("checkpoint", 0, {}, []),
-        ])
-        assert legacy_trace_entries(events) == []

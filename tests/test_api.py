@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro import BlockDevice, DiskGraph, semi_external_dfs
+from repro import DiskGraph, RunOptions, semi_external_dfs
 from repro.graph import random_graph
 
 from .conftest import assert_valid_dfs_result
@@ -11,7 +11,7 @@ from .conftest import assert_valid_dfs_result
 
 class TestFacade:
     def test_algorithm_registry_names(self):
-        assert set(repro.ALGORITHMS) == {
+        assert set(repro.ALGORITHMS.names()) == {
             "edge-by-edge",
             "edge-by-batch",
             "semi-dfs",
@@ -22,12 +22,13 @@ class TestFacade:
         }
 
     def test_semi_dfs_aliases_edge_by_batch(self):
-        assert repro.ALGORITHMS["semi-dfs"] is repro.ALGORITHMS["edge-by-batch"]
+        algorithms = repro.ALGORITHMS
+        assert algorithms.spec("semi-dfs") is algorithms.spec("edge-by-batch")
 
     def test_semi_bfs_aliases_bfs(self):
-        assert repro.ALGORITHMS["semi-bfs"] is repro.ALGORITHMS["bfs"]
+        assert repro.ALGORITHMS.spec("semi-bfs") is repro.ALGORITHMS.spec("bfs")
 
-    @pytest.mark.parametrize("name", sorted(repro.ALGORITHMS))
+    @pytest.mark.parametrize("name", repro.ALGORITHMS.names())
     def test_every_registered_algorithm_runs(self, device, name):
         graph = random_graph(60, 3, seed=1)
         disk = DiskGraph.from_digraph(device, graph)
@@ -52,7 +53,7 @@ class TestFacade:
         disk = DiskGraph.from_digraph(device, graph)
         result = semi_external_dfs(
             disk, memory=3 * 40 + 80, algorithm="edge-by-batch",
-            use_external_stack=False,
+            options=RunOptions(use_external_stack=False),
         )
         assert result.io.writes == 0
 

@@ -169,7 +169,7 @@ def test_explicit_codec_matches_the_default_run(graph):
             default = algorithm(disk, memory)
         with BlockDevice(block_elements=16, block_codec=ambient) as device:
             disk = DiskGraph.from_digraph(device, graph)
-            pinned = algorithm(disk, memory, block_codec=ambient)
+            pinned = algorithm(disk, memory)
         assert default.block_codec == pinned.block_codec == ambient
         assert pinned.order == default.order, name
         assert pinned.io == default.io, name

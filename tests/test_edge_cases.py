@@ -13,6 +13,8 @@ from repro.apps import (
 )
 from repro.core import verify_dfs_tree
 
+from .conftest import seal_dfs
+
 ALL_ALGORITHMS = ["edge-by-edge", "edge-by-batch", "divide-star", "divide-td"]
 
 
@@ -39,11 +41,12 @@ class TestEmptyGraph:
         assert verify_dfs_tree(empty_graph, result.tree).ok
 
     def test_apps(self, empty_graph):
-        assert topological_order(empty_graph, memory=1) == []
+        artifact = seal_dfs(empty_graph, memory=1)
+        assert topological_order(artifact) == []
         assert weakly_connected_components(empty_graph) == []
         assert strongly_connected_components(empty_graph, memory=1) == []
         assert check_bipartite(empty_graph, memory=1).bipartite
-        assert find_cycle(empty_graph, memory=1) is None
+        assert find_cycle(artifact) is None
 
 
 class TestSingleNode:
@@ -53,7 +56,7 @@ class TestSingleNode:
         assert result.order == [0]
 
     def test_apps(self, single_node):
-        assert topological_order(single_node, memory=4) == [0]
+        assert topological_order(seal_dfs(single_node, memory=4)) == [0]
         assert strongly_connected_components(single_node, memory=4) == [[0]]
         assert check_eulerian(single_node).has_circuit
 
@@ -67,7 +70,8 @@ class TestSelfLoopsOnly:
         assert verify_dfs_tree(self_loops_only, result.tree).ok
 
     def test_self_loop_is_a_cycle(self, self_loops_only):
-        assert find_cycle(self_loops_only, memory=3 * 3 + 16) == [0]
+        artifact = seal_dfs(self_loops_only, memory=3 * 3 + 16)
+        assert find_cycle(artifact) == [0]
 
 
 class TestParallelEdges:

@@ -13,11 +13,11 @@ from repro import BlockDevice, DiskGraph, semi_external_dfs
 from repro.apps import (
     biconnected_components,
     connectivity_report,
+    sealed_topological_order,
     strongly_connected_components,
-    topological_order,
     weakly_connected_components,
 )
-from repro.core import load_tree, save_tree, verify_dfs_tree
+from repro.core import verify_dfs_tree
 from repro.graph import (
     load_edge_list,
     power_law_graph,
@@ -26,6 +26,7 @@ from repro.graph import (
     sample_edges,
     write_edge_list,
 )
+from repro.serve import ArtifactStore
 
 from .conftest import assert_valid_dfs_result
 
@@ -67,7 +68,7 @@ class TestRelabelPipeline:
 
 class TestCheckpointPipeline:
     def test_checkpoint_travels_through_file(self, device):
-        """Save a checkpoint, reload it, resume, verify — as a crashed
+        """Seal a checkpoint, reopen it, resume, verify — as a crashed
         long run would."""
         from repro.algorithms import edge_by_batch
 
@@ -76,13 +77,16 @@ class TestCheckpointPipeline:
         memory = 3 * 400 + 150
 
         full = edge_by_batch(disk, memory, checkpoint_every=2)
-        path = full.details.get("checkpoint")
-        if path is None:
+        if full.artifact_ref is None:
             pytest.skip("run converged before the first checkpoint")
-        restored = load_tree(device, path)
+        store = ArtifactStore.for_run(device)
+        checkpoint = store.open("edge-by-batch-ckpt")
+        assert checkpoint.ref.path == full.artifact_ref
+        restored = checkpoint.tree
         # the checkpointed tree is itself re-checkpointable
-        second_path = save_tree(device, restored)
-        assert os.path.exists(second_path)
+        second = store.publish_tree(restored, "edge-by-batch-ckpt")
+        assert os.path.isdir(second.path)
+        assert second.version == checkpoint.ref.version + 1
         resumed = edge_by_batch(disk, memory, initial_tree=restored)
         assert verify_dfs_tree(disk, resumed.tree).ok
 
@@ -107,7 +111,7 @@ class TestAppsCompose:
         condensation = DiskGraph.from_edges(
             device, len(components), condensation_edges, validate=False
         )
-        order = topological_order(
+        order = sealed_topological_order(
             condensation, 3 * len(components) + len(condensation_edges) + 8
         )
         position = {c: i for i, c in enumerate(order)}
@@ -150,7 +154,7 @@ class TestDAGPipeline:
         path = str(tmp_path / "dag.txt")
         write_edge_list(path, dag.edges())
         disk = load_edge_list(path, device, node_count=300)
-        order = topological_order(disk, 3 * 300 + 400)
+        order = sealed_topological_order(disk, 3 * 300 + 400)
         position = {n: i for i, n in enumerate(order)}
         violations = [(u, v) for u, v in disk.scan() if position[u] >= position[v]]
         assert violations == []

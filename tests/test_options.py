@@ -1,32 +1,24 @@
 """Tests for the typed RunOptions surface and the algorithm registry."""
 
-import warnings
+import dataclasses
 
 import pytest
 
-import repro.api
+import repro
 from repro import (
     AlgorithmRegistry,
     AlgorithmSpec,
     DiskGraph,
     RunOptions,
-    Tracer,
     semi_external_dfs,
 )
 from repro.graph import random_graph
-from repro.options import OPTION_NAMES
 from repro.registry import BASE_OPTIONS
 
 
 @pytest.fixture
 def disk(device):
     return DiskGraph.from_digraph(device, random_graph(50, 3, seed=9))
-
-
-@pytest.fixture
-def fresh_warnings(monkeypatch):
-    """Reset the once-per-name deprecation bookkeeping for this test."""
-    monkeypatch.setattr(repro.api, "_WARNED_OPTIONS", set())
 
 
 class TestRunOptions:
@@ -69,9 +61,10 @@ class TestRunOptions:
         assert "max_passes" in message  # the supported set is spelled out
 
     def test_option_names_match_the_dataclass(self):
-        assert OPTION_NAMES == {
+        # the kernel and the block codec are set on the device, not per run
+        assert {field.name for field in dataclasses.fields(RunOptions)} == {
             "max_passes", "deadline_seconds", "use_external_stack", "order",
-            "checkpoint_every", "initial_tree", "tracer", "block_codec",
+            "checkpoint_every", "initial_tree", "tracer",
         }
 
     def test_typo_is_a_construction_error(self):
@@ -94,108 +87,24 @@ class TestFacadeOptions:
                 options=RunOptions(order=[0, 1, 2]),
             )
 
-    def test_unknown_legacy_kwarg_lists_valid_names(self, disk, fresh_warnings):
-        with pytest.raises(ValueError) as excinfo:
-            semi_external_dfs(disk, memory=3 * 50 + 90, max_passe=9)
-        message = str(excinfo.value)
-        assert "'max_passe'" in message
-        assert "max_passes" in message and "trace" in message
+    def test_removed_spellings_raise_type_error(self, disk):
+        """Each entry point has one spelling; the second ones are gone."""
+        from repro.algorithms import divide_td_dfs
+        from repro.apps import find_cycle, topological_order
 
-    def test_legacy_kwargs_warn_once_per_name(self, disk, fresh_warnings):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(2):
-                semi_external_dfs(
-                    disk, memory=3 * 50 + 90, algorithm="divide-td",
-                    max_passes=200,
-                )
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "max_passes" in str(deprecations[0].message)
-
-    def test_each_legacy_name_warns_separately(self, disk, fresh_warnings):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            semi_external_dfs(
-                disk, memory=3 * 50 + 90, algorithm="edge-by-batch",
-                max_passes=200, use_external_stack=False,
-            )
-        names = {str(w.message).split("'")[1] for w in caught
-                 if issubclass(w.category, DeprecationWarning)}
-        assert names == {"max_passes", "use_external_stack"}
-
-    def test_legacy_trace_flag_builds_a_tracer(self, disk, fresh_warnings):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = semi_external_dfs(
-                disk, memory=3 * 50 + 90, algorithm="divide-td", trace=True,
-            )
-        assert any("trace" in str(w.message) for w in caught)
-        assert result.events  # the shim installed a real tracer
-
-    def test_explicit_options_combine_with_legacy_kwargs(
-        self, disk, fresh_warnings
-    ):
-        tracer = Tracer()
-        result = semi_external_dfs(
-            disk, memory=3 * 50 + 90, algorithm="divide-td",
-            options=RunOptions(tracer=tracer), max_passes=200,
-        )
-        assert result.events
-
-
-class TestTraceNextToTracer:
-    def test_trace_with_explicit_tracer_warns_once(self, disk, monkeypatch):
-        import repro.algorithms.divide_conquer as dc
-
-        monkeypatch.setattr(dc, "_TRACE_TRACER_WARNED", False)
-        tracer = Tracer()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(2):
-                dc.divide_td_dfs(
-                    disk, memory=3 * 50 + 90, trace=True, tracer=tracer,
-                )
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "trace=True is ignored" in str(w.message)
-        ]
-        assert len(deprecations) == 1
-
-    def test_trace_alone_still_silent(self, disk, monkeypatch):
-        import repro.algorithms.divide_conquer as dc
-
-        monkeypatch.setattr(dc, "_TRACE_TRACER_WARNED", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = dc.divide_td_dfs(disk, memory=3 * 50 + 90, trace=True)
-        assert result.events  # legacy flag still records events
-        assert not any(
-            "trace=True is ignored" in str(w.message) for w in caught
-        )
-
-
-class TestDeprecatedTraceAttribute:
-    def test_trace_property_warns_and_derives_entries(self, disk, monkeypatch):
-        import repro.algorithms.base as base
-
-        monkeypatch.setattr(base, "_TRACE_DEPRECATION_WARNED", False)
-        result = semi_external_dfs(
-            disk, memory=3 * 50 + 90, algorithm="divide-td",
-            options=RunOptions(tracer=Tracer()),
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            entries = result.trace
-            result.trace  # second read: already announced
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert all("event" in entry for entry in entries)
+        memory = 3 * 50 + 90
+        with pytest.raises(TypeError):
+            semi_external_dfs(disk, memory, max_passes=3)
+        with pytest.raises(TypeError):
+            divide_td_dfs(disk, memory, trace=True)
+        with pytest.raises(TypeError):
+            divide_td_dfs(disk, memory, block_codec="fixed32")
+        with pytest.raises(TypeError):
+            RunOptions(block_codec="fixed32")
+        with pytest.raises(TypeError):
+            topological_order(disk, memory)
+        with pytest.raises(TypeError):
+            find_cycle(disk, memory)
 
 
 class TestRegistry:
@@ -207,13 +116,12 @@ class TestRegistry:
         fields.update(overrides)
         return AlgorithmSpec(**fields)
 
-    def test_mapping_shape_covers_aliases(self):
+    def test_names_cover_aliases(self):
         registry = AlgorithmRegistry()
         spec = self.make_spec("primary", aliases=("alias",))
         registry.register(spec)
-        assert set(registry) == {"primary", "alias"}
-        assert len(registry) == 2
-        assert registry["alias"] is registry["primary"]
+        assert registry.names() == ["alias", "primary"]
+        assert registry.spec("alias") is registry.spec("primary") is spec
 
     def test_specs_yield_each_algorithm_once_in_order(self):
         registry = AlgorithmRegistry()
@@ -238,10 +146,6 @@ class TestRegistry:
         registry.register(self.make_spec("real"))
         with pytest.raises(ValueError, match="real"):
             registry.spec("imaginary")
-
-    def test_missing_getitem_raises_keyerror(self):
-        with pytest.raises(KeyError):
-            AlgorithmRegistry()["nope"]
 
 
 class TestRegisterAlgorithm:

@@ -7,7 +7,7 @@ real recursion depth, thousands of sibling groups, or many batches.
 
 import pytest
 
-from repro import BlockDevice, DiskGraph, semi_external_dfs
+from repro import BlockDevice, DiskGraph, RunOptions, semi_external_dfs
 from repro.core import verify_dfs_tree
 from repro.graph import power_law_graph_edges, random_graph_edges
 
@@ -27,7 +27,8 @@ def test_benchmark_scale_validity(kind, algorithm):
         disk = DiskGraph.from_edges(device, node_count, edges, validate=False)
         memory = int(node_count * 4.2)
         result = semi_external_dfs(
-            disk, memory, algorithm=algorithm, deadline_seconds=240
+            disk, memory, algorithm=algorithm,
+            options=RunOptions(deadline_seconds=240),
         )
         assert sorted(result.order) == list(range(node_count))
         report = verify_dfs_tree(disk, result.tree)
@@ -48,7 +49,7 @@ def test_deep_recursion_no_stack_issues():
         memory = 3 * node_count + 2_000
         for algorithm in ["edge-by-batch", "divide-td"]:
             result = semi_external_dfs(disk, memory, algorithm=algorithm,
-                                       deadline_seconds=240)
+                                       options=RunOptions(deadline_seconds=240))
             assert_valid_dfs_result(result, disk, graph)
 
 
@@ -63,6 +64,6 @@ def test_dataset_standins_all_valid_at_bench_scale():
             )
             memory = 3 * spec.node_count + disk.edge_count // 10
             result = semi_external_dfs(disk, memory, algorithm="divide-td",
-                                       deadline_seconds=240)
+                                       options=RunOptions(deadline_seconds=240))
             assert sorted(result.order) == list(range(spec.node_count)), name
             assert verify_dfs_tree(disk, result.tree).ok, name
