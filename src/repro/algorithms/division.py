@@ -66,20 +66,21 @@ class Division:
 
 def _extract_subtree(tree: SpanningTree, root: int) -> Tuple[SpanningTree, List[int]]:
     """Copy the subtree rooted at ``root`` into a standalone tree."""
-    subtree = SpanningTree()
+    parent: Dict[int, Optional[int]] = {}
+    child_lists: Dict[int, List[int]] = {}
+    virtual: Set[int] = set()
     real_nodes: List[int] = []
-    subtree.add_node(root, virtual=tree.is_virtual(root))
-    subtree.root = root
-    if not tree.is_virtual(root):
-        real_nodes.append(root)
     for node in tree.preorder(start=root):
-        if node == root:
-            continue
-        subtree.add_node(node, virtual=tree.is_virtual(node))
-        subtree.attach(node, tree.parent[node])
-        if not tree.is_virtual(node):
+        parent[node] = tree.parent[node]
+        children = tree.child_lists.get(node)
+        if children:
+            child_lists[node] = list(children)
+        if tree.is_virtual(node):
+            virtual.add(node)
+        else:
             real_nodes.append(node)
-    return subtree, real_nodes
+    parent[root] = None
+    return SpanningTree.from_structure(root, parent, child_lists, virtual), real_nodes
 
 
 def _simulate_part_count(
@@ -221,7 +222,7 @@ def divide_with_cut(
                 queue.append(child)
     sigma.restrict(set(t0.nodes))
 
-    leaves = [node for node in t0.preorder() if t0.first_child[node] is None]
+    leaves = [node for node in t0.preorder() if not t0.child_lists.get(node)]
     if len(leaves) <= 1:
         return None
 

@@ -6,9 +6,9 @@ edge ``(parent(v), v)`` and add ``(u, v)`` (re-parenting ``v``'s subtree
 under ``u``).  Repeat full passes until one pass makes no change.
 
 Because the tree mutates under the scan, classification uses the dynamic
-O(depth) climbing comparator instead of a preorder index — maintaining a
-total order under mutation is exactly the cost the paper's drawback (1)
-describes.
+O(depth + siblings) climbing comparator instead of a preorder index —
+maintaining a total order under mutation is exactly the cost the paper's
+drawback (1) describes.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ def edge_by_edge(
     # O(1)-per-edge interval index answers; after a fix the index is
     # stale.  A bounded number of O(n) rebuilds is worth paying (late,
     # nearly-converged passes have few fixes), beyond that the pass falls
-    # back to O(depth) climbing.  Either path classifies exactly, so the
-    # computed tree is identical to the naive implementation's.
+    # back to O(depth + siblings) climbing.  Either path classifies
+    # exactly, so the computed tree is identical to the naive
+    # implementation's.
     rebuild_allowance = max(1, graph.edge_count // max(1, graph.node_count))
 
     try:

@@ -1,11 +1,11 @@
 """The shared ``Restructure(G, T, M)`` procedure (Algorithm 1, lines 7–16).
 
 One call makes one pass over the edge file in memory-sized batches.  Per
-batch it classifies every edge against the current tree (O(1) per edge via
-an :class:`~repro.core.classify.IntervalIndex` rebuilt only when the tree
-changes) and, if at least one forward-cross edge was loaded, rebuilds the
-tree with the tree-order-preferring in-memory DFS over
-``G_M = T ∪ (batch edges)``.
+batch it classifies every edge against the current tree, block by block
+through the device kernel's ``classify_slice`` (O(1) per edge via an
+interval index rebuilt only when the tree changes) and, if at least one
+forward-cross edge was loaded, rebuilds the tree with the
+tree-order-preferring in-memory DFS over ``G_M = T ∪ (batch edges)``.
 
 Only *cross* edges are retained in the batch adjacency: forward and
 backward edges (ancestor-related endpoints) provably cannot become
@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..errors import MemoryBudgetExceeded
+from ..kernels import resolve_kernel
 from ..storage.block_device import BlockDevice
 from ..storage.buffer_pool import MemoryBudget
 from ..storage.edge_file import EdgeFile
-from ..core.classify import IntervalIndex
 from ..core.inmemory import dfs_preferring_tree
 from ..core.tree import SpanningTree
 
@@ -75,101 +75,18 @@ def restructure(
             f"budget {budget.capacity}, used {budget.used}"
         )
 
-    kernel = edge_file.device.kernel
-    if kernel.vectorized:
-        dense = kernel.make_index(tree)
-        if dense is not None:  # None = ids too sparse; scalar path below
-            return _restructure_vectorized(
-                edge_file, tree, batch_capacity, stack_device, kernel, dense,
-                check_deadline,
-            )
+    device_kernel = edge_file.device.kernel
+    kernel = device_kernel
+    index = kernel.make_index(tree)
+    if index is None:
+        # A dense index over sparse ids would be mostly holes, so the
+        # kernel declined; the python kernel never declines.  Scanned
+        # columns are then re-materialized in its native column type,
+        # which also keeps foreign int types out of the batch adjacency.
+        kernel = resolve_kernel("python")
+        index = kernel.make_index(tree)
+    convert = kernel is not device_kernel
 
-    update = False
-    batches = 0
-    rebuilds = 0
-    index = IntervalIndex(tree)
-    extra: Dict[int, List[int]] = {}
-    loaded = 0
-    batch_has_forward_cross = False
-
-    def flush_batch() -> None:
-        nonlocal tree, index, extra, loaded, batch_has_forward_cross
-        nonlocal batches, rebuilds, update
-        if loaded == 0:
-            return
-        if check_deadline is not None:
-            check_deadline()
-        batches += 1
-        if batch_has_forward_cross:
-            update = True
-            rebuilds += 1
-            tree = dfs_preferring_tree(tree, extra, stack_device=stack_device)
-            index = IntervalIndex(tree)
-        extra = {}
-        loaded = 0
-        batch_has_forward_cross = False
-
-    # The classification below inlines IntervalIndex.classify with hoisted
-    # dict references — this loop touches every edge of the file every
-    # pass and dominates the whole system's CPU profile.
-    pre = index.pre
-    size = index.size
-    parent = tree.parent
-    for block in edge_file.scan_blocks():
-        for u, v in block:
-            if u == v or parent.get(v) == u:
-                continue  # self-loop / tree edge
-            pre_u = pre[u]
-            pre_v = pre[v]
-            # Every scanned non-tree edge occupies batch memory (the paper
-            # enlarges G_M with all of them), but only cross edges can
-            # influence the rebuild, so only they enter the adjacency.
-            loaded += 1
-            if pre_u < pre_v:
-                if pre_v < pre_u + size[u]:
-                    pass  # forward edge: ancestor relation, harmless
-                else:
-                    targets = extra.get(u)  # forward-cross
-                    if targets is None:
-                        extra[u] = [v]
-                    else:
-                        targets.append(v)
-                    batch_has_forward_cross = True
-            elif pre_u >= pre_v + size[v]:
-                targets = extra.get(u)  # backward-cross
-                if targets is None:
-                    extra[u] = [v]
-                else:
-                    targets.append(v)
-            if loaded >= batch_capacity:
-                flush_batch()
-                pre = index.pre
-                size = index.size
-                parent = tree.parent
-    flush_batch()
-    return RestructureOutcome(tree=tree, update=update, batches=batches, rebuilds=rebuilds)
-
-
-def _restructure_vectorized(
-    edge_file: EdgeFile,
-    tree: SpanningTree,
-    batch_capacity: int,
-    stack_device: Optional[BlockDevice],
-    kernel,
-    index,
-    check_deadline: Optional[Callable[[], None]] = None,
-) -> RestructureOutcome:
-    """The same pass, block-at-a-time through the vectorized kernel.
-
-    Blocks arrive as flat int32 columns (:meth:`EdgeFile.scan_columns`) and
-    ``kernel.classify_slice`` computes forward-/backward-cross masks with
-    array comparisons against a dense interval index; only the (rare) cross
-    edges come back as Python pairs for the batch adjacency.  Batch
-    boundaries, I/O charges, and every :class:`RestructureOutcome` counter
-    are identical to the scalar loop — ``classify_slice`` stops at the
-    exact edge that fills the batch, the batch is flushed, and the rest of
-    the block is re-classified against the rebuilt tree.
-    """
     update = False
     batches = 0
     rebuilds = 0
@@ -189,18 +106,21 @@ def _restructure_vectorized(
             update = True
             rebuilds += 1
             tree = dfs_preferring_tree(tree, extra, stack_device=stack_device)
-            # The rebuild preserves the node set, so density (and hence the
-            # dense index's availability) cannot change mid-pass.
+            # The rebuild preserves the node set, so a kernel that
+            # accepted the tree accepts the rebuilt one too.
             index = kernel.make_index(tree)
         extra = {}
         loaded = 0
         batch_has_forward_cross = False
 
+    classify = kernel.classify_slice
     for u_col, v_col in edge_file.scan_columns():
+        if convert:
+            u_col, v_col = kernel.make_columns(u_col, v_col)
         length = len(u_col)
         position = 0
         while position < length:
-            position, counted, has_forward_cross, cross = kernel.classify_slice(
+            position, counted, has_forward_cross, cross = classify(
                 index, u_col, v_col, position, batch_capacity - loaded
             )
             for u, v in cross:

@@ -192,20 +192,22 @@ def contract_sigma_sccs(
                 f"(parents: {parents})"
             )
         (common_parent,) = parents
-        siblings = tree.child_list(common_parent)
+        siblings = tree.child_lists[common_parent]
         ordered = [c for c in siblings if c in members]
         virtual = allocator.allocate()
         tree.add_node(virtual, virtual=True)
-        tree.attach(virtual, common_parent)
+        # The virtual takes the *first member's* sibling slot: sibling
+        # order encodes restart priority — the start-node hint in
+        # particular — and a contraction that sank the absorbed group to
+        # the back would silently demote it.
+        tree.child_lists[common_parent] = [
+            virtual if c == ordered[0] else c
+            for c in siblings if c == ordered[0] or c not in members
+        ]
+        tree.parent[virtual] = common_parent
+        tree.child_lists[virtual] = ordered
         for member in ordered:
-            tree.reattach(member, virtual)
-        # The virtual takes the *first member's* sibling slot (attach
-        # appended it at the end): sibling order encodes restart priority —
-        # the start-node hint in particular — and a contraction that always
-        # sank the absorbed group to the back would silently demote it.
-        placed = [virtual if c == ordered[0] else c
-                  for c in siblings if c == ordered[0] or c not in members]
-        tree.reorder_children(common_parent, placed)
+            tree.parent[member] = virtual
         sigma.contract(members, virtual)
         contractions.append((virtual, ordered))
     return contractions

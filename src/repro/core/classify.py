@@ -150,26 +150,22 @@ class CutLabels:
 def _preorder(tree: SpanningTree) -> List[int]:
     """Every node reachable from the root, in preorder.
 
-    An inlined sibling-resume walk: it runs once per restructure batch and
+    An inlined child-list walk: it runs once per restructure batch and
     per division, where a generator's indirection is measurable.
     """
     root = tree.root
     if root is None:
         return []
-    first_child = tree.first_child
-    next_sibling = tree.next_sibling
+    get_children = tree.child_lists.get
     order: List[int] = []
     append = order.append
     stack = [root]
     stack_pop = stack.pop
-    stack_push = stack.append
+    stack_extend = stack.extend
     while stack:
         node = stack_pop()
         append(node)
-        sibling = next_sibling[node]
-        if sibling is not None and node != root:
-            stack_push(sibling)
-        child = first_child[node]
-        if child is not None:
-            stack_push(child)
+        children = get_children(node)
+        if children:
+            stack_extend(reversed(children))
     return order

@@ -92,29 +92,27 @@ def dfs_preferring_tree(
 
     # Adjacency is materialized lazily on first visit: current tree
     # children first (their sibling order is the memory-resident visit
-    # preference), then batch edges.
-    first_child = tree.first_child
-    next_sibling = tree.next_sibling
+    # preference), then batch edges.  Both lists are only read, so a node
+    # with one source borrows it instead of copying.
+    get_children = tree.child_lists.get
     node_count = len(tree.parent)
 
-    adjacency: Dict[int, List[int]] = {}
+    adjacency: Dict[int, Sequence[int]] = {}
     next_index: Dict[int, int] = {}
     new_parent: Dict[int, Optional[int]] = {root: None}
     children_acc: Dict[int, List[int]] = {}
     visited = {root}
 
-    def targets_of(node: int) -> List[int]:
-        targets: List[int] = []
-        child = first_child[node]
-        while child is not None:
-            targets.append(child)
-            child = next_sibling[child]
+    def targets_of(node: int) -> None:
+        children = get_children(node)
         batch_targets = extra.get(node)
-        if batch_targets:
-            targets.extend(batch_targets)
-        adjacency[node] = targets
+        if not batch_targets:
+            adjacency[node] = children or ()
+        elif children:
+            adjacency[node] = children + list(batch_targets)
+        else:
+            adjacency[node] = batch_targets
         next_index[node] = 0
-        return targets
 
     # The node stack is a plain list; when `stack_device` is given its
     # spill I/O is accounted inline with the exact semantics of

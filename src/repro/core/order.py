@@ -4,14 +4,13 @@ EdgeByEdge restructures the tree after (potentially) *every* edge it reads,
 so a static preorder index would be rebuilt O(m) times — exactly the
 "maintaining a total order is expensive" drawback the paper calls out for
 the existing solutions.  This module answers ancestor / preorder-comparison
-queries directly from the live tree in O(depth) per query, with no global
-renumbering:
+queries directly from the live tree in O(depth + siblings) per query, with
+no global renumbering:
 
 * the LCA is found by walking both root paths;
 * for order-incomparable nodes, the preorder comparison reduces to the
-  *sibling keys* of the two LCA children on the respective paths —
-  sibling keys are monotone within a sibling group by construction
-  (:mod:`repro.core.tree`), so one integer comparison decides.
+  positions of the two LCA children in the LCA's child list
+  (:mod:`repro.core.tree`), O(siblings) per query.
 """
 
 from __future__ import annotations
@@ -83,14 +82,14 @@ def compare_preorder(tree: SpanningTree, u: int, v: int) -> int:
         return -1
     if child_v is None:  # v == lca
         return 1
-    return -1 if tree.sibling_key[child_u] < tree.sibling_key[child_v] else 1
+    return -1 if _precedes(tree, lca, child_u, child_v) else 1
 
 
 def classify_edge_dynamic(tree: SpanningTree, u: int, v: int) -> EdgeType:
     """Classify edge ``(u, v)`` against the live (possibly mutating) tree.
 
     Semantics match :meth:`repro.core.classify.IntervalIndex.classify`, at
-    O(depth) per call instead of O(1)-after-O(n)-rebuild.
+    O(depth + siblings) per call instead of O(1)-after-O(n)-rebuild.
     """
     if tree.parent.get(v) == u:
         return EdgeType.TREE
@@ -101,6 +100,12 @@ def classify_edge_dynamic(tree: SpanningTree, u: int, v: int) -> EdgeType:
         return EdgeType.FORWARD
     if child_v is None:  # v is a strict ancestor of u
         return EdgeType.BACKWARD
-    if tree.sibling_key[child_u] < tree.sibling_key[child_v]:
+    if _precedes(tree, lca, child_u, child_v):
         return EdgeType.FORWARD_CROSS
     return EdgeType.BACKWARD_CROSS
+
+
+def _precedes(tree: SpanningTree, parent: int, a: int, b: int) -> bool:
+    """Whether child ``a`` of ``parent`` comes before its sibling ``b``."""
+    siblings = tree.child_lists[parent]
+    return siblings.index(a) < siblings.index(b)

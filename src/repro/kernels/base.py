@@ -55,7 +55,6 @@ class Kernel(Protocol):
     """
 
     name: str
-    vectorized: bool
 
     def unpack_edge_columns(self, data: bytes) -> Tuple[Any, Any]:
         """Split packed edge bytes into ``(u, v)`` int32 columns."""

@@ -97,7 +97,6 @@ class NumpyKernel:
     """Vectorized columnar backend (requires numpy)."""
 
     name = "numpy"
-    vectorized = True
 
     # -- codecs --------------------------------------------------------
     def unpack_edge_columns(
@@ -177,9 +176,10 @@ class NumpyKernel:
     def make_index(self, tree: SpanningTree) -> Optional[DenseIntervalIndex]:
         """Dense index over ``tree``, or ``None`` when ids are too sparse.
 
-        ``None`` tells the caller to stay on the dict-based scalar path
-        (divide & conquer parts can hold sparse id subsets); the restructure
-        loop falls back transparently and semantics are unchanged.
+        ``None`` tells the caller to classify through the python kernel's
+        dict-based index instead (divide & conquer parts can hold sparse id
+        subsets); restructure falls back transparently and semantics are
+        unchanged.
         """
         length = _dense_length(tree.parent)
         if length is None:

@@ -3,9 +3,10 @@
 Columns are stdlib :mod:`array` arrays of 4-byte signed ints, so
 ``unpack_edge_columns`` / ``pack_edge_columns`` move whole blocks with
 ``frombytes`` / ``tobytes`` plus two extended-slice copies instead of one
-``struct`` call per edge.  Classification mirrors the scalar loop in
-:mod:`repro.algorithms.restructure` exactly, which makes this backend the
-semantics oracle the numpy backend is tested against.
+``struct`` call per edge.  Classification is a scalar loop over the
+dict-based interval index; it never declines a tree, so restructure and
+division fall back to it when the numpy backend declines sparse ids, and
+it is the semantics oracle the numpy backend is tested against.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class PythonKernel:
     """Columnar codecs + scalar classification; no third-party deps."""
 
     name = "python"
-    vectorized = False
 
     # -- codecs --------------------------------------------------------
     def unpack_edge_columns(
@@ -129,10 +129,9 @@ class PythonKernel:
     ) -> ClassifiedSlice:
         """Classify ``(u_col, v_col)[start:]`` until ``capacity`` edges load.
 
-        Returns ``(stop, counted, has_forward_cross, cross_edges)`` with
-        the exact semantics of the restructure scalar loop: self-loops and
-        tree edges are free; every other edge charges the batch; only
-        cross edges are reported back.
+        Returns ``(stop, counted, has_forward_cross, cross_edges)``:
+        self-loops and tree edges are free; every other edge charges the
+        batch; only cross edges are reported back.
         """
         pre = index.pre
         size = index.size

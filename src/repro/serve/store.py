@@ -12,7 +12,6 @@ columnar payloads, published atomically under ``<root>/<name>/v<NNNNNN>``::
       <name>/
         v000001/
           manifest.json   # control-plane metadata (schema, digests, counts)
-          tree.tree       # the sealed SpanningTree, tree_io wire format
           order.col       # DFS/BFS total order, one int32 per position
           pre.col         # preorder number per node (interval labelling)
           size.col        # subtree size per node
@@ -21,6 +20,11 @@ columnar payloads, published atomically under ``<root>/<name>/v<NNNNNN>``::
           scc.col         # SCC id per node (when sealed with SCCs)
           selfloop.col    # 1 where the graph has a self-loop
           reach-<s>.col   # exact reachability bitset for pinned source s
+
+The spanning tree has no payload of its own: ``parent`` and ``pre``
+determine it (children in ``pre`` order under their parent, forest roots
+under the manifest's ``root``, which is the virtual ``γ`` when it lies
+outside the node ids), and every artifact carries both columns.
 
 Payload files are written through :class:`~repro.storage.BlockDevice`
 (every block framed, CRC'd, charged to IOStats, and fault-injectable);
@@ -59,7 +63,6 @@ from typing import (
 
 from ..core.classify import IntervalIndex
 from ..core.tree import SpanningTree
-from ..core.tree_io import tree_from_values, tree_values
 from ..errors import (
     ArtifactError,
     ArtifactIntegrityError,
@@ -75,10 +78,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..graph.disk_graph import DiskGraph
 
 #: Manifest schema version; bumped on any incompatible layout change.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 MANIFEST_FILE = "manifest.json"
-TREE_FILE = "tree.tree"
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 _VERSION_DIR_RE = re.compile(r"^v(\d{6})$")
@@ -413,6 +415,100 @@ class TreeArtifact:
         return None, ""
 
 
+def _tree_columns(
+    tree: SpanningTree, n: int
+) -> Tuple[List[int], List[int], List[int]]:
+    """The ``pre``, ``size`` and ``parent`` columns of ``tree`` over ids ``0..n-1``.
+
+    ``parent`` and ``pre`` are the tree's only stored form (see
+    :func:`_tree_from_columns`), so the tree must fit them: every node
+    below the root is a real node with an id in ``0..n-1``, and a virtual
+    root has an id outside that range.  Nodes the root does not reach get
+    ``pre`` -1 and are not stored.
+
+    Raises:
+        ArtifactError: a rootless tree, a virtual node below the root, or
+            a node id that does not fit the columns.
+    """
+    root = tree.root
+    if root is None:
+        raise ArtifactError("cannot store a rootless tree")
+    index = IntervalIndex(tree)
+    pre = [-1] * n
+    size = [0] * n
+    parent = [_NO_PARENT] * n
+    for node, number in index.pre.items():
+        if tree.is_virtual(node):
+            if node != root:
+                raise ArtifactError(
+                    f"virtual node {node} lies below the root; only the "
+                    "root of a stored tree may be virtual"
+                )
+            if 0 <= node < n:
+                raise ArtifactError(
+                    f"virtual root {node} collides with node ids 0..{n - 1}"
+                )
+            continue
+        if not 0 <= node < n:
+            raise ArtifactError(f"node {node} lies outside node ids 0..{n - 1}")
+        pre[node] = number
+        size[node] = index.size[node]
+        up = tree.parent[node]
+        if up is not None and not tree.is_virtual(up):
+            parent[node] = up
+    return pre, size, parent
+
+
+def _tree_from_columns(
+    root: int, parent_col: List[int], pre_col: List[int], context: str
+) -> SpanningTree:
+    """Rebuild the tree :func:`_tree_columns` stored.
+
+    Appending each node to its parent's child list in ``pre`` order
+    restores every sibling order; a parent of -1 below the root means the
+    root itself.  The root is virtual exactly when its id lies outside
+    the columns.
+
+    Raises:
+        ArtifactIntegrityError: the columns are not a preorder numbering
+            of a tree.
+    """
+    n = len(parent_col)
+    if len(pre_col) != n:
+        raise ArtifactIntegrityError(
+            f"{context}: the parent and pre columns differ in length"
+        )
+    by_pre = [-1] * (n + 1)
+    for node, number in enumerate(pre_col):
+        if number < 0:
+            continue
+        if number > n or by_pre[number] >= 0:
+            raise ArtifactIntegrityError(
+                f"{context}: the pre column is not a preorder numbering"
+            )
+        by_pre[number] = node
+    parent: Dict[int, Optional[int]] = {root: None}
+    child_lists: Dict[int, List[int]] = {}
+    for node in by_pre:
+        if node < 0 or node == root:
+            continue
+        up = parent_col[node]
+        if up == _NO_PARENT:
+            up = root
+        if up not in parent:
+            raise ArtifactIntegrityError(
+                f"{context}: node {node} precedes its parent {up} in preorder"
+            )
+        parent[node] = up
+        children = child_lists.get(up)
+        if children is None:
+            child_lists[up] = [node]
+        else:
+            children.append(node)
+    virtual = set() if 0 <= root < n else {root}
+    return SpanningTree.from_structure(root, parent, child_lists, virtual)
+
+
 def _graph_digest(graph: "DiskGraph") -> int:
     """CRC32 over the edge stream (codec- and kernel-independent).
 
@@ -462,16 +558,7 @@ def seal_result(
     tree = result.tree
     n = graph.node_count
     order = list(result.order)
-    index = IntervalIndex(tree)
-    pre = [0] * n
-    size = [0] * n
-    parent = [_NO_PARENT] * n
-    for node in range(n):
-        pre[node] = index.pre.get(node, -1)
-        size[node] = index.size.get(node, 0)
-        up = tree.parent.get(node) if node in tree else None
-        if up is not None and not tree.is_virtual(up):
-            parent[node] = up
+    pre, size, parent = _tree_columns(tree, n)
 
     # Verification scan: the first witness in scan order (a self-loop,
     # or the tree path closed by a back edge).
@@ -482,7 +569,7 @@ def seal_result(
             selfloop[u] = 1
             if witness is None:
                 witness = [u]
-        elif witness is None and index.is_ancestor(v, u):
+        elif witness is None and pre[v] <= pre[u] < pre[v] + size[v]:
             path = [u]
             current = u
             while current != v:
@@ -676,6 +763,11 @@ class ArtifactStore:
         """Atomically publish ``artifact`` as the next version of ``name``."""
         if not _NAME_RE.match(name):
             raise ArtifactError(f"invalid artifact name {name!r}")
+        if artifact.parent is None or artifact.pre is None:
+            raise ArtifactError(
+                "an artifact stores its tree as the parent and pre columns; "
+                "build it with seal_result or publish_tree"
+            )
         name_dir = os.path.join(self.root, name)
         os.makedirs(name_dir, exist_ok=True)
         existing = self.versions(name)
@@ -684,18 +776,12 @@ class ArtifactStore:
         if os.path.isdir(staging):
             shutil.rmtree(staging)
         os.makedirs(staging)
+        published = False
         try:
             manifest = dict(artifact.manifest)
             manifest["schema"] = SCHEMA_VERSION
             manifest["name"] = name
             manifest["version"] = version
-
-            tree_sha, tree_count = self._write_values(
-                os.path.join(staging, TREE_FILE), tree_values(artifact.tree)
-            )
-            manifest["tree"] = {
-                "file": TREE_FILE, "sha256": tree_sha, "values": tree_count,
-            }
 
             columns: Dict[str, Dict[str, Any]] = {}
             for column_name, values in self._column_items(artifact):
@@ -716,9 +802,12 @@ class ArtifactStore:
 
             final = self._version_dir(name, version)
             os.rename(staging, final)
-        except OSError:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
+            published = True
+        finally:
+            if not published:
+                # Any failure (an OSError, a device's RetriesExhausted, an
+                # interrupt) leaves no partial version behind.
+                shutil.rmtree(staging, ignore_errors=True)
         ref = ArtifactRef(name=name, version=version, path=final)
         artifact.ref = ref
         artifact.manifest = manifest
@@ -758,13 +847,27 @@ class ArtifactStore:
         node_count: int = 0,
         details: Optional[Mapping[str, Any]] = None,
     ) -> ArtifactRef:
-        """Publish a tree-only artifact (no query columns).
+        """Publish a tree-only artifact: the ``parent`` and ``pre`` columns.
 
         This is the lightweight path runs use to seal checkpoints and
-        result trees mid-flight: one tree payload plus a manifest, no
-        verification scan, no columns.  Open it later and re-seal with
-        :func:`seal_result` to add query columns.
+        result trees mid-flight: two columns plus a manifest, no
+        verification scan, ``2·⌈n/B⌉`` block writes.  Open it later and
+        re-seal with :func:`seal_result` to add query columns.
+
+        Args:
+            node_count: ``n``, the real node ids ``0..n-1`` the columns
+                cover; 0 counts the real nodes the root reaches.
+
+        Raises:
+            ArtifactError: the tree does not fit the columns (see
+                :func:`_tree_columns`): a virtual node below the root, or
+                a real node id outside ``0..n-1``.
         """
+        if not node_count:
+            node_count = sum(
+                1 for node in tree.preorder() if not tree.is_virtual(node)
+            )
+        pre, _, parent = _tree_columns(tree, node_count)
         manifest: Dict[str, Any] = {
             "schema": SCHEMA_VERSION,
             "kind": kind,
@@ -780,7 +883,7 @@ class ArtifactStore:
             "cycle_witness": None,
             "scc_count": None,
         }
-        artifact = TreeArtifact(manifest, tree)
+        artifact = TreeArtifact(manifest, tree, pre=pre, parent=parent)
         return self.publish(artifact, name)
 
     # -- open ----------------------------------------------------------
@@ -788,7 +891,9 @@ class ArtifactStore:
         """Load an artifact by ``"name"`` / ``"name@vN"`` (read-only).
 
         Every payload's SHA-256 and value count are checked against the
-        manifest; each block's CRC frame is checked by the device.
+        manifest; each block's CRC frame is checked by the device.  The
+        tree is rebuilt from the ``parent`` and ``pre`` columns under the
+        manifest's ``root``.
 
         Raises:
             ArtifactNotFound: unknown name or version.
@@ -799,23 +904,6 @@ class ArtifactStore:
             version = parsed if parsed is not None else self.latest_version(name)
         directory = self._version_dir(name, version)
         manifest = self.read_manifest(name, version)
-
-        tree_meta = manifest.get("tree")
-        if not isinstance(tree_meta, dict):
-            raise ArtifactIntegrityError(
-                f"{directory}: manifest has no tree section"
-            )
-        values = self._read_values(
-            os.path.join(directory, str(tree_meta.get("file", TREE_FILE))),
-            expected_sha=str(tree_meta.get("sha256", "")),
-            expected_count=int(tree_meta.get("values", -1)),
-        )
-        tree = tree_from_values(values, context=directory)
-        if tree.root != manifest.get("root"):
-            raise ArtifactIntegrityError(
-                f"{directory}: tree root {tree.root} does not match "
-                f"manifest root {manifest.get('root')}"
-            )
 
         columns: Dict[str, List[int]] = {}
         reach: Dict[int, List[int]] = {}
@@ -832,6 +920,15 @@ class ArtifactStore:
             else:
                 columns[column_name] = column
 
+        root = manifest.get("root")
+        if not isinstance(root, int) or not {"parent", "pre"} <= columns.keys():
+            raise ArtifactIntegrityError(
+                f"{directory}: manifest lacks the root or the parent and "
+                "pre columns that hold the tree"
+            )
+        tree = _tree_from_columns(
+            root, columns["parent"], columns["pre"], context=directory
+        )
         return TreeArtifact(
             manifest,
             tree,

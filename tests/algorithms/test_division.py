@@ -117,7 +117,7 @@ class TestValidityProperties:
     def test_part_roots_are_t0_leaves(self, device, cut_kind):
         graph, disk, tree, division = self.make(device, cut_kind)
         leaves = {
-            n for n in division.t0.preorder() if division.t0.first_child[n] is None
+            n for n in division.t0.preorder() if not division.t0.child_list(n)
         }
         assert {part.root for part in division.parts} == leaves
 

@@ -44,7 +44,7 @@ def has_forward_cross(tree: SpanningTree, edges) -> bool:
 
 def sibling_permutations(tree: SpanningTree):
     """Yield every sibling reordering of ``tree`` (small trees only)."""
-    parents = [n for n in tree.preorder() if tree.first_child[n] is not None]
+    parents = [n for n in tree.preorder() if tree.child_list(n)]
     child_orders = [list(itertools.permutations(tree.child_list(p))) for p in parents]
     for combination in itertools.product(*child_orders):
         clone = tree.copy()

@@ -18,13 +18,18 @@ from repro.errors import InvalidGraphError
 
 
 def random_ordered_tree(node_count: int, seed: int) -> SpanningTree:
+    """A random tree whose sibling groups are shuffled out of id order."""
     rng = random.Random(seed)
     tree = SpanningTree()
     tree.add_node(0)
     tree.root = 0
     for node in range(1, node_count):
         tree.add_node(node)
-        tree.attach(node, rng.randrange(node), first=rng.random() < 0.3)
+        tree.attach(node, rng.randrange(node))
+    for node in range(node_count):
+        children = tree.child_list(node)
+        rng.shuffle(children)
+        tree.reorder_children(node, children)
     return tree
 
 

@@ -99,13 +99,6 @@ class TestTraversal:
 
 
 class TestMutation:
-    def test_attach_first(self):
-        tree = build_sample()
-        tree.add_node(7)
-        tree.attach(7, 0, first=True)
-        assert tree.child_list(0) == [7, 1, 2, 3]
-        assert tree.sibling_key[7] < tree.sibling_key[1]
-
     def test_detach_middle_sibling(self):
         tree = build_sample()
         tree.detach(2)
@@ -128,19 +121,11 @@ class TestMutation:
         with pytest.raises(InvalidGraphError):
             tree.detach(0)  # the root is not attached
 
-    def test_sibling_keys_monotone_after_mixed_inserts(self):
-        tree = SpanningTree()
-        for node in range(6):
-            tree.add_node(node)
-        tree.root = 0
-        tree.attach(1, 0)
-        tree.attach(2, 0, first=True)
-        tree.attach(3, 0)
-        tree.attach(4, 0, first=True)
-        order = tree.child_list(0)
-        assert order == [4, 2, 1, 3]
-        keys = [tree.sibling_key[c] for c in order]
-        assert keys == sorted(keys)
+    def test_detaching_the_last_child_leaves_a_leaf(self):
+        tree = build_sample()
+        tree.detach(6)
+        assert tree.child_list(3) == []
+        assert 3 not in tree.child_lists
 
 
 class TestSurgery:
@@ -208,21 +193,15 @@ class NaiveTree:
         self.children = {0: []}
         self.parent = {0: None}
 
-    def add(self, node, parent, first):
+    def add(self, node, parent):
         self.children[node] = []
         self.parent[node] = parent
-        if first:
-            self.children[parent].insert(0, node)
-        else:
-            self.children[parent].append(node)
+        self.children[parent].append(node)
 
-    def reattach(self, node, parent, first):
+    def reattach(self, node, parent):
         self.children[self.parent[node]].remove(node)
         self.parent[node] = parent
-        if first:
-            self.children[parent].insert(0, node)
-        else:
-            self.children[parent].append(node)
+        self.children[parent].append(node)
 
     def preorder(self):
         out, stack = [], [0]
@@ -240,14 +219,12 @@ def tree_scripts(draw):
     adds = []
     for node in range(1, size):
         parent = draw(st.integers(min_value=0, max_value=node - 1))
-        first = draw(st.booleans())
-        adds.append((node, parent, first))
+        adds.append((node, parent))
     move_count = draw(st.integers(min_value=0, max_value=10))
     moves = [
         (
             draw(st.integers(min_value=1, max_value=size - 1)),
             draw(st.integers(min_value=0, max_value=size - 1)),
-            draw(st.booleans()),
         )
         for _ in range(move_count)
     ]
@@ -262,22 +239,20 @@ def test_spanning_tree_matches_naive_model(script):
     tree.add_node(0)
     tree.root = 0
     model = NaiveTree()
-    for node, parent, first in adds:
+    for node, parent in adds:
         tree.add_node(node)
-        tree.attach(node, parent, first=first)
-        model.add(node, parent, first)
-    for node, parent, first in moves:
+        tree.attach(node, parent)
+        model.add(node, parent)
+    for node, parent in moves:
         # skip illegal moves (target inside the moving subtree, or self)
         if node == parent or parent in set(tree.subtree(node)):
             continue
-        tree.reattach(node, parent, first=first)
-        model.reattach(node, parent, first)
+        tree.reattach(node, parent)
+        model.reattach(node, parent)
     assert list(tree.preorder()) == model.preorder()
     for node in model.parent:
         assert tree.parent[node] == model.parent[node]
         assert tree.child_list(node) == model.children[node]
-        keys = [tree.sibling_key[c] for c in tree.child_list(node)]
-        assert keys == sorted(keys), "sibling keys must stay monotone"
 
 
 class TestFromStructure:
@@ -314,11 +289,23 @@ class TestFromStructure:
         )
         bulk.reattach(3, 2)
         assert bulk.child_list(2) == [3]
+        assert bulk.child_list(1) == []
         bulk.add_node(4)
-        bulk.attach(4, 0, first=True)
-        assert bulk.child_list(0) == [4, 1, 2]
-        keys = [bulk.sibling_key[c] for c in bulk.child_list(0)]
-        assert keys == sorted(keys)
+        bulk.attach(4, 0)
+        assert bulk.child_list(0) == [1, 2, 4]
+        assert list(bulk.preorder()) == [0, 1, 2, 3, 4]
+
+    def test_keeps_the_maps_it_is_handed(self):
+        parent = {0: None, 1: 0}
+        children = {0: [1]}
+        bulk = SpanningTree.from_structure(0, parent, children, {0})
+        assert bulk.parent is parent
+        assert bulk.child_lists is children
+
+    def test_tree_holds_only_parent_links_and_child_lists(self):
+        assert SpanningTree.__slots__ == (
+            "parent", "child_lists", "root", "virtual",
+        )
 
     def test_empty_children_entries_tolerated(self):
         bulk = SpanningTree.from_structure(

@@ -70,9 +70,9 @@ class TestSurvivablePlans:
                 device.directory, "artifacts", "bfs-tree", "v000001"
             )
             published = sorted(os.listdir(version_dir))
-            # atomic publish: only the manifest and the tree payload,
-            # no staging leftovers even under injected faults
-            assert published == ["manifest.json", "tree.tree"]
+            # atomic publish: only the manifest and the tree's parent and
+            # pre columns, no staging leftovers even under injected faults
+            assert published == ["manifest.json", "parent.col", "pre.col"]
 
 
 class TestUnsurvivablePlans:

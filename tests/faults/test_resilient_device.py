@@ -18,7 +18,6 @@ from repro.errors import (
     TransientIOError,
 )
 from repro.serve import ArtifactStore
-from repro.serve.store import TREE_FILE
 from repro.storage import (
     BlockDevice,
     ExternalStack,
@@ -240,7 +239,7 @@ class TestStructuresUnderFaults:
         with fault_device(block_elements=8) as device:
             store = ArtifactStore.for_run(device)
             ref = store.publish_tree(tree, "tree")
-            with open(os.path.join(ref.path, TREE_FILE), "r+b") as handle:
+            with open(os.path.join(ref.path, "parent.col"), "r+b") as handle:
                 handle.seek(FRAME_HEADER_BYTES + 1)
                 byte = handle.read(1)[0]
                 handle.seek(FRAME_HEADER_BYTES + 1)

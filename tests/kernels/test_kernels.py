@@ -67,7 +67,6 @@ class TestResolution:
     @requires_numpy
     def test_numpy_backend_resolves(self):
         assert resolve_kernel("numpy").name == "numpy"
-        assert resolve_kernel("numpy").vectorized
 
 
 class TestColumnCodec:

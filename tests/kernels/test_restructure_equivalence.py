@@ -16,9 +16,10 @@ from repro import (
     semi_external_dfs,
 )
 from repro.algorithms import initial_star_tree, restructure
-from repro.core.tree import VirtualNodeAllocator
+from repro.core.tree import SpanningTree, VirtualNodeAllocator
 from repro.graph import random_graph
 from repro.kernels import numpy_available
+from repro.storage import edge_file_from_edges
 
 pytestmark = pytest.mark.skipif(
     not numpy_available(), reason="numpy backend unavailable"
@@ -31,22 +32,27 @@ def run_restructure_trace(kernel, graph, node_count, memory, block_elements=16):
         disk = DiskGraph.from_digraph(device, graph)
         allocator = VirtualNodeAllocator(node_count)
         tree = initial_star_tree(disk, allocator)
-        budget = MemoryBudget(memory)
-        budget.charge("tree", budget.tree_charge(node_count))
-        trace = []
-        for _ in range(2 * node_count + 16):
-            before = device.stats.snapshot()
-            outcome = restructure(disk.edge_file, tree, budget)
-            io = device.stats.snapshot() - before
-            trace.append(
-                (outcome.update, outcome.batches, outcome.rebuilds,
-                 io.reads, io.writes)
-            )
-            tree = outcome.tree
-            if not outcome.update:
-                break
-        preorder = list(tree.preorder())
-        return trace, preorder
+        return trace_to_fixpoint(device, disk.edge_file, tree, node_count, memory)
+
+
+def trace_to_fixpoint(device, edge_file, tree, node_count, memory):
+    budget = MemoryBudget(memory)
+    budget.charge("tree", budget.tree_charge(node_count))
+    trace = []
+    for _ in range(2 * node_count + 16):
+        before = device.stats.snapshot()
+        outcome = restructure(edge_file, tree, budget)
+        io = device.stats.snapshot() - before
+        trace.append(
+            (outcome.update, outcome.batches, outcome.rebuilds,
+             io.reads, io.writes)
+        )
+        tree = outcome.tree
+        if not outcome.update:
+            break
+    assert all(type(node) is int for node in tree.parent)
+    preorder = list(tree.preorder())
+    return trace, preorder
 
 
 class TestRestructureEquivalence:
@@ -69,6 +75,31 @@ class TestRestructureEquivalence:
         np_ = run_restructure_trace("numpy", graph, node_count, memory)
         assert np_ == py
         assert py[0][0][1] == 1  # whole file fit one batch
+
+
+class TestDeclinedIndex:
+    def test_sparse_ids_fall_back_to_the_python_kernel(self):
+        """numpy declines a tree over sparse ids (a dense index would be
+        mostly holes); restructure then classifies through the python
+        kernel and must match a python-kernel device exactly."""
+        node_count = 70
+        spread = 50  # ids 0, 50, 100, ...: far too sparse to index densely
+        graph = random_graph(node_count, 4, seed=5)
+        edges = [(u * spread, v * spread) for u, v in graph.edges()]
+        nodes = [node * spread for node in range(node_count)]
+        memory = 3 * node_count + 60
+        traces = {}
+        for kernel in ("python", "numpy"):
+            with BlockDevice(block_elements=16, kernel=kernel) as device:
+                edge_file = edge_file_from_edges(device, edges)
+                tree = SpanningTree.initial_star(nodes, spread * node_count)
+                if kernel == "numpy":
+                    assert device.kernel.make_index(tree) is None
+                traces[kernel] = trace_to_fixpoint(
+                    device, edge_file, tree, node_count, memory
+                )
+        assert traces["numpy"] == traces["python"]
+        assert traces["python"][0][0][1] > 1  # several batches per pass
 
 
 class TestFullRunEquivalence:

@@ -76,8 +76,10 @@ class TestUnsurvivablePlans:
             store = ArtifactStore(root, device=device)
             with pytest.raises(RetriesExhausted):
                 store.publish(artifact, "g")
-            # the failed version never became visible
+            # the failed version never became visible, and its staging
+            # directory is gone too
             assert store.versions("g") == []
+            assert os.listdir(os.path.join(root, "g")) == []
             with pytest.raises(Exception):
                 store.open("g")
 

@@ -7,7 +7,8 @@ import os
 
 import pytest
 
-from repro import DiskGraph, semi_external_dfs
+from repro import DiskGraph, semi_external_bfs, semi_external_dfs
+from repro.algorithms import edge_by_batch
 from repro.errors import (
     ArtifactError,
     ArtifactIntegrityError,
@@ -15,8 +16,8 @@ from repro.errors import (
 )
 from repro.graph import random_graph
 from repro.graph.digraph import Digraph
-from repro.serve import SCHEMA_VERSION, parse_ref
-from repro.serve.store import MANIFEST_FILE, TREE_FILE
+from repro.serve import SCHEMA_VERSION, ArtifactStore, parse_ref
+from repro.serve.store import MANIFEST_FILE
 
 from .conftest import publish_graph
 
@@ -155,7 +156,7 @@ class TestIntegrity:
 
     def test_truncated_tree_payload(self, published):
         store, ref = published
-        path = os.path.join(ref.path, TREE_FILE)
+        path = os.path.join(ref.path, "parent.col")
         size = os.path.getsize(path)
         with open(path, "r+b") as fh:
             fh.truncate(size // 2)
@@ -176,7 +177,10 @@ class TestTreeOnlyArtifacts:
         assert artifact.kind == "checkpoint"
         assert artifact.is_dag is None
         assert artifact.tree.root == result.tree.root
-        assert sorted(os.listdir(ref.path)) == [MANIFEST_FILE, TREE_FILE]
+        assert sorted(os.listdir(ref.path)) == [
+            MANIFEST_FILE, "parent.col", "pre.col",
+        ]
+        assert "tree" not in artifact.manifest
 
     def test_querying_missing_column_is_typed(self, store, device):
         from repro.errors import QueryError
@@ -190,3 +194,37 @@ class TestTreeOnlyArtifacts:
             artifact.order_slice()
         with pytest.raises(QueryError):
             artifact.scc_of(0)
+
+
+class TestTreeFromColumns:
+    """``open`` rebuilds a run's tree from the ``parent``/``pre`` columns."""
+
+    @staticmethod
+    def assert_same_tree(loaded, tree):
+        assert loaded.root == tree.root
+        assert loaded.virtual == tree.virtual
+        assert loaded.parent == tree.parent
+        for node in tree.preorder():
+            assert loaded.child_list(node) == tree.child_list(node)
+
+    def test_dfs_result(self, store, device):
+        disk = DiskGraph.from_digraph(device, random_graph(60, 4, seed=3))
+        memory = 3 * 60 + 64
+        result = semi_external_dfs(disk, memory)
+        ref = store.publish_result(disk, result, "dfs", memory=memory)
+        self.assert_same_tree(store.open(str(ref)).tree, result.tree)
+
+    def test_bfs_result(self, device):
+        # average degree 1: several nodes stay unreached under γ
+        disk = DiskGraph.from_digraph(device, random_graph(60, 1, seed=4))
+        result = semi_external_bfs(disk, 3 * 60 + 64)
+        assert result.reached_count < 60
+        artifact = ArtifactStore.for_run(device).open("bfs-tree")
+        self.assert_same_tree(artifact.tree, result.tree)
+
+    def test_edge_by_batch_checkpoint(self, device):
+        disk = DiskGraph.from_digraph(device, random_graph(60, 4, seed=5))
+        result = edge_by_batch(disk, 3 * 60 + 40, checkpoint_every=1)
+        artifact = ArtifactStore.for_run(device).open("edge-by-batch-ckpt")
+        assert artifact.kind == "checkpoint"
+        self.assert_same_tree(artifact.tree, result.tree)
