@@ -2,8 +2,10 @@
 
 Times the three per-edge operations the restructure loop lives in —
 classify, pack, unpack — on a single large edge block (1M edges by
-default; override with ``REPRO_MICRO_KERNEL_EDGES``), and emits the
-measured trajectory into ``benchmarks/results/BENCH_micro_kernels.json``.
+default; override with ``REPRO_MICRO_KERNEL_EDGES``), the division-scan
+ops, and the delta-varint decode of the same edges in 64 KB blocks, and
+emits the measured trajectory into
+``benchmarks/results/BENCH_micro_kernels.json``.
 
 Run directly (``pytest benchmarks/test_micro_kernels.py``) for the
 speedup comparison + JSON artifact; the ``benchmark``-fixture variants
@@ -16,7 +18,8 @@ import json
 import os
 import random
 import time
-from typing import Callable, Dict
+from functools import cached_property
+from typing import Callable, Dict, List
 
 import pytest
 
@@ -24,7 +27,13 @@ from repro.algorithms import star_cut
 from repro.core.classify import CutLabels
 from repro.core.tree import SpanningTree
 from repro.kernels import available_backends, numpy_available, resolve_kernel
-from repro.storage.serialization import pack_edges, unpack_edges
+from repro.storage.serialization import (
+    DeltaVarintBlockEncoder,
+    classify_edge_block,
+    decode_varint_columns,
+    pack_edges,
+    unpack_edges,
+)
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -35,6 +44,9 @@ BLOCK_EDGES = int(os.environ.get("REPRO_MICRO_KERNEL_EDGES", "1000000"))
 
 #: Smaller block for the pytest-benchmark fixture variants (smoke runs).
 SMOKE_EDGES = 50_000
+
+#: Byte budget of the delta-varint blocks: the paper's 64 KB disk block.
+VARINT_BLOCK_BYTES = 64 * 1024
 
 
 class _ChainForestWorkload:
@@ -74,6 +86,16 @@ class _ChainForestWorkload:
             edges.append((u, v))
         self.edges = edges
         self.data = pack_edges(edges)
+
+    @cached_property
+    def varint_bodies(self) -> List[bytes]:
+        """The edges as tag-stripped delta-varint bodies, 64 KB blocks."""
+        encoder = DeltaVarintBlockEncoder(VARINT_BLOCK_BYTES)
+        closed = [encoder.add(u, v) for u, v in self.edges] + [encoder.flush()]
+        return [
+            classify_edge_block(payload)[1]
+            for payload, _count in filter(None, closed)
+        ]
 
 
 _workloads: Dict[int, _ChainForestWorkload] = {}
@@ -141,12 +163,32 @@ def division_ops(backend: str, load: _ChainForestWorkload):
     return collect_pairs, route
 
 
+def varint_op(backend: str, load: _ChainForestWorkload):
+    """Decode every delta-varint block as ``EdgeFile.scan_columns`` does:
+    the kernel op, else the scalar decoder plus ``make_columns`` (always,
+    on the python backend)."""
+    kernel = resolve_kernel(backend)
+    bodies = load.varint_bodies
+
+    def unpack_varint():
+        blocks = []
+        for body in bodies:
+            columns = kernel.unpack_varint_columns(body)
+            if columns is None:
+                columns = kernel.make_columns(*decode_varint_columns(body))
+            blocks.append(columns)
+        return blocks
+
+    return unpack_varint
+
+
 def test_kernel_speedup_trajectory(report_text):
     """Measure python vs numpy kernels, persist BENCH_micro_kernels.json."""
     load = workload(BLOCK_EDGES)
     results = {
         "edges": len(load.edges),
         "nodes": load.node_count,
+        "varint_blocks": len(load.varint_bodies),
         "backends": list(available_backends()),
         "operations": {},
     }
@@ -160,13 +202,17 @@ def test_kernel_speedup_trajectory(report_text):
             "unpack_s": best_of(unpack),
             "collect_pairs_s": best_of(collect_pairs),
             "route_s": best_of(route),
+            "unpack_varint_s": best_of(varint_op(backend, load)),
         }
     # reference: the row-at-a-time struct codec the columns replace
     timings["rows"] = {
         "pack_s": best_of(lambda: pack_edges(load.edges)),
         "unpack_s": best_of(lambda: unpack_edges(load.data)),
     }
-    for operation in ("classify", "pack", "unpack", "collect_pairs", "route"):
+    operations = (
+        "classify", "pack", "unpack", "collect_pairs", "route", "unpack_varint"
+    )
+    for operation in operations:
         entry: Dict[str, float] = {}
         for backend, values in timings.items():
             if f"{operation}_s" in values:
@@ -180,7 +226,11 @@ def test_kernel_speedup_trajectory(report_text):
     with open(path, "w") as handle:
         json.dump(results, handle, indent=2, sort_keys=True)
 
-    lines = [f"kernel micro-benchmarks ({len(load.edges)} edges / block)"]
+    lines = [
+        f"kernel micro-benchmarks ({len(load.edges)} edges / block; "
+        f"unpack_varint: the same edges in {len(load.varint_bodies)} "
+        f"delta-varint blocks of {VARINT_BLOCK_BYTES // 1024} KB)"
+    ]
     for operation, entry in results["operations"].items():
         cells = "  ".join(
             f"{backend}={entry[backend] * 1e3:9.2f}ms"
@@ -194,11 +244,12 @@ def test_kernel_speedup_trajectory(report_text):
     report_text("micro_kernels", "\n".join(lines))
 
     if numpy_available():
-        classify = results["operations"]["classify"]
-        assert classify["speedup"] >= 3.0, (
-            f"vectorized classify only {classify['speedup']:.2f}x faster "
-            f"({classify['python']:.4f}s vs {classify['numpy']:.4f}s)"
-        )
+        for operation in ("classify", "unpack_varint"):
+            entry = results["operations"][operation]
+            assert entry["speedup"] >= 3.0, (
+                f"vectorized {operation} only {entry['speedup']:.2f}x faster "
+                f"({entry['python']:.4f}s vs {entry['numpy']:.4f}s)"
+            )
 
 
 @pytest.mark.parametrize("backend", available_backends())
@@ -240,3 +291,10 @@ def test_route_edges(benchmark, backend):
     # cross-chain edges (~5%) straddle parts and are dropped by routing
     kept = sum(len(u_col) for _, u_col, _ in routed)
     assert SMOKE_EDGES // 2 < kept < SMOKE_EDGES
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_unpack_varint_columns(benchmark, backend):
+    load = workload(SMOKE_EDGES)
+    blocks = benchmark(varint_op(backend, load))
+    assert sum(len(u_col) for u_col, _ in blocks) == SMOKE_EDGES

@@ -1,16 +1,19 @@
 """Backend registry and selection for the columnar kernel layer.
 
-A *kernel* bundles the per-edge hot operations the restructure and
-division passes perform millions of times — unpacking a disk block into
-columns, packing columns back to bytes, classifying a block of edges
+A *kernel* bundles the per-edge hot operations the restructure, division
+and BFS passes perform millions of times — unpacking a disk block into
+columns (a fixed32 block, or a delta-varint body the backend may decline
+back to the scalar decoder in :mod:`repro.storage.serialization`),
+packing columns back to bytes, classifying a block of edges
 against the in-memory spanning tree, collecting a block's cross edges or
 the cut-label pairs of its S-edges, and routing a block's edges to their
 owning parts.  Two backends exist:
 
 * ``python`` — always available; stdlib-``array`` columns, scalar
   classification (the seed implementation's semantics, verbatim);
-* ``numpy`` — optional; flat int32 columns via ``frombuffer``/``tobytes``
-  and whole-block mask arithmetic for classification.
+* ``numpy`` — optional; flat int32 columns via ``frombuffer``/``tobytes``,
+  delta-varint bodies decoded in one array pass, and whole-block mask
+  arithmetic for classification.
 
 Selection is ``auto`` by default (numpy when importable), overridable per
 :class:`~repro.storage.block_device.BlockDevice` or globally with the
@@ -58,6 +61,16 @@ class Kernel(Protocol):
 
     def unpack_edge_columns(self, data: bytes) -> Tuple[Any, Any]:
         """Split packed edge bytes into ``(u, v)`` int32 columns."""
+
+    def unpack_varint_columns(self, body: bytes) -> Optional[Tuple[Any, Any]]:
+        """Decode a tag-stripped delta-varint block body into ``(u, v)``
+        int32 columns, or return ``None`` to decline it.
+
+        A decline sends the caller to the scalar decoder in
+        ``repro.storage``, which decodes what a backend declines and
+        raises every error, so this op never raises on a malformed body.
+        The python backend always declines.
+        """
 
     def pack_edge_columns(self, u_col: Any, v_col: Any) -> bytes:
         """Interleave two int32 columns back into on-disk edge bytes."""

@@ -1,11 +1,12 @@
 """The optional NumPy kernel backend: columnar codecs + vectorized classify.
 
 Blocks move as flat little-endian int32 arrays (``frombuffer`` in,
-``tobytes`` out) and classification happens with whole-block mask
-arithmetic against a *dense* interval index — ``pre`` / ``size`` /
-``parent`` as arrays indexed by node id — so only the rare cross edges
-drop back into Python objects.  Importing this module requires numpy; the
-registry in :mod:`repro.kernels.base` treats the ImportError as "backend
+``tobytes`` out; delta-varint bodies decode by array arithmetic too) and
+classification happens with whole-block mask arithmetic against a
+*dense* interval index — ``pre`` / ``size`` / ``parent`` as arrays
+indexed by node id — so only the rare cross edges drop back into Python
+objects.  Importing this module requires numpy; the registry in
+:mod:`repro.kernels.base` treats the ImportError as "backend
 unavailable".
 """
 
@@ -25,6 +26,11 @@ EDGE_BYTES = 8  # two little-endian signed 32-bit ints
 _EDGE_DTYPE = np.dtype("<i4")
 _INT32_MIN = -(2**31)
 _INT32_MAX = 2**31 - 1
+
+#: Longest varint the delta-varint encoder writes: the zig-zag of an
+#: int32 delta has at most 33 bits, five 7-bit groups (an edge count,
+#: bounded by the frame size, needs four).
+_VARINT32_BYTES = 5
 
 #: A dense index is only worth it while node ids stay reasonably compact;
 #: beyond this expansion factor the dict-based scalar path wins on memory.
@@ -110,6 +116,56 @@ class NumpyKernel:
             )
         flat = np.frombuffer(data, dtype=_EDGE_DTYPE)
         return flat[0::2], flat[1::2]
+
+    def unpack_varint_columns(
+        self, body: bytes
+    ) -> Optional[
+        Tuple["npt.NDArray[np.int32]", "npt.NDArray[np.int32]"]
+    ]:
+        """Decode a tag-stripped delta-varint body in one array pass.
+
+        The body is ``<uvarint count> <u-stream> <v-stream> [pad]``, each
+        stream ``count`` LEB128 varints of zig-zag deltas from 0.  The
+        first ``2·count`` bytes below ``0x80`` end the stream varints;
+        each varint's 7-bit groups are shifted into place and summed with
+        ``reduceat``, un-zig-zagged, and prefix-summed per stream.
+
+        Returns ``None`` for every body the encoder would not write — a
+        count varint over 5 bytes, a count of 0, fewer than ``2·count``
+        stream varints, a stream varint over 5 bytes, an endpoint outside
+        int32 — so the caller's scalar decoder decodes it or raises.
+        """
+        count = 0
+        for position, byte in enumerate(body[:_VARINT32_BYTES]):
+            count |= (byte & 0x7F) << (7 * position)
+            if byte < 0x80:
+                break
+        else:
+            return None  # truncated, or a count varint over 5 bytes
+        if count == 0:
+            return None
+        streams = np.frombuffer(body, dtype=np.uint8, offset=position + 1)
+        ends = np.flatnonzero(streams < 0x80)
+        if len(ends) < 2 * count:
+            return None
+        ends = ends[: 2 * count]
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        np.add(ends[:-1], 1, out=starts[1:])
+        lengths = ends - starts + 1
+        if int(lengths.max()) > _VARINT32_BYTES:
+            return None
+        used = streams[: ends[-1] + 1]
+        shifts = 7 * (np.arange(len(used)) - np.repeat(starts, lengths))
+        encoded = np.add.reduceat(
+            (used & 0x7F).astype(np.int64) << shifts, starts
+        )
+        deltas = (encoded >> 1) ^ -(encoded & 1)
+        values = np.cumsum(deltas.reshape(2, count), axis=1)
+        if int(values.min()) < _INT32_MIN or int(values.max()) > _INT32_MAX:
+            return None
+        columns = values.astype(_EDGE_DTYPE)
+        return columns[0], columns[1]
 
     def pack_edge_columns(
         self, u_col: "npt.ArrayLike", v_col: "npt.ArrayLike"

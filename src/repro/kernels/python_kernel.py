@@ -50,6 +50,12 @@ class PythonKernel:
             flat.byteswap()
         return flat[0::2], flat[1::2]
 
+    def unpack_varint_columns(self, body: bytes) -> None:
+        """Always declines: this backend's delta-varint path is the scalar
+        decoder in :mod:`repro.storage.serialization` plus
+        :meth:`make_columns`."""
+        return None
+
     def pack_edge_columns(
         self,
         u_col: Union["array[int]", Sequence[int]],

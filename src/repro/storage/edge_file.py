@@ -288,6 +288,17 @@ class EdgeFile:
         decoded by the device's kernel (numpy arrays on the vectorized
         backend, stdlib ``array`` columns on the pure-Python one) instead
         of a list of per-edge tuples.
+
+        A delta-varint block goes to the kernel's
+        ``unpack_varint_columns`` first; when the kernel declines it (the
+        python kernel always does, numpy any body the encoder would not
+        write), the scalar :func:`decode_varint_columns` decodes it or
+        raises, so both kernels yield equal columns and raise the same
+        error on the same block.
+
+        Raises:
+            CorruptBlockError: a checksum failure that persists across
+                the device's retry budget, or a malformed block body.
         """
         self._check_readable()
         device = self.device
@@ -301,9 +312,12 @@ class EdgeFile:
                 if codec == CODEC_FIXED32:
                     u_col, v_col = kernel.unpack_edge_columns(body)
                 else:
-                    u_col, v_col = kernel.make_columns(
-                        *decode_varint_columns(body)
-                    )
+                    columns = kernel.unpack_varint_columns(body)
+                    if columns is None:
+                        columns = kernel.make_columns(
+                            *decode_varint_columns(body)
+                        )
+                    u_col, v_col = columns
                 device.stats.add_edge_bytes(len(u_col) * EDGE_BYTES, len(data))
                 yield u_col, v_col
 

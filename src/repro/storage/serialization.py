@@ -277,7 +277,8 @@ def _read_uvarint(data: bytes, position: int, context: str) -> Tuple[int, int]:
     Raises:
         CorruptBlockError: truncated stream or a varint wider than 64 bits
             (a CRC-valid frame can still be mis-assembled by a buggy
-            writer; the decoder must fail loudly, not mis-decode).
+            writer; the decoder must fail loudly, not mis-decode).  A
+            10th byte may carry only bit 63: above 1 it is too wide.
     """
     value = 0
     shift = 0
@@ -286,12 +287,12 @@ def _read_uvarint(data: bytes, position: int, context: str) -> Tuple[int, int]:
             raise CorruptBlockError(f"{context}: truncated varint stream")
         byte = data[position]
         position += 1
+        if shift == 63 and byte > 1:
+            raise CorruptBlockError(f"{context}: varint wider than 64 bits")
         value |= (byte & 0x7F) << shift
         if not byte & 0x80:
             return value, position
         shift += 7
-        if shift > 63:
-            raise CorruptBlockError(f"{context}: varint wider than 64 bits")
 
 
 def classify_edge_block(payload: bytes) -> Tuple[str, bytes]:
@@ -321,8 +322,14 @@ def decode_varint_columns(body: bytes) -> Tuple[List[int], List[int]]:
     Trailing bytes beyond the two streams (the anti-alignment pad) are
     ignored — the leading count delimits the streams exactly.
 
+    This scalar decoder is the reference the numpy kernel's
+    ``unpack_varint_columns`` is tested against, the python kernel's
+    path, and the only delta-varint decoder that raises.
+
     Raises:
-        CorruptBlockError: truncated or malformed varint streams.
+        CorruptBlockError: truncated or malformed varint streams, or an
+            endpoint outside int32 (the encoder refuses those, so such a
+            block was mis-assembled).
     """
     context = "delta-varint block"
     count, position = _read_uvarint(body, 0, context)
@@ -337,6 +344,8 @@ def decode_varint_columns(body: bytes) -> Tuple[List[int], List[int]]:
             encoded, position = _read_uvarint(body, position, context)
             previous += _unzigzag(encoded)
             append(previous)
+        if column and (min(column) < _INT32_MIN or max(column) > _INT32_MAX):
+            raise CorruptBlockError(f"{context}: endpoint outside int32")
     return us, vs
 
 

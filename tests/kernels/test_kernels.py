@@ -21,7 +21,16 @@ from repro.kernels import (
     resolve_kernel,
     unpack_edge_columns,
 )
-from repro.storage.serialization import pack_edges, unpack_edges
+from repro.errors import CorruptBlockError
+from repro.storage.edge_file import EdgeFile, edge_file_from_edges
+from repro.storage.serialization import (
+    DeltaVarintBlockEncoder,
+    classify_edge_block,
+    decode_varint_columns,
+    frame_block,
+    pack_edges,
+    unpack_edges,
+)
 
 int32s = st.integers(min_value=-(2**31), max_value=2**31 - 1)
 
@@ -129,6 +138,214 @@ class TestColumnCodec:
         nu, nv = np_kernel.unpack_edge_columns(data)
         assert list(pu) == list(nu)
         assert list(pv) == list(nv)
+
+
+def varint_bodies(edge_list, block_bytes):
+    """The tag-stripped delta-varint bodies the encoder writes."""
+    encoder = DeltaVarintBlockEncoder(block_bytes)
+    closed = [encoder.add(u, v) for u, v in edge_list] + [encoder.flush()]
+    return [
+        classify_edge_block(payload)[1]
+        for payload, _count in filter(None, closed)
+    ]
+
+
+def uvarint(value, width=1):
+    """LEB128 bytes of ``value``, padded with continuation bytes to at
+    least ``width`` bytes (a non-canonical but decodable varint)."""
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if not value and len(out) + 1 >= width:
+            out.append(byte)
+            return bytes(out)
+        out.append(byte | 0x80)
+
+
+def zigzag(value):
+    return (value << 1) if value >= 0 else ((-value) << 1) - 1
+
+
+def body_of(edge_list, first_width=1):
+    """A delta-varint body built by hand, independently of the encoder;
+    ``first_width`` pads the first u varint."""
+    streams = []
+    for column in zip(*edge_list):
+        previous = 0
+        for value in column:
+            width = first_width if not streams else 1
+            streams.append(uvarint(zigzag(value - previous), width))
+            previous = value
+    return uvarint(len(edge_list)) + b"".join(streams)
+
+
+MALFORMED_EDGES = [(5, 300), (70000, -(2**31)), (2**31 - 1, 0), (3, 3)]
+_VALID = body_of(MALFORMED_EDGES)
+_STREAMS = _VALID[1:]
+
+#: Bodies the encoder never writes, but may sit in a CRC-valid block.
+#: numpy declines all but :data:`DECODED_BODIES`; the scalar decoder then
+#: decodes the non-canonical ones and raises on the broken ones.
+MALFORMED_BODIES = {
+    "truncated-by-one": _VALID[:-1],
+    "truncated-by-half": _VALID[: len(_VALID) // 2],
+    "trailing-continuation": _VALID + b"\x80",
+    "count-varint-6-bytes": uvarint(len(MALFORMED_EDGES), 6) + _STREAMS,
+    "count-beyond-streams": uvarint(len(MALFORMED_EDGES) + 1) + _STREAMS,
+    **{
+        f"stream-varint-{width}-bytes": body_of(MALFORMED_EDGES, first_width=width)
+        for width in range(6, 11)
+    },
+    "stream-varint-11-bytes": b"\x01" + b"\x80" * 10 + b"\x00\x00",
+    "endpoint-outside-int32": b"\x01\x80\x80\x80\x80\x20\x02",  # u = 2**32
+    "count-without-streams": b"\x04",
+    "count-0": b"\x00" + _STREAMS,
+    "count-0-alone": b"\x00",
+    "with-pad": _VALID + b"\x00",
+    "without-pad": _VALID,
+}
+
+#: The bodies above whose streams are canonical: bytes past the streams
+#: are ignored, so numpy decodes them.
+DECODED_BODIES = {"trailing-continuation", "with-pad", "without-pad"}
+
+
+def scan_outcome(kernel, tmp_path, payload):
+    """Columns (as lists) or the exception type of one ``scan_columns``."""
+    directory = tmp_path / kernel
+    directory.mkdir(exist_ok=True)
+    path = directory / "block.edges"
+    path.write_bytes(frame_block(payload))
+    with BlockDevice(directory=str(directory), kernel=kernel) as device:
+        edge_file = EdgeFile.open_sealed(device, str(path), 1, 1)
+        try:
+            return [
+                ([int(u) for u in u_col], [int(v) for v in v_col])
+                for u_col, v_col in edge_file.scan_columns()
+            ]
+        except Exception as error:  # the type is the outcome compared
+            return type(error)
+
+
+def assert_declined_or_equal(body):
+    """numpy declines ``body`` or returns exactly the scalar decode (which
+    must then not raise)."""
+    columns = resolve_kernel("numpy").unpack_varint_columns(body)
+    if columns is not None:
+        assert [column.tolist() for column in columns] \
+            == list(decode_varint_columns(body))
+
+
+class TestVarintColumns:
+    """``unpack_varint_columns``: numpy decodes what the encoder writes,
+    declines the rest, and the python backend always declines."""
+
+    endpoints = st.one_of(
+        st.integers(min_value=0, max_value=300),
+        int32s,
+        st.sampled_from([-(2**31), 2**31 - 1, 0, 1, -1]),
+    )
+
+    def test_python_backend_always_declines(self):
+        py = resolve_kernel("python")
+        bodies = varint_bodies(MALFORMED_EDGES, 4096)
+        for body in bodies + list(MALFORMED_BODIES.values()):
+            assert py.unpack_varint_columns(body) is None
+
+    @requires_numpy
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(endpoints, endpoints), min_size=1, max_size=150),
+        st.sampled_from([9, 16, 64, 512, 4096]),
+    )
+    def test_numpy_equals_the_scalar_decoder(self, edge_list, block_bytes):
+        np_kernel = resolve_kernel("numpy")
+        decoded = []
+        for body in varint_bodies(edge_list, block_bytes):
+            expected = np_kernel.make_columns(*decode_varint_columns(body))
+            columns = np_kernel.unpack_varint_columns(body)
+            assert columns is not None
+            for actual, reference in zip(columns, expected):
+                assert actual.dtype == reference.dtype
+                assert actual.dtype.name == "int32"
+                assert actual.tolist() == reference.tolist()
+            decoded.extend(zip(*(column.tolist() for column in columns)))
+        assert decoded == edge_list
+
+    @requires_numpy
+    @pytest.mark.parametrize("name", sorted(MALFORMED_BODIES))
+    def test_malformed_body_declined_or_equal(self, name):
+        body = MALFORMED_BODIES[name]
+        assert_declined_or_equal(body)
+        columns = resolve_kernel("numpy").unpack_varint_columns(body)
+        assert (columns is not None) == (name in DECODED_BODIES)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_BODIES))
+    def test_malformed_scan_agrees_across_kernels(self, name, tmp_path):
+        payload = b"\x01" + MALFORMED_BODIES[name]
+        if len(payload) % 8 == 0:
+            payload += b"\x00"  # stay off the fixed32 grid
+        outcomes = {
+            kernel: scan_outcome(kernel, tmp_path, payload)
+            for kernel in available_backends()
+        }
+        assert len(set(map(repr, outcomes.values()))) == 1, outcomes
+        outcome = outcomes["python"]
+        assert outcome is CorruptBlockError or isinstance(outcome, list)
+
+    @requires_numpy
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(int32s, int32s), min_size=1, max_size=40),
+        st.lists(
+            st.tuples(st.integers(min_value=0), st.integers(0, 255)),
+            min_size=1, max_size=4,
+        ),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_mutated_bodies_declined_or_equal(self, edge_list, edits, trim):
+        """Byte edits and truncations never make numpy disagree: it
+        declines, or returns exactly what the scalar decoder returns."""
+        (body,) = varint_bodies(edge_list, 4096)
+        mutated = bytearray(body)
+        for position, value in edits:
+            mutated[position % len(mutated)] = value
+        assert_declined_or_equal(bytes(mutated[: len(mutated) - trim]))
+
+    @requires_numpy
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=40))
+    def test_arbitrary_bytes_declined_or_equal(self, body):
+        assert_declined_or_equal(body)
+
+    def test_file_scan_identical_across_kernels(self, tmp_path):
+        edge_list = [((i * 7919) % 1000, (i * 104729) % 997 - 500)
+                     for i in range(3000)]
+        with BlockDevice(block_elements=64, block_codec="delta-varint",
+                         directory=str(tmp_path)) as writer:
+            sealed = edge_file_from_edges(writer, edge_list)
+            counts = (sealed.edge_count, sealed.block_count)
+        assert counts[1] > 1
+        scanned = {}
+        for kernel in available_backends():
+            with BlockDevice(kernel=kernel, directory=str(tmp_path)) as reader:
+                adopted = EdgeFile.open_sealed(reader, sealed.path, *counts)
+                before = reader.stats.snapshot()
+                columns = [
+                    (list(map(int, u_col)), list(map(int, v_col)))
+                    for u_col, v_col in adopted.scan_columns()
+                ]
+                delta = reader.stats.snapshot() - before
+                scanned[kernel] = (
+                    columns, delta.reads,
+                    delta.edge_bytes_raw, delta.edge_bytes_stored,
+                )
+        reference = scanned["python"]
+        assert [edge for u, v in reference[0] for edge in zip(u, v)] == edge_list
+        assert reference[1] == counts[1]
+        for result in scanned.values():
+            assert result == reference
 
 
 def converged_tree(node_count=80, degree=4, seed=11):

@@ -9,13 +9,16 @@ interop — fixed32 files read under a delta-varint device and vice versa.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CorruptBlockError, ReproError
+from repro.kernels import available_backends
 from repro.storage import BlockDevice, resolve_block_codec, sort_edge_file
-from repro.storage.edge_file import edge_file_from_edges
+from repro.storage.edge_file import EdgeFile, edge_file_from_edges
 from repro.storage.serialization import (
     CODEC_DELTA_VARINT,
     CODEC_FIXED32,
@@ -24,6 +27,7 @@ from repro.storage.serialization import (
     classify_edge_block,
     decode_edge_block,
     decode_varint_columns,
+    frame_block,
     pack_edges,
 )
 
@@ -112,6 +116,28 @@ class TestWireFormat:
         # count varint of ten 0x80 continuation bytes: > 64 bits
         with pytest.raises(CorruptBlockError, match="wider than 64 bits"):
             decode_varint_columns(b"\x80" * 10)
+
+    def test_tenth_varint_byte_above_one_rejected(self):
+        # a terminating 10th byte of 0x7f carries bits 63..69: a 70-bit
+        # u delta
+        with pytest.raises(CorruptBlockError, match="wider than 64 bits"):
+            decode_varint_columns(b"\x01" + b"\x80" * 9 + b"\x7f" + b"\x02")
+
+    def test_tenth_varint_byte_of_one_is_bit_63(self):
+        # the widest legal varint still decodes: a count of 2**63
+        with pytest.raises(CorruptBlockError, match="implausible edge count"):
+            decode_varint_columns(b"\x80" * 9 + b"\x01")
+
+    @pytest.mark.parametrize("body", [
+        b"\x01\x80\x80\x80\x80\x20\x02",  # u = 2**32
+        b"\x01\x02\xff\xff\xff\xff\x1f",  # v = -(2**32)
+        b"\x01\x80\x80\x80\x80\x10\x02",  # u = 2**31
+        # u deltas 2**31 - 1 then +1: each delta fits, the sum does not
+        b"\x02\xfe\xff\xff\xff\x0f\x02\x00\x00",
+    ], ids=["u-2^32", "v-minus-2^32", "u-2^31", "u-sum-2^31"])
+    def test_endpoint_outside_int32_rejected(self, body):
+        with pytest.raises(CorruptBlockError, match="outside int32"):
+            decode_varint_columns(body)
 
     @settings(max_examples=30)
     @given(edge_lists, st.integers(min_value=16, max_value=256))
@@ -213,6 +239,44 @@ class TestEdgeFileUnderCodecs:
             edge_file.read_all()
 
 
+#: A CRC-valid delta-varint payload the encoder would never write: tag,
+#: count 1, u = zig-zag varint of 2**32, v = 1, pad.
+OUT_OF_RANGE_PAYLOAD = bytes.fromhex("010180808080200200")
+
+
+def adopt_payload(device, directory, payload):
+    """A sealed one-block edge file holding exactly ``payload``, framed."""
+    path = os.path.join(str(directory), "mis-assembled.edges")
+    with open(path, "wb") as handle:
+        handle.write(frame_block(payload))
+    return EdgeFile.open_sealed(device, path, edge_count=1, block_count=1)
+
+
+class TestMisassembledBlocks:
+    """A CRC-valid block whose endpoints leave int32 fails loudly on every
+    read path, with the same error on both kernels."""
+
+    def test_payload_is_a_delta_varint_block(self):
+        assert classify_edge_block(OUT_OF_RANGE_PAYLOAD)[0] == CODEC_DELTA_VARINT
+
+    def test_row_path_raises(self, tmp_path):
+        with BlockDevice(directory=str(tmp_path)) as device:
+            edge_file = adopt_payload(device, tmp_path, OUT_OF_RANGE_PAYLOAD)
+            with pytest.raises(CorruptBlockError, match="outside int32"):
+                list(edge_file.scan_blocks())
+            with pytest.raises(CorruptBlockError, match="outside int32"):
+                list(edge_file.scan())
+        with pytest.raises(CorruptBlockError, match="outside int32"):
+            decode_edge_block(OUT_OF_RANGE_PAYLOAD)
+
+    @pytest.mark.parametrize("kernel", available_backends())
+    def test_column_path_raises(self, tmp_path, kernel):
+        with BlockDevice(directory=str(tmp_path), kernel=kernel) as device:
+            edge_file = adopt_payload(device, tmp_path, OUT_OF_RANGE_PAYLOAD)
+            with pytest.raises(CorruptBlockError, match="outside int32"):
+                list(edge_file.scan_columns())
+
+
 class TestCompressionAccounting:
     def test_fixed32_ratio_is_one(self, device_factory):
         device = device_factory(block_elements=8, block_codec="fixed32")
@@ -251,8 +315,6 @@ class TestCodecInterop:
             counts = (sealed.edge_count, sealed.block_count)
         with BlockDevice(block_elements=8, block_codec="delta-varint",
                          directory=str(tmp_path)) as reader:
-            from repro.storage.edge_file import EdgeFile
-
             adopted = EdgeFile.open_sealed(reader, path, *counts)
             assert adopted.read_all() == edge_list
 
@@ -265,8 +327,6 @@ class TestCodecInterop:
             counts = (sealed.edge_count, sealed.block_count)
         with BlockDevice(block_elements=8, block_codec="fixed32",
                          directory=str(tmp_path)) as reader:
-            from repro.storage.edge_file import EdgeFile
-
             adopted = EdgeFile.open_sealed(reader, path, *counts)
             assert adopted.read_all() == edge_list
 
