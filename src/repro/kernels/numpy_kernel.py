@@ -272,7 +272,7 @@ class NumpyKernel:
             counted_mask & ~ahead & (pre_u >= pre_v + index.size[v])
         )
         total = int(np.count_nonzero(counted_mask))
-        if total > capacity:
+        if total >= capacity:
             cumulative = np.cumsum(counted_mask)
             cut = int(np.searchsorted(cumulative, capacity, side="left")) + 1
             counted = capacity

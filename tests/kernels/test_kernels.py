@@ -390,6 +390,19 @@ class TestClassifySlice:
                 pytest.fail("classify_slice made no progress")
             start = expected[0]
 
+    @pytest.mark.parametrize(
+        "backend", ["python", pytest.param("numpy", marks=requires_numpy)]
+    )
+    def test_stops_at_the_edge_that_fills_the_batch(self, backend):
+        """Free edges after the filling edge are left for the next batch,
+        which classifies them against the rebuilt tree."""
+        kernel = resolve_kernel(backend)
+        tree = SpanningTree.initial_star(range(3), 3)
+        # a forward-cross edge, then a self-loop and a tree edge (both free)
+        columns = kernel.make_columns([0, 1, 3], [1, 1, 0])
+        result = kernel.classify_slice(kernel.make_index(tree), *columns, 0, 1)
+        assert result == (1, 1, True, [(0, 1)])
+
     @requires_numpy
     def test_virtual_node_ids_classify(self):
         """Edges under the virtual root (γ = n) classify identically."""
