@@ -1,8 +1,8 @@
 """Substrate microbenchmarks (proper pytest-benchmark timing loops).
 
 These calibrate the simulated external-memory layer itself: edge-file scan
-throughput, external sort, external-stack churn, and the in-memory
-tree-preferring DFS that Restructure leans on.
+throughput, external sort, and the in-memory tree-preferring DFS that
+Restructure leans on.
 """
 
 import pytest
@@ -10,7 +10,7 @@ import pytest
 from repro import BlockDevice, DiskGraph
 from repro.core import SpanningTree, dfs_preferring_tree
 from repro.graph import random_graph
-from repro.storage import ExternalStack, edge_file_from_edges, sort_edge_file
+from repro.storage import edge_file_from_edges, sort_edge_file
 
 EDGES = 50_000
 
@@ -58,21 +58,6 @@ def test_external_sort(benchmark, scan_device):
         return count
 
     assert benchmark(sort_once) == EDGES
-
-
-def test_external_stack_churn(benchmark):
-    with BlockDevice() as device:
-
-        def churn():
-            with ExternalStack(device, page_elements=1024, hot_pages=2) as stack:
-                for value in range(20_000):
-                    stack.push(value)
-                total = 0
-                for _ in range(20_000):
-                    total += stack.pop()
-                return total
-
-        benchmark(churn)
 
 
 def test_inmemory_tree_preferring_dfs(benchmark):

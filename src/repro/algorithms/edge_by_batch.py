@@ -3,7 +3,9 @@
 Build the initial ``γ``-star, then repeat batched Restructure passes until a
 pass finds no forward-cross edge anywhere.  The whole edge file is scanned
 every pass even if a single forward-cross edge remains — the inefficiency
-(paper §4.1, drawbacks 2 and 3) that motivates divide & conquer.
+(paper §4.1, drawbacks 2 and 3) that motivates divide & conquer.  Each
+in-memory DFS charges its node stack's page spills to the graph's device:
+the external-memory stack the paper charges to SEMI-DFS.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ def edge_by_batch(
     memory: int,
     start: Optional[int] = None,
     order: Optional[Sequence[int]] = None,
-    use_external_stack: bool = True,
     max_passes: Optional[int] = None,
     deadline_seconds: Optional[float] = None,
     checkpoint_every: Optional[int] = None,
@@ -40,9 +41,6 @@ def edge_by_batch(
         order: optional full restart-priority order over the nodes; the
             relative order of the surviving restart roots is preserved
             across restructuring.
-        use_external_stack: spill the in-memory DFS stack through an
-            external stack on the graph's device — the configuration the
-            paper charges to SEMI-DFS.
         max_passes: cap on Restructure passes; defaults to ``2n + 16``.
         deadline_seconds: optional wall-clock limit (the paper's timeout).
         checkpoint_every: publish the spanning tree to the run's
@@ -76,7 +74,6 @@ def edge_by_batch(
                 context.allocator.allocate()
     else:
         tree = initial_star_tree(graph, context.allocator, start, order)
-    stack_device = graph.device if use_external_stack else None
     limit = default_max_passes(graph.node_count) if max_passes is None else max_passes
     checkpoint_ref: Optional[str] = None
 
@@ -103,7 +100,7 @@ def edge_by_batch(
                     "restructure", nodes=graph.node_count
                 ) as span:
                     outcome = restructure(
-                        graph.edge_file, tree, context.budget, stack_device,
+                        graph.edge_file, tree, context.budget, graph.device,
                         check_deadline=context.check_deadline,
                     )
                     span.annotate(

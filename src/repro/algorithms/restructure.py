@@ -52,8 +52,9 @@ def restructure(
         edge_file: the (sub)graph's edges on disk.
         budget: memory budget; the tree must already be charged under the
             label ``"tree"``, and the batch is granted the remainder.
-        stack_device: forwarded to the in-memory DFS so its node stack can
-            spill as an external stack (the SEMI-DFS configuration).
+        stack_device: charged for the in-memory DFS's node-stack page
+            spills (see :func:`~repro.core.inmemory.dfs_preferring_tree`);
+            edge-by-batch passes its graph's device.
         check_deadline: optional callback invoked before each batch is
             flushed (i.e. once per memory-load of edges).  A caller with a
             wall-clock deadline passes

@@ -23,14 +23,12 @@ close.  This module builds that bridge:
    are shallow; two or three rounds suffice in practice).
 
 The resulting :class:`ProjectContext` carries the parsed modules, the
-per-function CFGs, the merged summary table, and a stable content
-digest over all file hashes, which keys the result cache.
+per-function CFGs and the merged summary table.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
@@ -191,16 +189,11 @@ class ProjectContext:
         functions: relpath → analysed functions in that file.
         summaries: bare callee name → merged call summary, for use in a
             :class:`~.dataflow.TaintConfig`.
-        digest: stable hex digest over every file's content hash; any
-            source change anywhere in the project changes it, which is
-            exactly the invalidation granularity cross-file summaries
-            require.
     """
 
     modules: Dict[str, ast.Module] = field(default_factory=dict)
     functions: Dict[str, List[FunctionInfo]] = field(default_factory=dict)
     summaries: Dict[str, CallSummary] = field(default_factory=dict)
-    digest: str = ""
 
     def taint_config(self) -> TaintConfig:
         """The project-aware taint configuration the rules analyse with."""
@@ -277,14 +270,12 @@ def build_project_context(sources: Mapping[str, str]) -> ProjectContext:
             modules[relpath] = ast.parse(sources[relpath])
         except SyntaxError:
             continue
-    return context_from_modules(modules, digest=project_digest(sources))
+    return context_from_modules(modules)
 
 
-def context_from_modules(
-    modules: Mapping[str, ast.Module], digest: str = ""
-) -> ProjectContext:
+def context_from_modules(modules: Mapping[str, ast.Module]) -> ProjectContext:
     """Build a context from already-parsed modules (see module docstring)."""
-    context = ProjectContext(digest=digest)
+    context = ProjectContext()
     shells: Dict[str, List[Tuple[str, ast.AST, CFG]]] = {}
     for relpath in sorted(modules):
         context.modules[relpath] = modules[relpath]
@@ -325,22 +316,6 @@ def context_from_modules(
 def single_file_context(relpath: str, source: str) -> ProjectContext:
     """A context for analysing one file in isolation (tests, stdin)."""
     return build_project_context({relpath: source})
-
-
-def file_hash(source: str) -> str:
-    """Content hash of one file (keys the per-file result cache)."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def project_digest(sources: Mapping[str, str]) -> str:
-    """Stable digest over every file's path and content hash."""
-    blob = hashlib.sha256()
-    for relpath in sorted(sources):
-        blob.update(relpath.encode("utf-8"))
-        blob.update(b"\x00")
-        blob.update(file_hash(sources[relpath]).encode("ascii"))
-        blob.update(b"\x00")
-    return blob.hexdigest()
 
 
 def resolve_summary(

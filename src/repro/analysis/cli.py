@@ -5,7 +5,6 @@ Usage::
     python -m repro.analysis src                  # lint a tree, text output
     python -m repro.analysis src --format json    # machine-readable report
     python -m repro.analysis src --format sarif   # SARIF 2.1.0 document
-    python -m repro.analysis src --cache-dir .analysis-cache   # warm reruns
     python -m repro.analysis --list-rules         # rule inventory
 
 Exit codes: ``0`` clean, ``1`` violations found, ``2`` usage or I/O
@@ -21,7 +20,6 @@ import os
 import sys
 from typing import List, Optional
 
-from .cache import ResultCache
 from .engine import run_analysis
 from .rules import META_CODES, RULES
 from .sarif import sarif_report
@@ -42,17 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help=(
-            "enable the content-hash result cache in DIR; warm reruns "
-            "replay unchanged files without re-analyzing them"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore --cache-dir and analyze everything from scratch",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -85,17 +72,8 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
 
-    cache = None
-    if args.cache_dir and not args.no_cache:
-        try:
-            cache = ResultCache(args.cache_dir)
-        except OSError as error:
-            print(f"error: cannot open cache directory: {error}",
-                  file=sys.stderr)
-            return 2
-
     try:
-        report = run_analysis(args.paths, cache=cache)
+        report = run_analysis(args.paths)
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -19,13 +19,7 @@ import ast
 import os
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .cache import ResultCache
-from .callgraph import (
-    ProjectContext,
-    context_from_modules,
-    file_hash,
-    project_digest,
-)
+from .callgraph import ProjectContext, context_from_modules
 from .diagnostics import AnalysisReport, Violation, WaiverRecord
 from .rules import RULES, FlowRule, known_codes
 from .waivers import Waiver, extract_waivers
@@ -136,66 +130,39 @@ def analyze_file(path: str) -> List[Violation]:
     return analyze_source(_read_source(path), path)
 
 
-def run_analysis(
-    paths: Sequence[str], cache: Optional[ResultCache] = None
-) -> AnalysisReport:
+def run_analysis(paths: Sequence[str]) -> AnalysisReport:
     """Analyze every Python file under ``paths`` into one report.
 
-    The run is two-phase.  Phase one reads every source and, when a
-    ``cache`` is given, replays entries keyed by (file hash, project
-    digest, rules fingerprint) — an all-hit warm run never parses a
-    single file.  Phase two parses the remaining files *once each*,
-    builds one shared :class:`ProjectContext` (so flow rules see
-    cross-file call summaries), and dispatches the rules.
+    Every file is read and parsed *once*; one shared
+    :class:`ProjectContext` is built over all of them (so flow rules see
+    cross-file call summaries) before the rules are dispatched per file.
     """
     report = AnalysisReport()
     files = list(iter_python_files(paths))
     sources: Dict[str, str] = {path: _read_source(path) for path in files}
-    digest = project_digest(
-        {model_path(path): source for path, source in sources.items()}
-    )
-
-    cached: Dict[str, Tuple[List[Violation], List[WaiverRecord]]] = {}
-    if cache is not None:
-        for path in files:
-            entry = cache.load(file_hash(sources[path]), digest, path)
-            if entry is not None:
-                cached[path] = entry
-
-    context: Optional[ProjectContext] = None
     modules: Dict[str, ast.Module] = {}
-    if len(cached) != len(files):
-        for path in files:
-            try:
-                modules[path] = ast.parse(sources[path], filename=path)
-            except SyntaxError:
-                pass  # reported as SEX004 by the per-file pass below
-        context = context_from_modules(
-            {model_path(path): module for path, module in modules.items()},
-            digest=digest,
-        )
+    for path in files:
+        try:
+            modules[path] = ast.parse(sources[path], filename=path)
+        except SyntaxError:
+            pass  # reported as SEX004 by the per-file pass below
+    context = context_from_modules(
+        {model_path(path): module for path, module in modules.items()}
+    )
 
     for path in files:
         report.files_checked += 1
-        if path in cached:
-            violations, waiver_records = cached[path]
-        else:
-            violations, waivers = _analyze(
-                sources[path], path, context=context, module=modules.get(path)
-            )
-            waiver_records = [
-                WaiverRecord(
-                    path=path, line=waiver.line, codes=waiver.codes,
-                    reason=waiver.reason, used=waiver.used,
-                )
-                for waiver in waivers
-            ]
-            if cache is not None:
-                cache.store(
-                    file_hash(sources[path]), digest, violations, waiver_records
-                )
+        violations, waivers = _analyze(
+            sources[path], path, context=context, module=modules.get(path)
+        )
         report.violations.extend(violations)
-        report.waivers.extend(waiver_records)
+        report.waivers.extend(
+            WaiverRecord(
+                path=path, line=waiver.line, codes=waiver.codes,
+                reason=waiver.reason, used=waiver.used,
+            )
+            for waiver in waivers
+        )
     report.violations.sort()
     return report
 

@@ -193,8 +193,7 @@ _RESULT_SINK_NAMES: Tuple[str, ...] = (
 #: Write methods that persist their arguments when the receiver is a
 #: storage resource (edge file / partition writer / device).
 _RESOURCE_WRITE_METHODS: Tuple[str, ...] = (
-    "append", "extend", "extend_columns", "route", "route_columns",
-    "write_block",
+    "append", "extend", "extend_columns", "route_columns", "write_block",
 )
 
 #: Keyword arguments that are *defined* as wall-clock measurements; the

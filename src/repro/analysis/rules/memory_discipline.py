@@ -8,8 +8,8 @@ one) silently re-admits the whole edge set into memory: the run still
 produces a correct tree and still reports paper-perfect I/O counts, but
 the claimed memory bound is fiction.  These rules catch the
 materialization patterns syntactically in the algorithm core and steer
-them to the external-memory primitives (``ExternalStack``,
-``sort_edge_file``, streaming scans).
+them to the external-memory primitives (``sort_edge_file``, streaming
+scans).
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ class MaterializedScanRule(_CoreScopedRule):
     name = "mem-materialized-edge-scan"
     summary = (
         "wrapping an edge scan in list/sorted/set/dict/... builds an O(E) "
-        "in-memory structure; stream the scan or use "
-        "external_sort/ExternalStack"
+        "in-memory structure; stream the scan or use external_sort"
     )
 
     def check(self, module: ast.Module, relpath: str) -> Iterator[RawViolation]:
@@ -75,7 +74,7 @@ class MaterializedScanRule(_CoreScopedRule):
                     node,
                     f"{node.func.id}(...{attr}()) materializes a full edge "
                     "scan in memory, breaking the k*|V| bound; stream it or "
-                    "use repro.storage.sort_edge_file / ExternalStack",
+                    "use repro.storage.sort_edge_file",
                 )
 
 

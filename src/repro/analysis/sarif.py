@@ -10,8 +10,7 @@ compact viewers.
 
 Output is deterministic — rules and results are emitted in sorted
 order and the CLI serializes with sorted keys — so two runs over the
-same tree produce byte-identical documents (the cache-correctness CI
-step relies on this).
+same tree produce byte-identical documents.
 """
 
 from __future__ import annotations

@@ -33,9 +33,7 @@ from .options import RunOptions
 from .registry import BASE_OPTIONS, AlgorithmRegistry, AlgorithmSpec
 
 #: Options understood by the edge-by-batch baseline on top of the base set.
-BATCH_OPTIONS = BASE_OPTIONS | {
-    "order", "use_external_stack", "checkpoint_every", "initial_tree",
-}
+BATCH_OPTIONS = BASE_OPTIONS | {"order", "checkpoint_every", "initial_tree"}
 
 #: Registered algorithms, as used throughout the benchmarks; names
 #: include aliases (the paper's name for the batch baseline is

@@ -24,7 +24,7 @@ every node with its deepest cut ancestor.
 from __future__ import annotations
 
 import enum
-from typing import AbstractSet, Dict, List, Tuple, cast
+from typing import AbstractSet, Dict, List, cast
 
 from .tree import SpanningTree
 
@@ -98,11 +98,6 @@ class IntervalIndex:
         if pre_u < pre_v:
             return EdgeType.FORWARD_CROSS
         return EdgeType.BACKWARD_CROSS
-
-    def classify_fast(self, u: int, v: int) -> Tuple[EdgeType, int, int]:
-        """:meth:`classify` plus both preorder positions (hot-loop helper)."""
-        kind = self.classify(u, v)
-        return kind, self.pre[u], self.pre[v]
 
 
 class CutLabels:

@@ -7,10 +7,9 @@ sibling order*, then the batch edges, implementing the paper's note that
 "DFS should visit the nodes which stay in memory before newly loaded ones":
 when the batch forces no change, the DFS reproduces ``T`` exactly.
 
-The DFS stack holds plain node ids; when a device is passed, its spill
-I/O is accounted inline with the exact semantics of
-:class:`~repro.storage.external_stack.ExternalStack` — the external-memory
-stack the paper charges to SEMI-DFS in its Exp-1/Exp-5 discussions.
+The DFS stack holds plain node ids; when a device is passed, the page
+I/O of an external-memory stack is charged to it inline — the stack the
+paper charges to SEMI-DFS in its Exp-1/Exp-5 discussions.
 """
 
 from __future__ import annotations
@@ -75,10 +74,12 @@ def dfs_preferring_tree(
             DFS reaches every node from ``tree.root``).
         extra_adjacency: the batch's non-tree out-edges per node; targets
             must be nodes of ``tree``.
-        stack_device: when given, stack-spill I/Os are charged to that
-            device exactly as an
-            :class:`~repro.storage.external_stack.ExternalStack` would
-            (page = one block, two hot pages).
+        stack_device: when given, the node stack is charged to it as an
+            external-memory stack.  A page holds ``B`` (the device's
+            ``block_elements``) node ids and two pages stay hot in memory.
+            A push onto two full hot pages spills the deeper one (one
+            write); a pop from an empty hot region while pages are spilled
+            reloads the top spilled page (one read).
 
     Returns:
         A fresh :class:`SpanningTree` over the same node set (virtual flags
@@ -114,15 +115,11 @@ def dfs_preferring_tree(
             adjacency[node] = batch_targets
         next_index[node] = 0
 
-    # The node stack is a plain list; when `stack_device` is given its
-    # spill I/O is accounted inline with the exact semantics of
-    # :class:`ExternalStack` (page size = block, 2 hot pages): a write
-    # when a push crosses a page boundary beyond the hot region, a read
-    # when pops drain the hot region while pages remain spilled.  The
-    # integer arithmetic costs nothing against routing 2 function calls
-    # per DFS step through the stack object.
+    # The node stack is a plain list; when `stack_device` is given, the
+    # spill rule in the docstring is counted inline: `hot_elements` ids
+    # sit in memory above `spilled_pages` full pages on the device.
     page = stack_device.block_elements if stack_device is not None else 0
-    hot_capacity = 2 * page  # ExternalStack's default hot_pages = 2
+    hot_capacity = 2 * page
     hot_elements = 0
     spilled_pages = 0
     spill_writes = 0

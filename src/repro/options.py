@@ -28,8 +28,6 @@ class RunOptions:
             :class:`~repro.errors.ConvergenceError` (default ``2n + 16``).
         deadline_seconds: abort with :class:`~repro.errors.ConvergenceError`
             once this much wall-clock has elapsed (DNF semantics).
-        use_external_stack: spill the DFS stack to disk when it outgrows
-            the memory budget (batch baseline only).
         order: explicit initial visit order (batch baseline only).
         checkpoint_every: checkpoint the tree every N passes (batch
             baseline only).
@@ -39,14 +37,13 @@ class RunOptions:
             metrics, and progress heartbeats for this run.
 
     Fields left at their defaults are never forwarded, so a default
-    value an algorithm does not understand (e.g. ``use_external_stack``
-    for ``divide-td``) is not an error — only an *explicit* unsupported
+    value an algorithm does not understand (e.g. ``order`` for
+    ``divide-td``) is not an error — only an *explicit* unsupported
     setting is.
     """
 
     max_passes: Optional[int] = None
     deadline_seconds: Optional[float] = None
-    use_external_stack: bool = True
     order: Optional[Sequence[int]] = None
     checkpoint_every: Optional[int] = None
     initial_tree: Optional["SpanningTree"] = None
@@ -70,13 +67,7 @@ class RunOptions:
         """
         kwargs: Dict[str, object] = {}
         for name, value, default in self._items():
-            if isinstance(default, (bool, int)):
-                # value comparison: ints are not guaranteed to be
-                # interned, so identity is unreliable
-                unchanged = value == default
-            else:
-                unchanged = value is default
-            if unchanged:
+            if value is default:
                 continue
             if name not in supported:
                 known = ", ".join(sorted(supported))

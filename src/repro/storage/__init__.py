@@ -3,15 +3,13 @@
 See DESIGN.md §3 and §5: this package substitutes a physical disk with an
 I/O-accounted block device backed by real temporary files, plus the
 external-memory primitives the paper's algorithms rely on (edge files,
-partition routing, external sort, an external stack, and logical memory
-budgeting).
+partition routing, external sort, and logical memory budgeting).
 """
 
 from .block_device import DEFAULT_BLOCK_ELEMENTS, DEFAULT_MAX_RETRIES, BlockDevice
 from .buffer_pool import TREE_NODE_COST, MemoryBudget
 from .edge_file import EdgeFile, PartitionWriter, edge_file_from_edges
 from .external_sort import sort_edge_file
-from .external_stack import ExternalStack
 from .faults import FAULT_SEED_ENV_VAR, FaultEvent, FaultInjector, FaultPlan
 from .io_stats import IOSnapshot, IOStats
 from .serialization import (
@@ -27,7 +25,6 @@ __all__ = [
     "DEFAULT_BLOCK_ELEMENTS",
     "DEFAULT_MAX_RETRIES",
     "EdgeFile",
-    "ExternalStack",
     "FAULT_SEED_ENV_VAR",
     "FaultEvent",
     "FaultInjector",

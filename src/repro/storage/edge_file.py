@@ -383,21 +383,13 @@ class PartitionWriter:
             key: device.create_edge_file() for key in part_keys
         }
 
-    def route(self, key: object, u: int, v: int) -> None:
-        """Append edge ``(u, v)`` to the part addressed by ``key``."""
-        try:
-            part = self._parts[key]
-        except KeyError:
-            raise KeyError(f"unknown partition key: {key!r}") from None
-        part.append(u, v)
-
     def route_columns(
         self, key: object, u_col: Sequence[int], v_col: Sequence[int]
     ) -> None:
         """Append whole ``(u, v)`` columns to the part addressed by ``key``.
 
-        The columnar twin of :meth:`route`: same bytes, same I/O charges,
-        one call per (part, block) span instead of one per edge.
+        One call per (part, block) span; the bytes and write I/Os are
+        those of appending the edges one at a time.
         """
         try:
             part = self._parts[key]

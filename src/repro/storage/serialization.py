@@ -45,7 +45,7 @@ import struct
 import zlib
 from itertools import chain
 from operator import index as _as_int
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..errors import CorruptBlockError, ReproError
 
@@ -203,7 +203,7 @@ def unpack_edges(data: bytes) -> List[Edge]:
 
 
 def pack_ints(values: Sequence[int]) -> bytes:
-    """Serialize a sequence of 32-bit signed ints (external stack pages).
+    """Serialize a sequence of 32-bit signed ints (artifact int columns).
 
     One ``struct.pack`` call, no separate range pass — like
     :func:`pack_edges`, only a failed pack walks the data again to name
@@ -227,20 +227,6 @@ def unpack_ints(data: bytes) -> List[int]:
             f"byte length {len(data)} is not a multiple of the int size {INT_BYTES}"
         )
     return [value for (value,) in _INT.iter_unpack(data)]
-
-
-def edges_to_blocks(edges: Iterable[Edge], block_edges: int) -> Iterable[bytes]:
-    """Yield packed blocks of at most ``block_edges`` edges each."""
-    if block_edges <= 0:
-        raise ValueError("block_edges must be positive")
-    buffer: List[Edge] = []
-    for edge in edges:
-        buffer.append(edge)
-        if len(buffer) == block_edges:
-            yield pack_edges(buffer)
-            buffer.clear()
-    if buffer:
-        yield pack_edges(buffer)
 
 
 # ----------------------------------------------------------------------

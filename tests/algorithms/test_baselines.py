@@ -83,22 +83,6 @@ class TestEdgeByBatch:
         assert high.passes <= low.passes
         assert high.io.reads <= low.io.reads
 
-    def test_external_stack_adds_write_io(self, device_factory):
-        graph = random_graph(300, 4, seed=7)
-        dev_a, dev_b = device_factory(16), device_factory(16)
-        with_stack = edge_by_batch(
-            DiskGraph.from_digraph(dev_a, graph), 3 * 300 + 400,
-            use_external_stack=True,
-        )
-        without = edge_by_batch(
-            DiskGraph.from_digraph(dev_b, graph), 3 * 300 + 400,
-            use_external_stack=False,
-        )
-        assert without.io.writes == 0
-        assert with_stack.io.total >= without.io.total
-        # identical trees either way
-        assert with_stack.order == without.order
-
     def test_pass_cap_raises(self, device):
         graph = random_graph(150, 5, seed=8)
         disk = DiskGraph.from_digraph(device, graph)

@@ -6,8 +6,6 @@ import textwrap
 
 from repro.analysis.callgraph import (
     build_project_context,
-    file_hash,
-    project_digest,
     resolve_summary,
     single_file_context,
     taint_states,
@@ -109,20 +107,3 @@ class TestTaintStatesMemo:
         first = taint_states(info, context)
         second = taint_states(info, context)
         assert first is second
-
-
-class TestDigests:
-    def test_file_hash_tracks_content(self):
-        assert file_hash("a = 1\n") == file_hash("a = 1\n")
-        assert file_hash("a = 1\n") != file_hash("a = 2\n")
-
-    def test_project_digest_tracks_every_file(self):
-        base = {"repro/a.py": "x = 1\n", "repro/b.py": "y = 2\n"}
-        changed = {"repro/a.py": "x = 1\n", "repro/b.py": "y = 3\n"}
-        assert project_digest(base) == project_digest(dict(base))
-        assert project_digest(base) != project_digest(changed)
-
-    def test_project_digest_is_order_independent(self):
-        forward = {"repro/a.py": "x = 1\n", "repro/b.py": "y = 2\n"}
-        backward = {"repro/b.py": "y = 2\n", "repro/a.py": "x = 1\n"}
-        assert project_digest(forward) == project_digest(backward)

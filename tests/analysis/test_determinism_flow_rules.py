@@ -37,7 +37,7 @@ class TestHostStateTaint:
         def shuffle_out(device, keys, values):
             writer = PartitionWriter(device, keys)
             pick = random.choice(values)
-            writer.route(1, pick, pick)
+            writer.route_columns(1, [pick], [pick])
             writer.seal()
         """
         assert "SEX311" in check(source)

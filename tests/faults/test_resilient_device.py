@@ -18,12 +18,7 @@ from repro.errors import (
     TransientIOError,
 )
 from repro.serve import ArtifactStore
-from repro.storage import (
-    BlockDevice,
-    ExternalStack,
-    FaultPlan,
-    edge_file_from_edges,
-)
+from repro.storage import BlockDevice, FaultPlan, edge_file_from_edges
 from repro.storage.serialization import FRAME_HEADER_BYTES, frame_block
 
 
@@ -217,17 +212,6 @@ class TestStructuresUnderFaults:
             assert snapshot.reads == expected_io.reads
             assert snapshot.writes == expected_io.writes
             assert snapshot.faults == device.faults.injected > 0
-
-    def test_external_stack_roundtrip_under_faults(self, fault_seed):
-        plan = FaultPlan.transient(fault_seed, rate=0.2)
-        values = [(i * 31) % 1009 for i in range(300)]
-        with fault_device(plan, max_retries=32) as device:
-            with ExternalStack(device, page_elements=4, hot_pages=1) as stack:
-                for value in values:
-                    stack.push(value)
-                assert stack.spilled_pages > 0
-                popped = [stack.pop() for _ in range(len(values))]
-            assert popped == list(reversed(values))
 
     def test_tree_checkpoint_corruption_detected(self):
         tree = SpanningTree()

@@ -1,31 +1,26 @@
-"""Stateful (model-based) tests: storage structures vs shadow models.
+"""Stateful (model-based) test: an edge file vs a shadow model.
 
-Hypothesis drives :class:`ExternalStack` and :class:`EdgeFile` through
-random operation sequences while a seeded survivable :class:`FaultPlan`
-injects transient read/write errors and torn reads underneath.  A plain
-in-memory shadow model predicts every observable result: if retries ever
-corrupted, duplicated, or dropped data, the shadow would disagree.
+Hypothesis drives :class:`EdgeFile` through random operation sequences
+while a seeded survivable :class:`FaultPlan` injects transient
+read/write errors and torn reads underneath.  A plain in-memory shadow
+model predicts every observable result: if retries ever corrupted,
+duplicated, or dropped data, the shadow would disagree.
 """
 
 import os
 
 from hypothesis import settings, strategies as st
-from hypothesis.stateful import (
-    RuleBasedStateMachine,
-    invariant,
-    precondition,
-    rule,
-)
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.storage import BlockDevice, ExternalStack, FaultPlan
+from repro.storage import BlockDevice, FaultPlan
 from repro.storage.faults import FAULT_SEED_ENV_VAR
 
 from .conftest import DEFAULT_FAULT_SEED
 
 STATEFUL_FAULT_SEED = int(os.environ.get(FAULT_SEED_ENV_VAR, DEFAULT_FAULT_SEED))
 
-#: Survivable plan shared by both machines; max_retries is generous so a
-#: hot seed cannot exhaust the budget and fail a healthy sequence.
+#: Survivable plan; max_retries is generous so a hot seed cannot exhaust
+#: the budget and fail a healthy sequence.
 PLAN = FaultPlan.transient(STATEFUL_FAULT_SEED, rate=0.15)
 
 values = st.integers(min_value=0, max_value=2**31 - 1)
@@ -34,49 +29,6 @@ edges = st.tuples(values, values)
 machine_settings = settings(
     max_examples=15, stateful_step_count=40, deadline=None
 )
-
-
-class StackVsShadow(RuleBasedStateMachine):
-    """ExternalStack under faults vs a Python list."""
-
-    def __init__(self):
-        super().__init__()
-        self.device = BlockDevice(
-            block_elements=8,
-            fault_plan=PLAN,
-            max_retries=64,
-            backoff_seconds=0.0,
-        )
-        # Tiny pages + one hot page force constant spill/reload traffic.
-        self.stack = ExternalStack(self.device, page_elements=4, hot_pages=1)
-        self.shadow = []
-
-    @rule(value=values)
-    def push(self, value):
-        self.stack.push(value)
-        self.shadow.append(value)
-
-    @rule()
-    @precondition(lambda self: self.shadow)
-    def pop(self):
-        assert self.stack.pop() == self.shadow.pop()
-
-    @rule()
-    @precondition(lambda self: self.shadow)
-    def peek(self):
-        assert self.stack.peek() == self.shadow[-1]
-
-    @invariant()
-    def sizes_agree(self):
-        assert len(self.stack) == len(self.shadow)
-
-    def teardown(self):
-        try:
-            drained = [self.stack.pop() for _ in range(len(self.shadow))]
-            assert drained == list(reversed(self.shadow))
-        finally:
-            self.stack.close()
-            self.device.close()
 
 
 class EdgeFileVsShadow(RuleBasedStateMachine):
@@ -133,7 +85,5 @@ class EdgeFileVsShadow(RuleBasedStateMachine):
             self.device.close()
 
 
-TestStackVsShadow = StackVsShadow.TestCase
-TestStackVsShadow.settings = machine_settings
 TestEdgeFileVsShadow = EdgeFileVsShadow.TestCase
 TestEdgeFileVsShadow.settings = machine_settings

@@ -8,13 +8,7 @@ device per backend and assert the counters — not just the results — match.
 
 import pytest
 
-from repro import (
-    BlockDevice,
-    DiskGraph,
-    MemoryBudget,
-    RunOptions,
-    semi_external_dfs,
-)
+from repro import BlockDevice, DiskGraph, MemoryBudget, semi_external_dfs
 from repro.algorithms import initial_star_tree, restructure
 from repro.core.tree import SpanningTree, VirtualNodeAllocator
 from repro.graph import random_graph
@@ -140,7 +134,6 @@ class TestFullRunEquivalence:
                 disk = DiskGraph.from_digraph(device, graph)
                 result = semi_external_dfs(
                     disk, memory, algorithm="edge-by-batch",
-                    options=RunOptions(use_external_stack=True),
                 )
                 summaries[kernel] = (
                     result.order, result.io.reads, result.io.writes,

@@ -100,9 +100,9 @@ class TestIOAccounting:
 class TestPartitionWriter:
     def test_routes_edges_to_parts(self, device):
         writer = PartitionWriter(device, ["a", "b"])
-        writer.route("a", 1, 2)
-        writer.route("b", 3, 4)
-        writer.route("a", 5, 6)
+        writer.route_columns("a", [1], [2])
+        writer.route_columns("b", [3], [4])
+        writer.route_columns("a", [5], [6])
         parts = writer.seal()
         assert parts["a"].read_all() == [(1, 2), (5, 6)]
         assert parts["b"].read_all() == [(3, 4)]
@@ -110,7 +110,7 @@ class TestPartitionWriter:
     def test_unknown_key_rejected(self, device):
         writer = PartitionWriter(device, [1])
         with pytest.raises(KeyError):
-            writer.route(2, 0, 0)
+            writer.route_columns(2, [0], [0])
         writer.discard()
 
     def test_duplicate_keys_rejected(self, device):
@@ -119,11 +119,11 @@ class TestPartitionWriter:
 
     def test_discard_removes_files(self, device):
         writer = PartitionWriter(device, [1, 2])
-        writer.route(1, 0, 0)
+        writer.route_columns(1, [0], [0])
         writer.discard()
         # routing after discard fails because files are deleted
         with pytest.raises(ClosedFileError):
-            writer.route(1, 0, 0)
+            writer.route_columns(1, [0], [0])
 
     @settings(max_examples=20)
     @given(st.lists(st.tuples(st.integers(0, 3), node_ids, node_ids), max_size=120))
@@ -132,7 +132,7 @@ class TestPartitionWriter:
             keys = [0, 1, 2, 3]
             writer = PartitionWriter(device, keys)
             for key, u, v in routed:
-                writer.route(key, u, v)
+                writer.route_columns(key, [u], [v])
             parts = writer.seal()
             for key in keys:
                 expected = [(u, v) for k, u, v in routed if k == key]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.storage.serialization import (
     EDGE_BYTES,
     INT_BYTES,
-    edges_to_blocks,
     pack_edges,
     pack_ints,
     unpack_edges,
@@ -59,20 +58,3 @@ class TestIntCodec:
     @given(st.lists(int32s, max_size=200))
     def test_roundtrip(self, values):
         assert unpack_ints(pack_ints(values)) == values
-
-
-class TestBlocking:
-    def test_blocks_have_requested_size(self):
-        edge_list = [(i, i + 1) for i in range(10)]
-        blocks = list(edges_to_blocks(edge_list, block_edges=4))
-        assert [len(b) // EDGE_BYTES for b in blocks] == [4, 4, 2]
-
-    def test_invalid_block_size(self):
-        with pytest.raises(ValueError):
-            list(edges_to_blocks([(0, 1)], block_edges=0))
-
-    @given(st.lists(edges, max_size=100), st.integers(min_value=1, max_value=17))
-    def test_blocks_concatenate_to_whole(self, edge_list, block_edges):
-        blocks = edges_to_blocks(edge_list, block_edges)
-        recovered = [e for block in blocks for e in unpack_edges(block)]
-        assert recovered == edge_list

@@ -12,48 +12,7 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.errors import MemoryBudgetExceeded
-from repro.storage import BlockDevice, ExternalStack, MemoryBudget
-
-
-class ExternalStackMachine(RuleBasedStateMachine):
-    """Drive an ExternalStack against a plain-list model."""
-
-    def __init__(self):
-        super().__init__()
-        self.device = BlockDevice(block_elements=8)
-        self.stack = ExternalStack(self.device, page_elements=4, hot_pages=1)
-        self.model = []
-
-    @rule(value=st.integers(min_value=-(2**31), max_value=2**31 - 1))
-    def push(self, value):
-        self.stack.push(value)
-        self.model.append(value)
-
-    @rule()
-    def pop(self):
-        if self.model:
-            assert self.stack.pop() == self.model.pop()
-        else:
-            with pytest.raises(IndexError):
-                self.stack.pop()
-
-    @rule()
-    def peek(self):
-        if self.model:
-            assert self.stack.peek() == self.model[-1]
-
-    @invariant()
-    def lengths_agree(self):
-        assert len(self.stack) == len(self.model)
-
-    @invariant()
-    def io_is_balanced(self):
-        # reloads can never exceed spills
-        assert self.device.stats.reads <= self.device.stats.writes
-
-    def teardown(self):
-        self.stack.close()
-        self.device.close()
+from repro.storage import MemoryBudget
 
 
 class MemoryBudgetMachine(RuleBasedStateMachine):
@@ -109,11 +68,6 @@ class MemoryBudgetMachine(RuleBasedStateMachine):
         for label, amount in self.model.items():
             assert self.budget.charged(label) == amount
 
-
-TestExternalStackStateful = ExternalStackMachine.TestCase
-TestExternalStackStateful.settings = settings(
-    max_examples=30, stateful_step_count=60, deadline=None
-)
 
 TestMemoryBudgetStateful = MemoryBudgetMachine.TestCase
 TestMemoryBudgetStateful.settings = settings(

@@ -51,11 +51,12 @@ class TestFacade:
     def test_options_forwarded(self, device):
         graph = random_graph(40, 3, seed=3)
         disk = DiskGraph.from_digraph(device, graph)
+        order = list(reversed(range(40)))
         result = semi_external_dfs(
             disk, memory=3 * 40 + 80, algorithm="edge-by-batch",
-            options=RunOptions(use_external_stack=False),
+            options=RunOptions(order=order),
         )
-        assert result.io.writes == 0
+        assert result.order[0] == order[0]
 
     def test_result_metadata(self, device):
         graph = random_graph(50, 3, seed=4)

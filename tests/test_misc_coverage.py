@@ -88,14 +88,6 @@ class TestDunderCoverage:
         budget.charge("x", 4)
         assert "used=4" in repr(budget)
 
-    def test_stack_repr(self, device):
-        from repro.storage import ExternalStack
-
-        with ExternalStack(device, page_elements=2, hot_pages=1) as stack:
-            for value in range(5):
-                stack.push(value)
-            assert "size=5" in repr(stack)
-
     def test_dataset_spec_edges_property(self):
         from repro.graph import wikilink_like
 

@@ -37,20 +37,12 @@ class TestRunOptions:
     def test_defaults_are_not_forwarded(self):
         assert RunOptions().to_kwargs(BASE_OPTIONS, "divide-td") == {}
 
-    def test_default_bool_not_forwarded_even_if_unsupported(self):
-        # use_external_stack defaults to True; divide-td does not accept
-        # it, but leaving it at the default must not raise.
-        kwargs = RunOptions(use_external_stack=True).to_kwargs(
-            BASE_OPTIONS, "divide-td"
-        )
-        assert kwargs == {}
-
     def test_explicit_fields_are_forwarded(self):
-        options = RunOptions(max_passes=7, use_external_stack=False)
+        options = RunOptions(max_passes=7, checkpoint_every=2)
         kwargs = options.to_kwargs(
-            BASE_OPTIONS | {"use_external_stack"}, "edge-by-batch"
+            BASE_OPTIONS | {"checkpoint_every"}, "edge-by-batch"
         )
-        assert kwargs == {"max_passes": 7, "use_external_stack": False}
+        assert kwargs == {"max_passes": 7, "checkpoint_every": 2}
 
     def test_unsupported_explicit_option_names_the_valid_set(self):
         with pytest.raises(ValueError) as excinfo:
@@ -63,8 +55,8 @@ class TestRunOptions:
     def test_option_names_match_the_dataclass(self):
         # the kernel and the block codec are set on the device, not per run
         assert {field.name for field in dataclasses.fields(RunOptions)} == {
-            "max_passes", "deadline_seconds", "use_external_stack", "order",
-            "checkpoint_every", "initial_tree", "tracer",
+            "max_passes", "deadline_seconds", "order", "checkpoint_every",
+            "initial_tree", "tracer",
         }
 
     def test_typo_is_a_construction_error(self):
@@ -76,9 +68,9 @@ class TestFacadeOptions:
     def test_options_object_forwarded(self, disk):
         result = semi_external_dfs(
             disk, memory=3 * 50 + 90, algorithm="edge-by-batch",
-            options=RunOptions(use_external_stack=False),
+            options=RunOptions(checkpoint_every=1),
         )
-        assert result.io.writes == 0
+        assert result.artifact_ref is not None
 
     def test_unsupported_option_for_algorithm(self, disk):
         with pytest.raises(ValueError, match="supported options"):
@@ -101,6 +93,8 @@ class TestFacadeOptions:
             divide_td_dfs(disk, memory, block_codec="fixed32")
         with pytest.raises(TypeError):
             RunOptions(block_codec="fixed32")
+        with pytest.raises(TypeError):
+            RunOptions(use_external_stack=False)
         with pytest.raises(TypeError):
             topological_order(disk, memory)
         with pytest.raises(TypeError):
