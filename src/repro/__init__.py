@@ -20,12 +20,11 @@ paper-versus-measured record of every figure.
 """
 
 from ._version import __version__
-from .api import ALGORITHMS, register_algorithm, semi_external_dfs
+from .api import ALGORITHMS, semi_external_dfs
 from .algorithms.base import BFSResult, DFSResult, RunResult
 from .algorithms.bfs import semi_external_bfs
 from .obs import NullTracer, SpanEvent, Tracer
 from .options import RunOptions
-from .registry import AlgorithmRegistry, AlgorithmSpec
 from .errors import (
     ConvergenceError,
     CorruptBlockError,
@@ -46,8 +45,6 @@ from .storage.faults import FaultPlan
 
 __all__ = [
     "ALGORITHMS",
-    "AlgorithmRegistry",
-    "AlgorithmSpec",
     "BFSResult",
     "BlockDevice",
     "ConvergenceError",
@@ -71,7 +68,6 @@ __all__ = [
     "Tracer",
     "TransientIOError",
     "__version__",
-    "register_algorithm",
     "semi_external_bfs",
     "semi_external_dfs",
 ]

@@ -15,13 +15,14 @@ Options are passed as a typed :class:`~repro.options.RunOptions` value::
         options=RunOptions(deadline_seconds=60.0, tracer=Tracer()),
     )
 
-Algorithms live in an :class:`~repro.registry.AlgorithmRegistry`
-(``repro.ALGORITHMS``), extensible via :func:`register_algorithm`.
+An algorithm accepts the keyword parameters of its runner in
+:data:`ALGORITHMS` other than ``graph``, ``memory`` and ``start``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import inspect
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from .algorithms.base import RunResult
 from .algorithms.bfs import semi_external_bfs
@@ -30,57 +31,40 @@ from .algorithms.edge_by_batch import edge_by_batch
 from .algorithms.edge_by_edge import edge_by_edge
 from .graph.disk_graph import DiskGraph
 from .options import RunOptions
-from .registry import BASE_OPTIONS, AlgorithmRegistry, AlgorithmSpec
 
-#: Options understood by the edge-by-batch baseline on top of the base set.
-BATCH_OPTIONS = BASE_OPTIONS | {"order", "checkpoint_every", "initial_tree"}
+#: The runner signature every algorithm implements:
+#: ``runner(graph, memory, start=..., **option_kwargs) -> RunResult``
+#: (a :class:`~repro.algorithms.base.DFSResult` for the DFS family, a
+#: :class:`~repro.algorithms.base.BFSResult` for semi-external BFS).
+AlgorithmRunner = Callable[..., RunResult]
 
-#: Registered algorithms, as used throughout the benchmarks; names
-#: include aliases (the paper's name for the batch baseline is
-#: ``SEMI-DFS``).  See :class:`~repro.registry.AlgorithmRegistry`.
-ALGORITHMS = AlgorithmRegistry()
+#: Canonical algorithm name → runner, in ``repro compare`` order.
+ALGORITHMS: Dict[str, AlgorithmRunner] = {
+    "edge-by-edge": edge_by_edge,
+    "edge-by-batch": edge_by_batch,
+    "divide-star": divide_star_dfs,
+    "divide-td": divide_td_dfs,
+    "bfs": semi_external_bfs,
+}
 
-ALGORITHMS.register(AlgorithmSpec(
-    name="edge-by-edge",
-    runner=edge_by_edge,
-    description="per-edge restructuring heuristic (quadratic; baseline)",
-    slow=True,
-))
-ALGORITHMS.register(AlgorithmSpec(
-    name="edge-by-batch",
-    runner=edge_by_batch,
-    description="batched restructuring baseline (the paper's SEMI-DFS)",
-    aliases=("semi-dfs",),
-    options=BATCH_OPTIONS,
-))
-ALGORITHMS.register(AlgorithmSpec(
-    name="divide-star",
-    runner=divide_star_dfs,
-    description="divide & conquer with Divide-Star divisions",
-))
-ALGORITHMS.register(AlgorithmSpec(
-    name="divide-td",
-    runner=divide_td_dfs,
-    description="divide & conquer with top-down (Divide-TD) divisions",
-))
-ALGORITHMS.register(AlgorithmSpec(
-    name="bfs",
-    runner=semi_external_bfs,
-    description="semi-external BFS by iterated level relaxation (sibling "
-                "traversal; returns a BFSResult)",
-    aliases=("semi-bfs",),
-))
+#: Alias → canonical name (the paper calls the batch baseline SEMI-DFS).
+ALIASES: Dict[str, str] = {"semi-dfs": "edge-by-batch", "semi-bfs": "bfs"}
+
+#: The quadratic per-edge baseline ``repro compare`` skips unless asked.
+SLOW_ALGORITHM = "edge-by-edge"
+
+#: The run options each algorithm accepts: its runner's parameters
+#: other than the graph, the budget and the start node.
+_ACCEPTED_OPTIONS: Dict[str, FrozenSet[str]] = {
+    name: frozenset(inspect.signature(runner).parameters)
+    - {"graph", "memory", "start"}
+    for name, runner in ALGORITHMS.items()
+}
 
 
-def register_algorithm(spec: AlgorithmSpec) -> AlgorithmSpec:
-    """Register a third-party algorithm under its name and aliases.
-
-    The runner must accept ``(graph, memory, start=..., **options)`` and
-    return a :class:`~repro.algorithms.base.RunResult` subclass; it
-    becomes available to :func:`semi_external_dfs`, ``repro dfs
-    --algorithm`` and ``repro compare`` immediately.
-    """
-    return ALGORITHMS.register(spec)
+def algorithm_names() -> List[str]:
+    """Every canonical name and alias, sorted."""
+    return sorted([*ALGORITHMS, *ALIASES])
 
 
 def semi_external_dfs(
@@ -90,16 +74,15 @@ def semi_external_dfs(
     start: Optional[int] = None,
     options: Optional[RunOptions] = None,
 ) -> RunResult:
-    """Run a registered semi-external traversal under a memory budget.
+    """Run a semi-external traversal under a memory budget.
 
     Args:
         graph: the graph (node count in memory, edges on disk).
         memory: budget ``M`` in elements; must satisfy ``M >= 3 * |V|``
             (the semi-external assumption).
-        algorithm: a registered name or alias — ``edge-by-edge``,
+        algorithm: a name or alias — ``edge-by-edge``,
             ``edge-by-batch`` / ``semi-dfs``, ``divide-star``,
-            ``divide-td``, ``bfs`` / ``semi-bfs``, or anything added via
-            :func:`register_algorithm`.
+            ``divide-td``, ``bfs`` / ``semi-bfs``.
         start: optional start node for the traversal.
         options: typed run options; fields explicitly set but not
             supported by the chosen algorithm raise ``ValueError``.
@@ -111,8 +94,14 @@ def semi_external_dfs(
         recorded span events — a
         :class:`~repro.algorithms.base.DFSResult` for the DFS family, a
         :class:`~repro.algorithms.base.BFSResult` for ``bfs``.
+
+    Raises:
+        ValueError: an unknown algorithm name, listing the known ones.
     """
-    spec = ALGORITHMS.spec(algorithm)
+    name = ALIASES.get(algorithm, algorithm)
+    if name not in ALGORITHMS:
+        known = ", ".join(algorithm_names())
+        raise ValueError(f"unknown algorithm {algorithm!r}; known: {known}")
     resolved = options if options is not None else RunOptions()
-    kwargs = resolved.to_kwargs(spec.options, spec.name)
-    return spec.runner(graph, memory, start=start, **kwargs)
+    kwargs = resolved.to_kwargs(_ACCEPTED_OPTIONS[name], name)
+    return ALGORITHMS[name](graph, memory, start=start, **kwargs)

@@ -34,14 +34,16 @@ import argparse
 import json
 import signal
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional, Tuple, cast
 
 from . import bench as bench_mod
-from .api import ALGORITHMS, semi_external_dfs
+from .algorithms.base import BFSResult, DFSResult, RunResult
+from .api import ALGORITHMS, SLOW_ALGORITHM, algorithm_names, semi_external_dfs
 from .apps import sealed_topological_order, strongly_connected_components
 from .core import verify_dfs_tree
 from .errors import ReproError
-from .graph import all_datasets, load_edge_list, write_edge_list
+from .graph import DiskGraph, all_datasets, load_edge_list, write_edge_list
 from .graph.generators import power_law_graph_edges, random_graph_edges
 from .obs import JSONLSink, Tracer, render_profile
 from .options import RunOptions
@@ -97,20 +99,35 @@ def _add_common_graph_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_fault_plan(args: argparse.Namespace):
-    """Build the device's FaultPlan from --fault-* flags / $REPRO_FAULT_SEED."""
-    if args.fault_seed is not None:
-        return FaultPlan.transient(
-            args.fault_seed, rate=args.fault_rate, max_faults=args.fault_max
-        )
-    return FaultPlan.from_env(rate=args.fault_rate, max_faults=args.fault_max)
-
-
 def _resolve_memory(args: argparse.Namespace, node_count: int, edge_count: int) -> int:
     if args.memory:
         return args.memory
     ratio = args.memory_ratio if args.memory_ratio > 0 else 0.25
     return 3 * node_count + int(ratio * edge_count)
+
+
+@contextmanager
+def _open_graph(args: argparse.Namespace) -> Iterator[Tuple[DiskGraph, int]]:
+    """Load ``--input`` onto a fresh device; yield the graph and ``M``.
+
+    The device takes ``--block-size``, ``--kernel``, ``--block-codec`` and
+    a transient fault plan from ``--fault-seed`` (else
+    ``$REPRO_FAULT_SEED``) with ``--fault-rate`` and ``--fault-max``.
+    """
+    if args.fault_seed is not None:
+        fault_plan: Optional[FaultPlan] = FaultPlan.transient(
+            args.fault_seed, rate=args.fault_rate, max_faults=args.fault_max
+        )
+    else:
+        fault_plan = FaultPlan.from_env(
+            rate=args.fault_rate, max_faults=args.fault_max
+        )
+    with BlockDevice(
+        block_elements=args.block_size, kernel=args.kernel,
+        fault_plan=fault_plan, block_codec=args.block_codec,
+    ) as device:
+        graph = load_edge_list(args.input, device, node_count=args.nodes)
+        yield graph, _resolve_memory(args, graph.node_count, graph.edge_count)
 
 
 def _command_generate(args: argparse.Namespace) -> int:
@@ -140,25 +157,55 @@ def _command_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_dfs(args: argparse.Namespace) -> int:
-    fault_plan = _resolve_fault_plan(args)
-    tracer: Optional[Tracer] = None
-    trace_sink: Optional[JSONLSink] = None
-    if args.trace_out or args.profile:
-        tracer = Tracer()
-        if args.trace_out:
-            trace_sink = JSONLSink(args.trace_out)
-            tracer.attach(trace_sink)
-    with BlockDevice(
-        block_elements=args.block_size, kernel=args.kernel,
-        fault_plan=fault_plan, block_codec=args.block_codec,
-    ) as device:
-        graph = load_edge_list(args.input, device, node_count=args.nodes)
-        memory = _resolve_memory(args, graph.node_count, graph.edge_count)
+def _summary(result: RunResult, graph: DiskGraph) -> str:
+    """One line of the run's costs and its result's shape."""
+    if isinstance(result, BFSResult):
+        shape = (
+            f"depth={result.depth} "
+            f"reached={result.reached_count}/{graph.node_count}"
+        )
+    else:
+        dfs = cast(DFSResult, result)
+        shape = f"divisions={dfs.divisions} depth={dfs.max_depth}"
+    return (
+        f"{result.algorithm}: time={result.elapsed_seconds:.2f}s "
+        f"io={result.io.total} (r={result.io.reads} w={result.io.writes}) "
+        f"passes={result.passes} {shape} kernel={result.kernel} "
+        f"retries={result.retries} faults={result.faults}"
+    )
+
+
+def _write_result(result: RunResult, path: str) -> None:
+    """A DFS order one node a line; BFS as ``node level parent`` lines
+    (-1 for no level or no parent)."""
+    # repro: allow[SEX101] user-facing result text, not modelled block I/O
+    with open(path, "w", encoding="utf-8") as handle:
+        if isinstance(result, BFSResult):
+            for node, level in enumerate(result.levels):
+                parent = result.tree.parent.get(node)
+                if level is None or parent == result.tree.root:
+                    parent = -1
+                shown = -1 if level is None else level
+                handle.write(f"{node} {shown} {parent}\n")
+        else:
+            for node in result.order:
+                handle.write(f"{node}\n")
+
+
+def _command_run(args: argparse.Namespace) -> int:
+    """``dfs`` and ``bfs``: one traversal, its costs and its result."""
+    with _open_graph(args) as (graph, memory):
         print(
             f"graph: n={graph.node_count} m={graph.edge_count} "
             f"blocks={graph.edge_file.block_count}  M={memory}"
         )
+        tracer: Optional[Tracer] = None
+        trace_sink: Optional[JSONLSink] = None
+        if args.trace_out or args.profile:
+            tracer = Tracer()
+            if args.trace_out:
+                trace_sink = JSONLSink(args.trace_out)
+                tracer.attach(trace_sink)
         try:
             result = semi_external_dfs(
                 graph, memory, algorithm=args.algorithm, start=args.start,
@@ -167,14 +214,7 @@ def _command_dfs(args: argparse.Namespace) -> int:
         finally:
             if trace_sink is not None:
                 trace_sink.close()
-        print(
-            f"{result.algorithm}: time={result.elapsed_seconds:.2f}s "
-            f"io={result.io.total} (r={result.io.reads} w={result.io.writes}) "
-            f"passes={result.passes} "
-            f"divisions={getattr(result, 'divisions', 0)} "
-            f"depth={getattr(result, 'max_depth', 0)} kernel={result.kernel} "
-            f"retries={result.retries} faults={result.faults}"
-        )
+        print(_summary(result, graph))
         if trace_sink is not None:
             print(
                 f"trace: {trace_sink.events_written} span events written "
@@ -182,10 +222,11 @@ def _command_dfs(args: argparse.Namespace) -> int:
             )
         if args.profile and tracer is not None:
             print(render_profile(result.events, tracer.metrics))
-        if fault_plan is not None:
+        device = graph.device
+        if device.fault_plan is not None:
             print(
-                f"fault plan: seed={fault_plan.seed} "
-                f"rate={fault_plan.read_error_rate} "
+                f"fault plan: seed={device.fault_plan.seed} "
+                f"rate={device.fault_plan.read_error_rate} "
                 f"injected={device.faults.injected if device.faults else 0} "
                 f"checksum_failures={result.io.checksum_failures}"
             )
@@ -199,97 +240,30 @@ def _command_dfs(args: argparse.Namespace) -> int:
             if not report.ok:
                 return 1
         if args.output:
-            # repro: allow[SEX101] user-facing result text, not modelled block I/O
-            with open(args.output, "w", encoding="utf-8") as handle:
-                for node in result.order:
-                    handle.write(f"{node}\n")
-            print(f"DFS order written to {args.output}")
+            _write_result(result, args.output)
+            shown = "BFS levels" if isinstance(result, BFSResult) else "DFS order"
+            print(f"{shown} written to {args.output}")
+        elif isinstance(result, BFSResult):
+            preview = " ".join(
+                "-" if level is None else str(level)
+                for level in result.levels[:12]
+            )
+            print(f"levels: {preview} ...")
         else:
             preview = " ".join(map(str, result.order[:12]))
             print(f"DFS order: {preview} ...")
     return 0
 
 
-def _command_bfs(args: argparse.Namespace) -> int:
-    """Semi-external BFS: levels summary, optional node/level/parent dump."""
-    fault_plan = _resolve_fault_plan(args)
-    tracer: Optional[Tracer] = None
-    trace_sink: Optional[JSONLSink] = None
-    if args.trace_out or args.profile:
-        tracer = Tracer()
-        if args.trace_out:
-            trace_sink = JSONLSink(args.trace_out)
-            tracer.attach(trace_sink)
-    with BlockDevice(
-        block_elements=args.block_size, kernel=args.kernel,
-        fault_plan=fault_plan, block_codec=args.block_codec,
-    ) as device:
-        graph = load_edge_list(args.input, device, node_count=args.nodes)
-        memory = _resolve_memory(args, graph.node_count, graph.edge_count)
-        print(
-            f"graph: n={graph.node_count} m={graph.edge_count} "
-            f"blocks={graph.edge_file.block_count}  M={memory}"
-        )
-        try:
-            result = semi_external_dfs(
-                graph, memory, algorithm="bfs", start=args.start,
-                options=RunOptions(tracer=tracer),
-            )
-        finally:
-            if trace_sink is not None:
-                trace_sink.close()
-        print(
-            f"bfs: time={result.elapsed_seconds:.2f}s "
-            f"io={result.io.total} (r={result.io.reads} w={result.io.writes}) "
-            f"passes={result.passes} depth={result.depth} "
-            f"reached={result.reached_count}/{graph.node_count} "
-            f"kernel={result.kernel} "
-            f"retries={result.retries} faults={result.faults}"
-        )
-        if trace_sink is not None:
-            print(
-                f"trace: {trace_sink.events_written} span events written "
-                f"to {args.trace_out}"
-            )
-        if args.profile and tracer is not None:
-            print(render_profile(result.events, tracer.metrics))
-        if args.output:
-            # repro: allow[SEX101] user-facing result text, not modelled block I/O
-            with open(args.output, "w", encoding="utf-8") as handle:
-                for node, level in enumerate(result.levels):
-                    parent = result.tree.parent.get(node)
-                    if level is None or parent == result.tree.root:
-                        parent = -1
-                    shown = -1 if level is None else level
-                    handle.write(f"{node} {shown} {parent}\n")
-            print(f"BFS levels written to {args.output}")
-        else:
-            preview = " ".join(
-                "-" if level is None else str(level)
-                for level in result.levels[:12]
-            )
-            print(f"levels: {preview} ...")
-    return 0
-
-
 def _command_compare(args: argparse.Namespace) -> int:
-    """Run every registered algorithm on one edge list and compare costs."""
+    """Run every algorithm on one edge list and compare costs."""
     from .errors import ConvergenceError
 
-    # Enumerate the registry (canonical names, once per algorithm), so
-    # third-party algorithms registered via register_algorithm() are
-    # swept too; slow entries join only on request.
     algorithms = [
-        spec.name
-        for spec in ALGORITHMS.specs()
-        if not spec.slow or args.include_edge_by_edge
+        name for name in ALGORITHMS
+        if name != SLOW_ALGORITHM or args.include_edge_by_edge
     ]
-    with BlockDevice(
-        block_elements=args.block_size, kernel=args.kernel,
-        block_codec=args.block_codec,
-    ) as device:
-        graph = load_edge_list(args.input, device, node_count=args.nodes)
-        memory = _resolve_memory(args, graph.node_count, graph.edge_count)
+    with _open_graph(args) as (graph, memory):
         print(
             f"graph: n={graph.node_count} m={graph.edge_count}  M={memory}  "
             f"timeout={args.timeout}s"
@@ -315,12 +289,7 @@ def _command_compare(args: argparse.Namespace) -> int:
 
 
 def _command_toposort(args: argparse.Namespace) -> int:
-    with BlockDevice(
-        block_elements=args.block_size, kernel=args.kernel,
-        block_codec=args.block_codec,
-    ) as device:
-        graph = load_edge_list(args.input, device, node_count=args.nodes)
-        memory = _resolve_memory(args, graph.node_count, graph.edge_count)
+    with _open_graph(args) as (graph, memory):
         order = sealed_topological_order(graph, memory, algorithm=args.algorithm)
         if args.output:
             # repro: allow[SEX101] user-facing result text, not modelled block I/O
@@ -334,12 +303,7 @@ def _command_toposort(args: argparse.Namespace) -> int:
 
 
 def _command_scc(args: argparse.Namespace) -> int:
-    with BlockDevice(
-        block_elements=args.block_size, kernel=args.kernel,
-        block_codec=args.block_codec,
-    ) as device:
-        graph = load_edge_list(args.input, device, node_count=args.nodes)
-        memory = _resolve_memory(args, graph.node_count, graph.edge_count)
+    with _open_graph(args) as (graph, memory):
         components = strongly_connected_components(graph, memory)
         print(f"{len(components)} strongly connected components")
         for index, component in enumerate(components[: args.top]):
@@ -367,11 +331,7 @@ _EXPERIMENTS = {
 def _command_planarity(args: argparse.Namespace) -> int:
     from .apps import check_planarity
 
-    with BlockDevice(
-        block_elements=args.block_size, kernel=args.kernel,
-        block_codec=args.block_codec,
-    ) as device:
-        graph = load_edge_list(args.input, device, node_count=args.nodes)
+    with _open_graph(args) as (graph, _):
         report = check_planarity(graph)
         verdict = "planar" if report.planar else "NOT planar"
         mode = "decided by the left-right test" if report.loaded else (
@@ -388,12 +348,7 @@ def _command_publish(args: argparse.Namespace) -> int:
         [int(part) for part in args.sources.split(",") if part != ""]
         if args.sources else []
     )
-    with BlockDevice(
-        block_elements=args.block_size, kernel=args.kernel,
-        block_codec=args.block_codec,
-    ) as device:
-        graph = load_edge_list(args.input, device, node_count=args.nodes)
-        memory = _resolve_memory(args, graph.node_count, graph.edge_count)
+    with _open_graph(args) as (graph, memory):
         options = RunOptions()
         result = semi_external_dfs(
             graph, memory, algorithm=args.algorithm, start=args.start,
@@ -500,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     dfs = commands.add_parser("dfs", help="semi-external DFS")
     _add_common_graph_arguments(dfs)
     dfs.add_argument("--algorithm", default="divide-td",
-                     choices=ALGORITHMS.names())
+                     choices=algorithm_names())
     dfs.add_argument("--start", type=int, default=None)
     dfs.add_argument("--verify", action="store_true",
                      help="scan the edge file to certify the DFS-Tree")
@@ -509,10 +464,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write span events as JSON-Lines to this file")
     dfs.add_argument("--profile", action="store_true",
                      help="print a per-phase time/I/O profile after the run")
-    dfs.set_defaults(handler=_command_dfs)
+    dfs.set_defaults(handler=_command_run)
 
     bfs = commands.add_parser(
-        "bfs", help="semi-external BFS (levels + sealed BFS-tree artifact)"
+        "bfs", help="semi-external BFS (levels and BFS-tree parents)"
     )
     _add_common_graph_arguments(bfs)
     bfs.add_argument("--start", type=int, default=None,
@@ -523,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write span events as JSON-Lines to this file")
     bfs.add_argument("--profile", action="store_true",
                      help="print a per-phase time/I/O profile after the run")
-    bfs.set_defaults(handler=_command_bfs)
+    bfs.set_defaults(handler=_command_run, algorithm="bfs", verify=False)
 
     compare = commands.add_parser(
         "compare", help="run all algorithms on one graph and compare costs"
@@ -538,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     toposort = commands.add_parser("toposort", help="semi-external topological sort")
     _add_common_graph_arguments(toposort)
     toposort.add_argument("--algorithm", default="divide-td",
-                          choices=ALGORITHMS.names())
+                          choices=algorithm_names())
     toposort.add_argument("--output")
     toposort.set_defaults(handler=_command_toposort)
 
@@ -568,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     publish.add_argument("--name", required=True,
                          help="artifact name (re-publishing bumps the version)")
     publish.add_argument("--algorithm", default="divide-td",
-                         choices=ALGORITHMS.names())
+                         choices=algorithm_names())
     publish.add_argument("--start", type=int, default=None)
     publish.add_argument(
         "--sources", default="",

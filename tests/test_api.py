@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from repro import DiskGraph, RunOptions, semi_external_dfs
+from repro.api import ALIASES, SLOW_ALGORITHM, algorithm_names
 from repro.graph import random_graph
 
 from .conftest import assert_valid_dfs_result
@@ -11,24 +12,23 @@ from .conftest import assert_valid_dfs_result
 
 class TestFacade:
     def test_algorithm_registry_names(self):
-        assert set(repro.ALGORITHMS.names()) == {
+        assert set(repro.ALGORITHMS) == {
             "edge-by-edge",
             "edge-by-batch",
-            "semi-dfs",
             "divide-star",
             "divide-td",
             "bfs",
-            "semi-bfs",
         }
+        assert algorithm_names() == sorted([*repro.ALGORITHMS, *ALIASES])
+        assert SLOW_ALGORITHM == "edge-by-edge"
 
     def test_semi_dfs_aliases_edge_by_batch(self):
-        algorithms = repro.ALGORITHMS
-        assert algorithms.spec("semi-dfs") is algorithms.spec("edge-by-batch")
+        assert ALIASES["semi-dfs"] == "edge-by-batch"
 
     def test_semi_bfs_aliases_bfs(self):
-        assert repro.ALGORITHMS.spec("semi-bfs") is repro.ALGORITHMS.spec("bfs")
+        assert ALIASES["semi-bfs"] == "bfs"
 
-    @pytest.mark.parametrize("name", repro.ALGORITHMS.names())
+    @pytest.mark.parametrize("name", algorithm_names())
     def test_every_registered_algorithm_runs(self, device, name):
         graph = random_graph(60, 3, seed=1)
         disk = DiskGraph.from_digraph(device, graph)
