@@ -65,10 +65,11 @@ class RunResult:
     block_codec: str = "fixed32"
     details: Dict[str, int] = field(default_factory=dict)
     events: List[SpanEvent] = field(default_factory=list)
-    #: Path of the artifact version directory the run sealed its tree
-    #: into (``<device>/artifacts/<name>/vNNNNNN``), when it sealed one.
-    #: Open it with ``ArtifactStore(os.path.dirname(os.path.dirname(p)))``
-    #: or republish with full query columns via ``seal_result``.
+    #: Path of edge-by-batch's latest checkpoint version directory
+    #: (``<device>/artifacts/<name>/vNNNNNN``) when ``checkpoint_every``
+    #: is set; ``None`` for every other run.  Open it with
+    #: ``ArtifactStore(os.path.dirname(os.path.dirname(p)))`` or
+    #: republish with full query columns via ``seal_result``.
     artifact_ref: Optional[str] = None
 
     @property

@@ -16,12 +16,10 @@ kernel backends, block codecs, and block sizes, and the pass count is
 exactly ``depth(start) + 1`` — each pass settles one more BFS level, and
 the final pass proves the fixpoint.
 
-The BFS-tree is sealed through the run's artifact store
-(:meth:`repro.serve.ArtifactStore.for_run`): a virtual root ``γ``
-adopts the start node and every unreached node, each reached node hangs
-under its BFS parent, and the manifest-bearing artifact is written to
-the run's device inside a ``checkpoint`` span so the write I/Os tile.
-``result.artifact_ref`` points at the published version directory.
+The run returns the BFS-tree in memory and writes nothing: a virtual
+root ``γ`` adopts the start node and every unreached node, and each
+reached node hangs under its BFS parent.  To keep it on disk, publish
+it: ``ArtifactStore(root).publish_tree(result.tree, name)``.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from ..core.tree import SpanningTree
 from ..errors import ConvergenceError
 from ..graph.disk_graph import DiskGraph
 from ..obs import Tracer
-from ..serve.store import ArtifactStore
 from .base import BFSResult, RunContext, default_max_passes
 
 #: Level value marking an unreached node inside the kernel columns (the
@@ -103,15 +100,13 @@ def semi_external_bfs(
             (any reachable level settles within ``n`` passes).
         deadline_seconds: optional wall-clock limit, checked per block.
         tracer: a :class:`~repro.obs.Tracer` to receive the run's span
-            events (one ``relax`` span per pass, one ``checkpoint`` span
-            for the sealed BFS-tree artifact) and progress heartbeats.
+            events (one ``relax`` span per pass) and progress heartbeats.
 
     Returns:
         A :class:`~repro.algorithms.base.BFSResult`; ``levels[v]`` is
-        ``None`` exactly when ``v`` is unreachable from ``start``, the
-        parent of every reached non-start node is the scan-order-first
-        tail among its minimal-level in-edges, and ``artifact_ref`` is
-        the version directory of the sealed BFS-tree artifact.
+        ``None`` exactly when ``v`` is unreachable from ``start``, and
+        the parent of every reached non-start node is the
+        scan-order-first tail among its minimal-level in-edges.
 
     Raises:
         ConvergenceError: the pass cap or the deadline was exceeded.
@@ -175,20 +170,12 @@ def semi_external_bfs(
             )
             if not best:
                 break
-        tree = _build_bfs_tree(context, levels, parents, start)
-        with context.tracer.span("checkpoint", nodes=node_count):
-            ref = ArtifactStore.for_run(graph.device).publish_tree(
-                tree, "bfs-tree", kind="bfs-tree", algorithm="bfs",
-                node_count=node_count,
-            )
-        result = context.finish_result(
-            BFSResult, tree,
+        return context.finish_result(
+            BFSResult, _build_bfs_tree(context, levels, parents, start),
             order=_bfs_order(levels),
             levels=[
                 None if level == UNREACHED else level for level in levels
             ],
         )
-        result.artifact_ref = ref.path
-        return result
     finally:
         context.release()

@@ -2,9 +2,9 @@
 
 Same contract the DFS algorithms are held to: a survivable transient
 plan changes *nothing* observable — levels, order, pass count, logical
-I/O counters, and the sealed tree bytes all match the fault-free run —
-while retries/faults are reported out-of-band.  Unsurvivable plans fail
-with the typed storage errors, and no part or temp files leak into the
+I/O counters, and the tree bytes all match the fault-free run — while
+retries/faults are reported out-of-band.  Unsurvivable plans fail with
+the typed storage errors, and no part or temp files leak into the
 device directory regardless of outcome.
 """
 
@@ -15,6 +15,7 @@ import pytest
 from repro import BlockDevice, DiskGraph, semi_external_bfs
 from repro.errors import CorruptBlockError, RetriesExhausted
 from repro.graph import random_graph
+from repro.serve import ArtifactStore
 from repro.storage import FaultPlan
 
 from .test_algorithms_under_faults import tree_bytes
@@ -59,10 +60,16 @@ class TestSurvivablePlans:
         with BlockDevice(fault_plan=plan, backoff_seconds=0.0,
                          block_elements=16, max_retries=32) as device:
             disk_graph = DiskGraph.from_digraph(device, graph)
-            semi_external_bfs(disk_graph, 3 * 80 + 64)
+            result = semi_external_bfs(disk_graph, 3 * 80 + 64)
+            # the run itself leaves only the sealed edge file behind
+            names = os.listdir(device.directory)
+            assert len(names) == 1 and names[0].endswith(".edges")
+            ArtifactStore.for_run(device).publish_tree(
+                result.tree, "bfs-tree", kind="bfs-tree",
+            )
             assert device.faults is not None and device.faults.injected > 0
             names = sorted(os.listdir(device.directory))
-            # exactly the sealed edge file and the run's artifact store
+            # the edge file and the store the tree was published into
             assert len(names) == 2
             assert any(name.endswith(".edges") for name in names)
             assert "artifacts" in names

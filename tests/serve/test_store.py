@@ -16,7 +16,7 @@ from repro.errors import (
 )
 from repro.graph import random_graph
 from repro.graph.digraph import Digraph
-from repro.serve import SCHEMA_VERSION, ArtifactStore, parse_ref
+from repro.serve import SCHEMA_VERSION, ArtifactStore, parse_ref, seal_result
 from repro.serve.store import MANIFEST_FILE
 
 from .conftest import publish_graph
@@ -211,7 +211,7 @@ class TestTreeFromColumns:
         disk = DiskGraph.from_digraph(device, random_graph(60, 4, seed=3))
         memory = 3 * 60 + 64
         result = semi_external_dfs(disk, memory)
-        ref = store.publish_result(disk, result, "dfs", memory=memory)
+        ref = store.publish(seal_result(disk, result, memory=memory), "dfs")
         self.assert_same_tree(store.open(str(ref)).tree, result.tree)
 
     def test_bfs_result(self, device):
@@ -219,8 +219,10 @@ class TestTreeFromColumns:
         disk = DiskGraph.from_digraph(device, random_graph(60, 1, seed=4))
         result = semi_external_bfs(disk, 3 * 60 + 64)
         assert result.reached_count < 60
-        artifact = ArtifactStore.for_run(device).open("bfs-tree")
-        self.assert_same_tree(artifact.tree, result.tree)
+        assert result.artifact_ref is None
+        store = ArtifactStore.for_run(device)
+        store.publish_tree(result.tree, "bfs-tree", kind="bfs-tree")
+        self.assert_same_tree(store.open("bfs-tree").tree, result.tree)
 
     def test_edge_by_batch_checkpoint(self, device):
         disk = DiskGraph.from_digraph(device, random_graph(60, 4, seed=5))
