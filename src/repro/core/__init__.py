@@ -8,7 +8,7 @@ from .inmemory import (
     tarjan_scc,
     topological_sort,
 )
-from .order import classify_edge_dynamic, compare_preorder, find_lca, is_ancestor
+from .order import classify_edge_dynamic, find_lca, is_ancestor
 from .tree import SpanningTree, VirtualNodeAllocator
 from .validation import (
     DFSTreeReport,
@@ -28,7 +28,6 @@ __all__ = [
     "VirtualNodeAllocator",
     "check_spanning_tree",
     "classify_edge_dynamic",
-    "compare_preorder",
     "adjacency_from_edge_file",
     "dfs_preferring_tree",
     "find_lca",

@@ -69,22 +69,6 @@ def is_ancestor(tree: SpanningTree, u: int, v: int) -> bool:
     return False
 
 
-def compare_preorder(tree: SpanningTree, u: int, v: int) -> int:
-    """Sign of ``pre(u) - pre(v)`` on the live tree.
-
-    Returns -1 when ``u`` precedes ``v``, +1 when it follows, 0 when equal.
-    An ancestor always precedes its descendants.
-    """
-    if u == v:
-        return 0
-    lca, child_u, child_v = find_lca(tree, u, v)
-    if child_u is None:  # u == lca: u is an ancestor of v
-        return -1
-    if child_v is None:  # v == lca
-        return 1
-    return -1 if _precedes(tree, lca, child_u, child_v) else 1
-
-
 def classify_edge_dynamic(tree: SpanningTree, u: int, v: int) -> EdgeType:
     """Classify edge ``(u, v)`` against the live (possibly mutating) tree.
 

@@ -228,17 +228,6 @@ class SpanningTree:
             for child in reversed(child_lists.get(current, ())):
                 stack.append((child, False))
 
-    def depth_of(self, node: int) -> int:
-        """Distance from ``node`` to the root (O(depth))."""
-        depth = 0
-        current = self.parent.get(node)
-        if current is None and node != self.root and node in self.parent:
-            raise InvalidGraphError(f"node {node} is detached")
-        while current is not None:
-            depth += 1
-            current = self.parent[current]
-        return depth
-
     def tree_edges(self) -> Iterator[Tuple[int, int]]:
         """All ``(parent, child)`` tree edges reachable from the root."""
         for node in self.preorder():

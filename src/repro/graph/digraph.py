@@ -94,24 +94,6 @@ class Digraph:
             flipped.add_edge(v, u)
         return flipped
 
-    def induced_subgraph(self, nodes: Iterable[int]) -> Tuple["Digraph", List[int]]:
-        """The subgraph induced by ``nodes``.
-
-        Returns:
-            ``(subgraph, originals)`` where the subgraph is relabelled to
-            ``0 .. len(nodes)-1`` and ``originals[i]`` is the original id of
-            the subgraph's node ``i``.
-        """
-        originals = sorted(set(nodes))
-        index = {node: i for i, node in enumerate(originals)}
-        subgraph = Digraph(len(originals))
-        member = set(originals)
-        for u in originals:
-            for v in self.adjacency[u]:
-                if v in member:
-                    subgraph.add_edge(index[u], index[v])
-        return subgraph, originals
-
     @property
     def size(self) -> int:
         """``|G| = |V| + |E|`` (the paper's graph size measure)."""

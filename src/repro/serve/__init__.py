@@ -5,14 +5,14 @@ traffic: a :class:`ArtifactStore` of versioned, checksummed artifacts
 (sealed spanning tree + query columns + manifest), a
 :class:`QueryEngine` answering order/ancestor/toposort/SCC/reachability
 questions in O(answer) time with zero raw-graph I/O, and a stdlib
-threaded HTTP service (:func:`serve_forever` / :func:`start_server`)
-with request spans, metrics, deadlines, and typed JSON errors.
+threaded HTTP service (:class:`ReproServer`) with request spans,
+metrics, deadlines, and typed JSON errors.
 
 See docs/SERVE.md for the store layout, manifest schema, and endpoint
 reference.
 """
 
-from .app import ServeConfig, ReproServer, serve_forever, start_server
+from .app import ServeConfig, ReproServer
 from .queries import QUERY_KINDS, QueryEngine
 from .store import (
     SCHEMA_VERSION,
@@ -34,6 +34,4 @@ __all__ = [
     "TreeArtifact",
     "parse_ref",
     "seal_result",
-    "serve_forever",
-    "start_server",
 ]

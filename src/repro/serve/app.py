@@ -301,30 +301,3 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self._send_json(200, answer)
             return
         raise QueryError(f"no route for {path!r}", code="not-found")
-
-
-def start_server(config: ServeConfig) -> ReproServer:
-    """Build a server and start it on a background daemon thread.
-
-    The caller owns shutdown: ``server.shutdown(); server.close()``.
-    The bound port is ``server.server_address[1]`` (pass ``port=0`` to
-    let the OS pick a free one — the tests and the bench harness do).
-    """
-    server = ReproServer(config)
-    thread = threading.Thread(
-        target=server.serve_forever,
-        name="repro-serve",
-        daemon=True,
-    )
-    thread.start()
-    return server
-
-
-def serve_forever(config: ServeConfig) -> None:
-    """Run the server on the calling thread until interrupted."""
-    server = ReproServer(config)
-    try:
-        server.serve_forever()
-    finally:
-        server.shutdown()
-        server.close()

@@ -26,9 +26,10 @@ class MemoryBudget:
     >>> budget.charge("tree", 60)
     >>> budget.available
     40
-    >>> budget.release("tree")
-    >>> budget.available
-    100
+    >>> budget.charge("batch", 41)
+    Traceback (most recent call last):
+        ...
+    repro.errors.MemoryBudgetExceeded: charging 41 elements under 'batch' exceeds budget: 60/100 used
     """
 
     def __init__(self, capacity: int) -> None:
@@ -47,14 +48,6 @@ class MemoryBudget:
         """Elements still free under the budget."""
         return self.capacity - self.used
 
-    def charged(self, label: str) -> int:
-        """Current charge under ``label`` (0 when absent)."""
-        return self._charges.get(label, 0)
-
-    def can_fit(self, amount: int) -> bool:
-        """Whether ``amount`` more elements fit in the budget."""
-        return amount <= self.available
-
     def charge(self, label: str, amount: int) -> None:
         """Add ``amount`` elements under ``label``.
 
@@ -69,47 +62,6 @@ class MemoryBudget:
                 f"{self.used}/{self.capacity} used"
             )
         self._charges[label] = self._charges.get(label, 0) + amount
-
-    def set_charge(self, label: str, amount: int) -> None:
-        """Replace the charge under ``label`` with ``amount``.
-
-        The new amount competes only with what *other* labels hold — the
-        label's own current charge is released by the replacement — so
-        the check (and the error message) compare ``amount`` against
-        ``capacity - used_elsewhere``:
-
-        >>> budget = MemoryBudget(10)
-        >>> budget.charge("tree", 6)
-        >>> budget.set_charge("tree", 9)   # 9 <= 10 - 0 used elsewhere
-        >>> budget.charged("tree")
-        9
-        >>> budget.charge("batch", 1)
-        >>> budget.set_charge("tree", 10)  # 10 > 10 - 1 used elsewhere
-        Traceback (most recent call last):
-            ...
-        repro.errors.MemoryBudgetExceeded: setting 'tree' to 10 elements exceeds budget: 1/10 used elsewhere
-        """
-        if amount < 0:
-            raise ValueError("charge amount must be non-negative")
-        current = self._charges.get(label, 0)
-        used_elsewhere = self.used - current
-        if amount > self.capacity - used_elsewhere:
-            raise MemoryBudgetExceeded(
-                f"setting {label!r} to {amount} elements exceeds budget: "
-                f"{used_elsewhere}/{self.capacity} used elsewhere"
-            )
-        if amount == 0:
-            self._charges.pop(label, None)
-        else:
-            self._charges[label] = amount
-
-    def release(self, label: str) -> None:
-        """Drop the charge under ``label`` (no-op when absent)."""
-        self._charges.pop(label, None)
-
-    def release_all(self) -> None:
-        """Drop every charge."""
-        self._charges.clear()
 
     def tree_charge(self, node_count: int) -> int:
         """The element cost of an in-memory spanning tree over ``node_count``

@@ -10,7 +10,6 @@ from repro.core import (
     IntervalIndex,
     SpanningTree,
     classify_edge_dynamic,
-    compare_preorder,
     find_lca,
     is_ancestor,
 )
@@ -48,20 +47,6 @@ class TestAgainstIntervalOracle:
             dynamic = classify_edge_dynamic(tree, u, v)
             static = index.classify(u, v)
             assert dynamic is static, (u, v, dynamic, static)
-
-    @settings(max_examples=40)
-    @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=999))
-    def test_compare_preorder_agrees(self, node_count, seed):
-        tree = random_ordered_tree(node_count, seed)
-        index = IntervalIndex(tree)
-        rng = random.Random(seed + 2)
-        for _ in range(min(60, node_count * 3)):
-            u = rng.randrange(node_count)
-            v = rng.randrange(node_count)
-            expected = (index.preorder_position(u) > index.preorder_position(v)) - (
-                index.preorder_position(u) < index.preorder_position(v)
-            )
-            assert compare_preorder(tree, u, v) == expected
 
     @settings(max_examples=40)
     @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=999))
@@ -123,6 +108,5 @@ class TestLCA:
         u, v = moved
         tree.reattach(v, u)
         assert is_ancestor(tree, u, v)
-        assert compare_preorder(tree, u, v) == -1
         index_after = IntervalIndex(tree)
         assert index_after.is_ancestor(u, v)

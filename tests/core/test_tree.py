@@ -87,11 +87,6 @@ class TestTraversal:
             (0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (3, 6),
         ]
 
-    def test_depth_of(self):
-        tree = build_sample()
-        assert tree.depth_of(0) == 0
-        assert tree.depth_of(4) == 2
-
     def test_empty_tree_traversals(self):
         tree = SpanningTree()
         assert list(tree.preorder()) == []

@@ -49,14 +49,3 @@ class TestQueries:
         assert sorted(reversed_graph.edges()) == sorted(
             (v, u) for u, v in self.graph.edges()
         )
-
-    def test_induced_subgraph(self):
-        subgraph, originals = self.graph.induced_subgraph([0, 2, 3])
-        assert originals == [0, 2, 3]
-        # edges among {0, 2, 3}: (0,2), (2,3), (3,0) -> relabelled
-        assert sorted(subgraph.edges()) == [(0, 1), (1, 2), (2, 0)]
-
-    def test_induced_subgraph_deduplicates_nodes(self):
-        subgraph, originals = self.graph.induced_subgraph([1, 1, 2])
-        assert originals == [1, 2]
-        assert list(subgraph.edges()) == [(0, 1)]

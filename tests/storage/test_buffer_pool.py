@@ -7,19 +7,12 @@ from repro.storage import TREE_NODE_COST, MemoryBudget
 
 
 class TestCharging:
-    def test_basic_charge_release(self):
-        budget = MemoryBudget(100)
-        budget.charge("tree", 60)
-        assert budget.used == 60
-        assert budget.available == 40
-        budget.release("tree")
-        assert budget.available == 100
-
     def test_charge_accumulates_per_label(self):
         budget = MemoryBudget(100)
         budget.charge("batch", 10)
         budget.charge("batch", 15)
-        assert budget.charged("batch") == 25
+        assert budget.used == 25
+        assert budget.available == 75
 
     def test_overcharge_raises_and_leaves_state_unchanged(self):
         budget = MemoryBudget(50)
@@ -38,46 +31,6 @@ class TestCharging:
         with pytest.raises(ValueError):
             budget.charge("x", -1)
 
-    def test_release_unknown_label_is_noop(self):
-        budget = MemoryBudget(10)
-        budget.release("missing")
-        assert budget.used == 0
-
-    def test_release_all(self):
-        budget = MemoryBudget(10)
-        budget.charge("a", 3)
-        budget.charge("b", 4)
-        budget.release_all()
-        assert budget.available == 10
-
-
-class TestSetCharge:
-    def test_set_replaces(self):
-        budget = MemoryBudget(100)
-        budget.charge("batch", 40)
-        budget.set_charge("batch", 10)
-        assert budget.charged("batch") == 10
-
-    def test_set_to_zero_clears(self):
-        budget = MemoryBudget(100)
-        budget.charge("batch", 40)
-        budget.set_charge("batch", 0)
-        assert budget.charged("batch") == 0
-        assert budget.used == 0
-
-    def test_set_may_grow_within_budget(self):
-        budget = MemoryBudget(100)
-        budget.charge("tree", 90)
-        budget.charge("batch", 5)
-        budget.set_charge("batch", 10)
-        assert budget.used == 100
-
-    def test_set_over_budget_raises(self):
-        budget = MemoryBudget(100)
-        budget.charge("tree", 90)
-        with pytest.raises(MemoryBudgetExceeded):
-            budget.set_charge("batch", 11)
-
 
 class TestModelConstants:
     def test_tree_charge_uses_paper_constant(self):
@@ -88,9 +41,3 @@ class TestModelConstants:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             MemoryBudget(0)
-
-    def test_can_fit(self):
-        budget = MemoryBudget(10)
-        budget.charge("a", 7)
-        assert budget.can_fit(3)
-        assert not budget.can_fit(4)
