@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ReproError
-from ..kernels import resolve_kernel
 from ..obs import NULL_TRACER, Tracer
 from ..storage.edge_file import EdgeFile, PartitionWriter
 from ..core.classify import CutLabels
@@ -132,22 +131,13 @@ def collect_sigma(
     """Division step 1: Σ over the cut, in one scan (the ``sgraph`` span)."""
     labels = CutLabels(tree, cut_nodes)
     device = edge_file.device
-    # The device's kernel may decline a sparse id set (a dense numpy
-    # index would be mostly holes); the python kernel never declines, so
-    # it is the universal fallback — `convert` marks that scanned columns
-    # need re-materializing in the fallback backend's native column type
-    # (which also normalizes the endpoints back to plain python ints).
-    cut_kernel = device.kernel
-    cut_index = cut_kernel.make_cut_index(labels)
-    if cut_index is None:
-        cut_kernel = resolve_kernel("python")
-        cut_index = cut_kernel.make_cut_index(labels)
-    convert = cut_kernel is not device.kernel
+    kernel = device.kernel
+    cut_index = kernel.make_cut_index(labels)
 
     sigma = SummaryGraph()
     with tracer.span(
         "sgraph", edges=edge_file.edge_count, cut_nodes=len(cut_nodes),
-        kernel=cut_kernel.name, codec=device.block_codec,
+        kernel=kernel.name, codec=device.block_codec,
     ) as sgraph_span:
         for node in cut_nodes:
             sigma.add_node(node)
@@ -155,10 +145,8 @@ def collect_sigma(
             for child in tree.children(parent_node):
                 sigma.add_edge(parent_node, child)
         pairs: Set[Tuple[int, int]] = set()
-        collect = cut_kernel.collect_cut_pairs
+        collect = kernel.collect_cut_pairs
         for u_col, v_col in edge_file.scan_columns():
-            if convert:
-                u_col, v_col = cut_kernel.make_columns(u_col, v_col)
             collect(cut_index, u_col, v_col, pairs)
         for cut_u, cut_v in sorted(pairs):
             a, b, _ = s_edge_endpoints(tree, labels, cut_u, cut_v)
@@ -227,28 +215,22 @@ def divide_with_cut(
         return None
 
     # Step 4: owner map + one columnar routing scan into the part files.
+    kernel = device.kernel
     with tracer.span(
-        "partition", parts=len(leaves), codec=device.block_codec
-    ) as partition_span:
+        "partition", parts=len(leaves), kernel=kernel.name,
+        codec=device.block_codec,
+    ):
         owner: Dict[int, int] = {}
         part_meta: List[Tuple[int, int]] = []  # (index, root)
         for part_index, leaf in enumerate(leaves, start=1):
             part_meta.append((part_index, leaf))
             for node in tree.preorder(start=leaf):
                 owner[node] = part_index
-        route_kernel = device.kernel
-        owner_index = route_kernel.make_owner_index(owner)
-        if owner_index is None:  # dense routing index declined: dict path
-            route_kernel = resolve_kernel("python")
-            owner_index = route_kernel.make_owner_index(owner)
-        route_convert = route_kernel is not device.kernel
-        partition_span.annotate(kernel=route_kernel.name)
+        owner_index = kernel.make_owner_index(owner)
         writer = PartitionWriter(device, [i for i, _ in part_meta])
         try:
-            route = route_kernel.route_edges
+            route = kernel.route_edges
             for u_col, v_col in edge_file.scan_columns():
-                if route_convert:
-                    u_col, v_col = route_kernel.make_columns(u_col, v_col)
                 for part_key, part_u_col, part_v_col in route(
                     owner_index, u_col, v_col
                 ):

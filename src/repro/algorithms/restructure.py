@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..errors import MemoryBudgetExceeded
-from ..kernels import resolve_kernel
 from ..storage.block_device import BlockDevice
 from ..storage.buffer_pool import MemoryBudget
 from ..storage.edge_file import EdgeFile
@@ -76,17 +75,8 @@ def restructure(
             f"budget {budget.capacity}, used {budget.used}"
         )
 
-    device_kernel = edge_file.device.kernel
-    kernel = device_kernel
+    kernel = edge_file.device.kernel
     index = kernel.make_index(tree)
-    if index is None:
-        # A dense index over sparse ids would be mostly holes, so the
-        # kernel declined; the python kernel never declines.  Scanned
-        # columns are then re-materialized in its native column type,
-        # which also keeps foreign int types out of the batch adjacency.
-        kernel = resolve_kernel("python")
-        index = kernel.make_index(tree)
-    convert = kernel is not device_kernel
 
     update = False
     batches = 0
@@ -107,8 +97,6 @@ def restructure(
             update = True
             rebuilds += 1
             tree = dfs_preferring_tree(tree, extra, stack_device=stack_device)
-            # The rebuild preserves the node set, so a kernel that
-            # accepted the tree accepts the rebuilt one too.
             index = kernel.make_index(tree)
         extra = {}
         loaded = 0
@@ -116,8 +104,6 @@ def restructure(
 
     classify = kernel.classify_slice
     for u_col, v_col in edge_file.scan_columns():
-        if convert:
-            u_col, v_col = kernel.make_columns(u_col, v_col)
         length = len(u_col)
         position = 0
         while position < length:

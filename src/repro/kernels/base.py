@@ -92,8 +92,8 @@ class Kernel(Protocol):
         the result before releasing the underlying memory.
         """
 
-    def make_index(self, tree: "SpanningTree") -> Optional[Any]:
-        """Build a classifier index, or ``None`` to decline the tree."""
+    def make_index(self, tree: "SpanningTree") -> Any:
+        """Build the classifier index of ``tree``."""
 
     def classify_slice(
         self,
@@ -122,8 +122,8 @@ class Kernel(Protocol):
         one pair per S-edge instead of every cross edge.
         """
 
-    def make_cut_index(self, labels: "CutLabels") -> Optional[Any]:
-        """Build a cut-label index, or ``None`` to decline the labels."""
+    def make_cut_index(self, labels: "CutLabels") -> Any:
+        """Build the index :meth:`collect_cut_pairs` reads ``labels`` through."""
 
     def collect_cut_pairs(
         self, index: Any, u_col: Any, v_col: Any, pairs: Set[Tuple[int, int]]
@@ -134,10 +134,8 @@ class Kernel(Protocol):
         each with its pair's S-edge; ``pairs`` stays within ``|V(T_c)|²``.
         """
 
-    def make_owner_index(self, owner: Any) -> Optional[Any]:
-        """Build a node→part routing index from an ``{node: part}`` mapping,
-        or ``None`` to decline it (caller falls back to the python kernel).
-        """
+    def make_owner_index(self, owner: Any) -> Any:
+        """Build a node→part routing index from an ``{node: part}`` mapping."""
 
     def make_level_column(self, levels: Any) -> Any:
         """Freeze a per-node level sequence (``-1`` = unreached) into the

@@ -4,9 +4,8 @@ Columns are stdlib :mod:`array` arrays of 4-byte signed ints, so
 ``unpack_edge_columns`` / ``pack_edge_columns`` move whole blocks with
 ``frombytes`` / ``tobytes`` plus two extended-slice copies instead of one
 ``struct`` call per edge.  Classification is a scalar loop over the
-dict-based interval index; it never declines a tree, so restructure and
-division fall back to it when the numpy backend declines sparse ids, and
-it is the semantics oracle the numpy backend is tested against.
+dict-based interval index; it is the semantics oracle the numpy backend
+is tested against.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ class PythonKernel:
 
     # -- classification ------------------------------------------------
     def make_index(self, tree: SpanningTree) -> IntervalIndex:
-        """The dict-based :class:`IntervalIndex` (never declines)."""
+        """The dict-based :class:`IntervalIndex`."""
         return IntervalIndex(tree)
 
     def classify_slice(
@@ -204,7 +203,7 @@ class PythonKernel:
         return cross
 
     def make_cut_index(self, labels: CutLabels) -> CutLabels:
-        """The cut labels are their own index (never declines)."""
+        """The cut labels are their own index."""
         return labels
 
     def collect_cut_pairs(
@@ -270,7 +269,7 @@ class PythonKernel:
         ]
 
     def make_owner_index(self, owner: Mapping[int, int]) -> Dict[int, int]:
-        """Routing index is the ``{node: part}`` dict itself (never declines)."""
+        """Routing index is the ``{node: part}`` dict itself."""
         return dict(owner)
 
     def route_edges(

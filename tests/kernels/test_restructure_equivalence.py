@@ -71,13 +71,12 @@ class TestRestructureEquivalence:
         assert py[0][0][1] == 1  # whole file fit one batch
 
 
-class TestDeclinedIndex:
-    def test_sparse_ids_fall_back_to_the_python_kernel(self):
-        """numpy declines a tree over sparse ids (a dense index would be
-        mostly holes); restructure then classifies through the python
-        kernel and must match a python-kernel device exactly."""
+class TestSparseIds:
+    def test_restructure_matches_the_python_kernel(self):
+        """A tree over ids spread far apart classifies through numpy's
+        dense index exactly as through the python kernel's dict index."""
         node_count = 70
-        spread = 50  # ids 0, 50, 100, ...: far too sparse to index densely
+        spread = 50  # ids 0, 50, 100, ...
         graph = random_graph(node_count, 4, seed=5)
         edges = [(u * spread, v * spread) for u, v in graph.edges()]
         nodes = [node * spread for node in range(node_count)]
@@ -87,8 +86,6 @@ class TestDeclinedIndex:
             with BlockDevice(block_elements=16, kernel=kernel) as device:
                 edge_file = edge_file_from_edges(device, edges)
                 tree = SpanningTree.initial_star(nodes, spread * node_count)
-                if kernel == "numpy":
-                    assert device.kernel.make_index(tree) is None
                 traces[kernel] = trace_to_fixpoint(
                     device, edge_file, tree, node_count, memory
                 )
