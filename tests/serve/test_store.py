@@ -164,6 +164,69 @@ class TestIntegrity:
             store.open(str(ref))
 
 
+def set_value(column, position, value):
+    def edit(values):
+        values[position] = value
+    return column, edit
+
+
+def repeat_first(values):
+    values[1] = values[0]
+
+
+def move_reach_source(manifest):
+    manifest["columns"]["reach-40"] = manifest["columns"].pop("reach-0")
+
+
+def grow_graph(manifest):
+    manifest["graph"]["nodes"] = 25
+
+
+#: One impossible value each, as ``(column the error names, column to
+#: rewrite, edit of its values | None, edit of the manifest | None)``.
+DAMAGE = {
+    "negative order id": ("order", *set_value("order", 0, -3), None),
+    "order id past n": ("order", *set_value("order", 0, 99), None),
+    "repeated order id": ("order", "order", repeat_first, None),
+    "negative topo id": ("topo", *set_value("topo", 0, -2), None),
+    "negative scc id": ("scc", *set_value("scc", 3, -1), None),
+    "scc id past scc_count": ("scc", *set_value("scc", 3, 57), None),
+    "selfloop of 7": ("selfloop", *set_value("selfloop", 4, 7), None),
+    "negative size": ("size", *set_value("size", 5, -9), None),
+    "reach bit of 3": ("reach-0", *set_value("reach-0", 6, 3), None),
+    "pinned source past n": ("reach-40", None, None, move_reach_source),
+    "more nodes than values": ("pre", None, None, grow_graph),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_open_rejects_impossible_column_values(store, device, damage):
+    """Values whose manifest SHA-256 matches can still be impossible;
+    ``open`` names the column instead of serving them."""
+    named, column, edit_values, edit_manifest = DAMAGE[damage]
+    graph = Digraph.from_edges(20, [(i, j) for i in range(20) for j in
+                                    (i + 1, i + 3) if j < 20])
+    ref = publish_graph(store, device, graph, "dag", sources=(0,))
+    path = os.path.join(ref.path, MANIFEST_FILE)
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    if edit_values is not None:
+        artifact = store.open(str(ref))
+        values = list(artifact.reach[0] if column == "reach-0"
+                      else getattr(artifact, column))
+        edit_values(values)
+        meta = manifest["columns"][column]
+        meta["sha256"], meta["count"] = store._write_values(
+            os.path.join(ref.path, meta["file"]), values
+        )
+    if edit_manifest is not None:
+        edit_manifest(manifest)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(ArtifactIntegrityError, match=f"{named} column"):
+        store.open(str(ref))
+
+
 class TestTreeOnlyArtifacts:
     def test_publish_tree_round_trip(self, store, device):
         graph = Digraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
