@@ -100,7 +100,7 @@ def semi_external_bfs(
             (any reachable level settles within ``n`` passes).
         deadline_seconds: optional wall-clock limit, checked per block.
         tracer: a :class:`~repro.obs.Tracer` to receive the run's span
-            events (one ``relax`` span per pass) and progress heartbeats.
+            events (one ``relax`` span per pass).
 
     Returns:
         A :class:`~repro.algorithms.base.BFSResult`; ``levels[v]`` is
@@ -165,9 +165,6 @@ def semi_external_bfs(
                 levels[v] = level
                 parents[v] = parent
             context.bump("improvements", len(best))
-            context.tracer.progress(
-                algorithm="bfs", passes=context.passes, improved=len(best),
-            )
             if not best:
                 break
         return context.finish_result(

@@ -182,10 +182,6 @@ def _divide_conquer(
         context.passes += 1
         level_passes += 1
         context.bump("batches", outcome.batches)
-        context.tracer.progress(
-            algorithm=context.algorithm, passes=context.passes, depth=depth,
-            nodes=real_node_count,
-        )
         if not outcome.update:
             # No forward-cross edge anywhere: the tree is a DFS-Tree.
             splice_non_root_virtuals(tree)
@@ -326,7 +322,7 @@ def divide_star_dfs(
 
     Args:
         tracer: a :class:`~repro.obs.Tracer` to receive the run's span
-            events, metrics, and progress heartbeats.
+            events and metrics.
     """
     return _run(
         graph, memory, star_strategy, "divide-star", start, max_passes,
@@ -346,7 +342,7 @@ def divide_td_dfs(
 
     Args:
         tracer: a :class:`~repro.obs.Tracer` to receive the run's span
-            events, metrics, and progress heartbeats.
+            events and metrics.
     """
     return _run(
         graph, memory, td_strategy, "divide-td", start, max_passes,

@@ -56,7 +56,7 @@ def edge_by_batch(
             of the initial γ-star.
         tracer: a :class:`~repro.obs.Tracer` to receive the run's span
             events (one ``restructure`` span per pass, ``checkpoint``
-            spans), metrics, and per-pass progress heartbeats.
+            spans) and metrics.
 
     Raises:
         ConvergenceError: if the heuristic exceeds ``max_passes`` or the
@@ -116,10 +116,6 @@ def edge_by_batch(
             context.passes += 1
             context.bump("batches", outcome.batches)
             context.bump("rebuilds", outcome.rebuilds)
-            context.tracer.progress(
-                algorithm="edge-by-batch", passes=context.passes,
-                batches=outcome.batches,
-            )
             if checkpoint_every and context.passes % checkpoint_every == 0:
                 take_checkpoint()
             if not outcome.update:

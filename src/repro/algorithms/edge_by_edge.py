@@ -39,7 +39,7 @@ def edge_by_edge(
         start: optional DFS start node.
         max_passes: cap on scan passes; defaults to ``2n + 16``.
         tracer: a :class:`~repro.obs.Tracer` to receive one
-            ``restructure`` span per scan pass plus progress heartbeats.
+            ``restructure`` span per scan pass.
 
     Raises:
         ConvergenceError: if the heuristic exceeds ``max_passes``.
@@ -89,10 +89,6 @@ def edge_by_edge(
                 span.annotate(reattachments=fixes, update=update)
             context.passes += 1
             context.bump("reattachments", fixes)
-            context.tracer.progress(
-                algorithm="edge-by-edge", passes=context.passes,
-                reattachments=fixes,
-            )
             if not update:
                 return context.finish(tree)
             if context.passes >= limit:

@@ -7,7 +7,7 @@ the node count, not the edges, is assumed to fit in memory.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, Tuple
 
 from ..errors import InvalidGraphError
 from ..storage.block_device import BlockDevice
@@ -79,10 +79,6 @@ class DiskGraph:
     def scan(self) -> Iterator[Edge]:
         """Scan all edges, paying ``ceil(m / B)`` read I/Os."""
         return self.edge_file.scan()
-
-    def scan_blocks(self) -> Iterator[List[Edge]]:
-        """Scan block-by-block (same I/O cost as :meth:`scan`)."""
-        return self.edge_file.scan_blocks()
 
     def load(self) -> Digraph:
         """Read the whole graph into memory (paying the full scan cost)."""

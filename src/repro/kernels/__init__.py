@@ -6,14 +6,9 @@ isolates its per-edge operations behind a small backend interface so the
 same algorithms run on a pure-Python path (always) or a vectorized NumPy
 path (auto-detected), with identical on-disk bytes, identical batch
 boundaries, and identical I/O accounting.  See ``docs/ARCHITECTURE.md``
-("Kernel layer") for the contract.
-
-Module-level ``pack_edge_columns`` / ``unpack_edge_columns`` are
-convenience wrappers over the default-resolved backend; performance-
-sensitive callers hold a kernel instance (``BlockDevice.kernel``) instead.
+("Kernel layer") for the contract.  Callers hold a kernel instance
+(``BlockDevice.kernel``, or :func:`resolve_kernel`).
 """
-
-from typing import Any, Tuple
 
 from .base import (
     KERNEL_ENV_VAR,
@@ -24,24 +19,11 @@ from .base import (
     resolve_kernel,
 )
 
-
-def unpack_edge_columns(data: bytes) -> Tuple[Any, Any]:
-    """Split packed edge bytes into ``(u, v)`` columns (default backend)."""
-    return resolve_kernel().unpack_edge_columns(data)
-
-
-def pack_edge_columns(u_col: Any, v_col: Any) -> bytes:
-    """Interleave ``(u, v)`` columns into edge bytes (default backend)."""
-    return resolve_kernel().pack_edge_columns(u_col, v_col)
-
-
 __all__ = [
     "KERNEL_ENV_VAR",
     "KERNEL_NAMES",
     "Kernel",
     "available_backends",
     "numpy_available",
-    "pack_edge_columns",
     "resolve_kernel",
-    "unpack_edge_columns",
 ]

@@ -11,13 +11,7 @@ from .events import SpanEvent
 from .metrics import Metrics
 from .profile import LEAF_PHASES, PhaseTotal, phase_totals, render_profile
 from .sinks import JSONLSink, MemorySink, TraceSink
-from .span import (
-    NULL_TRACER,
-    NullTracer,
-    ProgressCallback,
-    Span,
-    Tracer,
-)
+from .span import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
     "JSONLSink",
@@ -27,7 +21,6 @@ __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "PhaseTotal",
-    "ProgressCallback",
     "Span",
     "SpanEvent",
     "TraceSink",

@@ -33,8 +33,8 @@ class RunOptions:
             baseline only).
         initial_tree: resume from a previously checkpointed tree (batch
             baseline only).
-        tracer: a :class:`repro.obs.Tracer` to receive span events,
-            metrics, and progress heartbeats for this run.
+        tracer: a :class:`repro.obs.Tracer` to receive span events
+            and metrics for this run.
 
     Fields left at their defaults are never forwarded, so a default
     value an algorithm does not understand (e.g. ``order`` for

@@ -78,13 +78,3 @@ class TestTracingIsFree:
         # enough to populate DFSResult.events.
         result = run(device, "edge-by-batch", tracer=Tracer())
         assert any(e.name == "restructure" for e in result.events)
-
-
-class TestProgressHeartbeats:
-    @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
-    def test_every_algorithm_reports_passes(self, device, algorithm):
-        beats = []
-        result = run(device, algorithm, tracer=Tracer(progress=beats.append))
-        assert beats, "no progress heartbeats delivered"
-        assert all("passes" in beat for beat in beats)
-        assert max(beat["passes"] for beat in beats) <= result.passes

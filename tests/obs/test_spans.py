@@ -175,21 +175,7 @@ class TestMetricsAndProgress:
         tracer, _, _ = traced
         tracer.count("retries")
         tracer.count("retries", 4)
-        tracer.gauge("frontier", 17.0)
         assert tracer.metrics.counters["retries"] == 5
-        assert tracer.metrics.gauges["frontier"] == 17.0
-
-    def test_progress_callback_receives_fields(self):
-        beats = []
-        tracer = Tracer(progress=beats.append)
-        assert tracer.wants_progress
-        tracer.progress(passes=3, updates=0)
-        assert beats == [{"passes": 3, "updates": 0}]
-
-    def test_no_callback_is_silent(self):
-        tracer = Tracer()
-        assert not tracer.wants_progress
-        tracer.progress(passes=1)  # must not raise
 
 
 class TestNullTracer:
@@ -201,8 +187,6 @@ class TestNullTracer:
         with tracer.span("ignored", attr=1) as span:
             span.annotate(more=2)
         tracer.count("x")
-        tracer.gauge("y", 1.0)
-        tracer.progress(z=3)
         assert sink.events == []
         assert not tracer.metrics
         assert not tracer.enabled
