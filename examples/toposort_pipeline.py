@@ -15,7 +15,7 @@ Run:  python examples/toposort_pipeline.py
 import random
 
 from repro import BlockDevice, DiskGraph, semi_external_dfs
-from repro.apps import find_cycle, sealed_topological_order, topological_order
+from repro.apps import sealed_topological_order
 from repro.errors import NotADAGError
 from repro.serve import seal_result
 
@@ -62,11 +62,11 @@ def main() -> None:
             with_scc=False, graph_digest=False,
         )
         try:
-            topological_order(sealed)
+            sealed.toposort_slice()
             print("ERROR: cycle not detected!")
         except NotADAGError:
             print("\ncycle correctly rejected: the build graph is not a DAG")
-        witness = find_cycle(sealed)
+        witness = sealed.find_cycle()
         print(f"offending dependency cycle has {len(witness)} targets, "
               f"e.g. {witness[:6]} ...")
 

@@ -1,15 +1,18 @@
 """DFS-powered applications from the paper's motivation list — topological
-sort, connected components (weak, strong, biconnected), cycle detection,
-bipartiteness, articulation points and bridges, Eulerian paths, planarity
-testing, and reachability — all operating on graphs that live on disk."""
+sort, connected components (weak, strong, biconnected), bipartiteness,
+articulation points and bridges, Eulerian paths, planarity testing, and
+reachability — all computed from graphs that live on disk.
+
+Questions a sealed run already answers (its cycle witness, topological
+order and pinned reachable sets) are methods of
+:class:`~repro.serve.TreeArtifact` instead.
+"""
 
 from .bipartite import BipartitenessReport, check_bipartite
 from .euler import EulerReport, check_eulerian, eulerian_path
 from .connectivity import (
     ConnectivityReport,
-    articulation_points,
     biconnected_components,
-    bridges,
     connectivity_report,
 )
 from .components import (
@@ -17,15 +20,9 @@ from .components import (
     strongly_connected_components,
     weakly_connected_components,
 )
-from .cycles import find_cycle, has_cycle
 from .planarity import PlanarityReport, check_planarity, lr_planarity
-from .reachability import (
-    reachability_counts,
-    reachable_mask,
-    reachable_set,
-    reaches,
-)
-from .toposort import sealed_topological_order, topological_order
+from .reachability import reachable_mask
+from .toposort import sealed_topological_order
 
 __all__ = [
     "BipartitenessReport",
@@ -33,23 +30,15 @@ __all__ = [
     "EulerReport",
     "PlanarityReport",
     "UnionFind",
-    "articulation_points",
     "biconnected_components",
-    "bridges",
     "check_bipartite",
     "check_eulerian",
     "check_planarity",
     "connectivity_report",
     "eulerian_path",
-    "find_cycle",
-    "has_cycle",
     "lr_planarity",
-    "reachability_counts",
     "reachable_mask",
-    "reachable_set",
-    "reaches",
     "sealed_topological_order",
     "strongly_connected_components",
-    "topological_order",
     "weakly_connected_components",
 ]

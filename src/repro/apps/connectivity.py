@@ -22,8 +22,9 @@ undirected edge.  Self-loops are ignored.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from ..api import semi_external_dfs
 from ..graph.disk_graph import DiskGraph
@@ -70,6 +71,58 @@ def _symmetrize_simple(graph: DiskGraph) -> DiskGraph:
     return DiskGraph(graph.device, graph.node_count, unique)
 
 
+@contextmanager
+def _lowpoints(
+    graph: DiskGraph, memory: int, algorithm: str
+) -> Iterator[
+    Tuple[DiskGraph, List[int], Dict[int, int], Dict[int, int], Dict[int, int]]
+]:
+    """The lowpoint state both reports start from, over ``G ∪ G^R``.
+
+    Yields ``(symmetric, order, disc, parent_of, low)``: the symmetrized
+    graph (deleted on exit), the DFS preorder, each node's discovery
+    time, the tree parent of every non-root node, and each node's
+    lowpoint.
+    """
+    symmetric = _symmetrize_simple(graph)
+    try:
+        result = semi_external_dfs(symmetric, memory, algorithm=algorithm)
+        tree = result.tree
+        order = result.order
+        disc: Dict[int, int] = {
+            node: position for position, node in enumerate(order)
+        }
+        parent_of: Dict[int, int] = {}
+        for node in order:
+            parent = tree.parent[node]
+            if parent is not None and not tree.is_virtual(parent):
+                parent_of[node] = parent
+
+        # One scan: per node, the best (smallest) discovery time reachable
+        # over ONE non-tree edge.  In a DFS forest of a symmetric graph
+        # every non-tree edge joins an ancestor/descendant pair; the
+        # (child -> parent) counterpart of each tree edge is skipped (the
+        # file is deduplicated, so it appears exactly once per direction).
+        low: Dict[int, int] = dict(disc)
+        for u, v in symmetric.scan():
+            if u == v or parent_of.get(u) == v or parent_of.get(v) == u:
+                continue
+            if disc[v] < low[u]:
+                low[u] = disc[v]
+            if disc[u] < low[v]:
+                low[v] = disc[u]
+
+        # Fold lowpoints bottom-up (reverse preorder = children before
+        # parents).
+        for node in reversed(order):
+            parent = parent_of.get(node)
+            if parent is not None and low[node] < low[parent]:
+                low[parent] = low[node]
+        yield symmetric, order, disc, parent_of, low
+    finally:
+        symmetric.delete()
+
+
 def connectivity_report(
     graph: DiskGraph,
     memory: int,
@@ -82,48 +135,11 @@ def connectivity_report(
         memory: semi-external budget ``M``.
         algorithm: which semi-external DFS computes the spanning forest.
     """
-    symmetric = _symmetrize_simple(graph)
-    try:
-        result = semi_external_dfs(symmetric, memory, algorithm=algorithm)
-        tree = result.tree
-
-        disc: Dict[int, int] = {
-            node: position for position, node in enumerate(result.order)
-        }
-        parent_of: Dict[int, int] = {}
-        for node in result.order:
-            parent = tree.parent[node]
-            if parent is not None and not tree.is_virtual(parent):
-                parent_of[node] = parent
-
-        # Pass 2 (one scan): per node, the best (smallest) discovery time
-        # reachable over ONE non-tree edge.  In a DFS forest of a symmetric
-        # graph every non-tree edge joins an ancestor/descendant pair; the
-        # (child -> parent) counterpart of each tree edge is skipped (the
-        # file is deduplicated, so it appears exactly once per direction).
-        best_back: Dict[int, int] = {node: disc[node] for node in disc}
-        for u, v in symmetric.scan():
-            if u == v:
-                continue
-            if parent_of.get(u) == v or parent_of.get(v) == u:
-                continue
-            if disc[v] < best_back[u]:
-                best_back[u] = disc[v]
-            if disc[u] < best_back[v]:
-                best_back[v] = disc[u]
-
-        # Pass 3: fold lowpoints bottom-up (reverse preorder = children
-        # before parents).
-        low = dict(best_back)
-        for node in reversed(result.order):
-            parent = parent_of.get(node)
-            if parent is not None and low[node] < low[parent]:
-                low[parent] = low[node]
-
+    with _lowpoints(graph, memory, algorithm) as (_, order, disc, parent_of, low):
         articulation: Set[int] = set()
         bridges: Set[Edge] = set()
         root_children: Dict[int, int] = {}
-        for node in result.order:
+        for node in order:
             parent = parent_of.get(node)
             if parent is None:
                 continue
@@ -138,22 +154,6 @@ def connectivity_report(
             if children >= 2:
                 articulation.add(root)
         return ConnectivityReport(articulation, bridges)
-    finally:
-        symmetric.delete()
-
-
-def articulation_points(
-    graph: DiskGraph, memory: int, algorithm: str = "divide-td"
-) -> Set[int]:
-    """The cut vertices of the underlying undirected graph."""
-    return connectivity_report(graph, memory, algorithm).articulation_points
-
-
-def bridges(
-    graph: DiskGraph, memory: int, algorithm: str = "divide-td"
-) -> Set[Edge]:
-    """The bridges (cut edges), oriented parent->child in the DFS forest."""
-    return connectivity_report(graph, memory, algorithm).bridges
 
 
 def biconnected_components(
@@ -174,37 +174,13 @@ def biconnected_components(
         Components (edge sets), largest first; together they partition
         the simple undirected edge set.
     """
-    symmetric = _symmetrize_simple(graph)
-    try:
-        result = semi_external_dfs(symmetric, memory, algorithm=algorithm)
-        tree = result.tree
-        disc: Dict[int, int] = {
-            node: position for position, node in enumerate(result.order)
-        }
-        parent_of: Dict[int, int] = {}
-        for node in result.order:
-            parent = tree.parent[node]
-            if parent is not None and not tree.is_virtual(parent):
-                parent_of[node] = parent
-
-        best_back: Dict[int, int] = {node: disc[node] for node in disc}
-        for u, v in symmetric.scan():
-            if u == v or parent_of.get(u) == v or parent_of.get(v) == u:
-                continue
-            if disc[v] < best_back[u]:
-                best_back[u] = disc[v]
-            if disc[u] < best_back[v]:
-                best_back[v] = disc[u]
-        low = dict(best_back)
-        for node in reversed(result.order):
-            parent = parent_of.get(node)
-            if parent is not None and low[node] < low[parent]:
-                low[parent] = low[node]
-
+    with _lowpoints(graph, memory, algorithm) as (
+        symmetric, order, disc, parent_of, low
+    ):
         # component representative: preorder is top-down, so parents are
         # resolved before their children
         component_of: Dict[int, int] = {}
-        for node in result.order:
+        for node in order:
             parent = parent_of.get(node)
             if parent is None:
                 continue  # roots carry no tree edge
@@ -225,5 +201,3 @@ def biconnected_components(
             edge = (u, v) if u < v else (v, u)
             groups[component_of[deep]].add(edge)
         return sorted(groups.values(), key=len, reverse=True)
-    finally:
-        symmetric.delete()

@@ -4,8 +4,8 @@ A DFS forest's reverse finishing order is a topological order of a DAG,
 so topological sort on disk reduces to one semi-external DFS plus one
 verification scan that looks for back edges (which certify a cycle).
 Sealing a run (:func:`repro.serve.seal_result`) performs the scan once
-and stores the reverse finishing order as the ``topo`` column, so
-``topological_order(artifact)`` is a resident O(n) read;
+and stores the reverse finishing order as the ``topo`` column, which
+:meth:`~repro.serve.TreeArtifact.toposort_slice` reads;
 :func:`sealed_topological_order` computes and seals from a graph.
 """
 
@@ -15,20 +15,7 @@ from typing import List, Optional
 
 from ..api import semi_external_dfs
 from ..graph.disk_graph import DiskGraph
-from ..serve.store import TreeArtifact, seal_result
-
-
-def topological_order(artifact: TreeArtifact) -> List[int]:
-    """The sealed topological order of a DAG (sources first).
-
-    Answers from the artifact's resident ``topo`` column, with zero
-    graph I/O.
-
-    Raises:
-        NotADAGError: if the sealed graph contains a cycle (the message
-            carries the sealed witness).
-    """
-    return artifact.toposort_slice()
+from ..serve.store import seal_result
 
 
 def sealed_topological_order(

@@ -55,7 +55,7 @@ from .store import ArtifactStore, parse_ref
 #: QueryError codes that mean "the artifact cannot answer this", not
 #: "the request is malformed" — they map to 409 rather than 400.
 _CONFLICT_CODES = frozenset(
-    {"column-missing", "not-a-dag", "source-not-pinned", "undecidable"}
+    {"column-missing", "not-a-dag", "source-not-pinned"}
 )
 
 

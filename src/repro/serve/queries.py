@@ -8,7 +8,7 @@ the HTTP tests assert this through the store device's IOStats.
 
 Malformed parameters raise :class:`~repro.errors.QueryError` with a
 stable machine-readable ``code`` (``bad-query``, ``bad-node``,
-``column-missing``, ``source-not-pinned``, ``undecidable``);
+``column-missing``, ``source-not-pinned``);
 :mod:`repro.serve.app` maps codes onto HTTP statuses.
 """
 

@@ -1,25 +1,17 @@
-"""The artifact apps API: graph answers, no recomputation.
+"""Sealed answers: graph answers, no recomputation.
 
-``toposort``/``cycles``/``reachability`` answer from a sealed
-:class:`~repro.serve.TreeArtifact`; each answer must equal one computed
-from the raw graph by an independent oracle (a written-out DFS plus
-back-edge scan, or networkx).
+A sealed :class:`~repro.serve.TreeArtifact` answers toposort, cycle and
+reachability questions; each answer must equal one computed from the raw
+graph by an independent oracle (a written-out DFS plus back-edge scan,
+or networkx).
 """
 
 from __future__ import annotations
 
 import networkx as nx
-import pytest
 
 from repro import BlockDevice, DiskGraph, semi_external_dfs
-from repro.apps import (
-    find_cycle,
-    has_cycle,
-    reachable_set,
-    reaches,
-    topological_order,
-)
-from repro.errors import QueryError
+from repro.errors import NotADAGError
 from repro.graph import random_graph
 from repro.graph.digraph import Digraph
 from repro.serve import seal_result
@@ -41,15 +33,15 @@ class TestArtifactOverloads:
         graph = Digraph.from_edges(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
         disk, memory, artifact = seal(device, graph)
         _, finish_order = dfs_back_edge_scan(disk, memory)
-        assert topological_order(artifact) == finish_order
+        assert artifact.toposort_slice() == finish_order
 
     def test_cycles_match_graph_signature(self, device):
         graph = Digraph.from_edges(4, [(0, 1), (1, 2), (2, 1), (3, 3)])
         disk, memory, artifact = seal(device, graph)
         witness, _ = dfs_back_edge_scan(disk, memory)
         assert witness is not None
-        assert has_cycle(artifact)
-        assert find_cycle(artifact) == witness
+        assert artifact.has_cycle()
+        assert artifact.find_cycle() == witness
 
     def test_reachability_matches_graph_signature(self, device):
         graph = random_graph(25, 2, seed=3)
@@ -58,16 +50,16 @@ class TestArtifactOverloads:
         nx_graph.add_nodes_from(range(graph.node_count))
         nx_graph.add_edges_from(graph.edges())
         expected = {0} | nx.descendants(nx_graph, 0)
-        assert reachable_set(artifact, 0) == expected
+        assert set(artifact.reachable_set(0)) == expected
         for v in range(25):
-            assert reaches(artifact, 0, v) == (v in expected)
+            assert artifact.reachable(0, v)[0] == (v in expected)
 
     def test_artifact_answers_do_no_io(self, device):
         graph = random_graph(30, 2, seed=4)
         disk, memory, artifact = seal(device, graph, sources=(0,))
         baseline = device.stats.snapshot()
         topological_order_or_cycle(artifact)
-        reachable_set(artifact, 0)
+        artifact.reachable_set(0)
         delta = device.stats.snapshot() - baseline
         assert (delta.reads, delta.writes) == (0, 0)
 
@@ -80,13 +72,11 @@ class TestArtifactOverloads:
         disk, memory, artifact = seal(device, graph)  # no pinned sources
         # 3 sits in the SCC {2, 3}; nothing pins it, 0 is not in its
         # subtree, and a cyclic graph has no topo certificate
-        with pytest.raises(QueryError) as exc:
-            reaches(artifact, 3, 0)
-        assert exc.value.code == "undecidable"
+        assert artifact.reachable(3, 0) == (None, "")
 
 
 def topological_order_or_cycle(artifact):
     try:
-        return topological_order(artifact)
-    except Exception:
-        return find_cycle(artifact)
+        return artifact.toposort_slice()
+    except NotADAGError:
+        return artifact.find_cycle()

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import BlockDevice, DiskGraph
-from repro.apps.connectivity import articulation_points, bridges, connectivity_report
+from repro.apps.connectivity import connectivity_report
 from repro.graph import Digraph, directed_cycle, grid_graph, random_graph
 
 
@@ -72,14 +72,6 @@ class TestKnownShapes:
         disk = DiskGraph.from_digraph(device, graph)
         report = connectivity_report(disk, memory=3 * 3 + 30)
         assert report.articulation_points == {1}
-
-    def test_wrappers(self, device):
-        graph = Digraph.from_edges(3, [(0, 1), (1, 2)])
-        disk = DiskGraph.from_digraph(device, graph)
-        assert articulation_points(disk, memory=3 * 3 + 30) == {1}
-        assert normalize_bridges(bridges(disk, memory=3 * 3 + 30)) == {
-            frozenset({0, 1}), frozenset({1, 2}),
-        }
 
 
 class TestAgainstNetworkx:

@@ -6,10 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import BlockDevice, DiskGraph
-from repro.apps import reachability_counts, reachable_mask
+from repro.apps import reachable_mask
 from repro.graph import Digraph, directed_cycle, random_graph
-
-from ..conftest import seal_dfs
 
 
 def reachable_set(disk, source, max_passes=0):
@@ -58,12 +56,6 @@ class TestReachableSet:
             reachable_mask(disk, 3)
         with pytest.raises(ValueError):
             reachable_mask(disk, -1)
-
-    def test_counts_helper(self, device):
-        graph = Digraph.from_edges(4, [(0, 1), (1, 2)])
-        disk = DiskGraph.from_digraph(device, graph)
-        artifact = seal_dfs(disk, 3 * 4 + 64, sources=(0, 1, 3))
-        assert reachability_counts(artifact, [0, 1, 3]) == [3, 2, 1]
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -6,9 +6,7 @@ from repro import BlockDevice, Digraph, DiskGraph, semi_external_dfs
 from repro.apps import (
     check_bipartite,
     check_eulerian,
-    find_cycle,
     strongly_connected_components,
-    topological_order,
     weakly_connected_components,
 )
 from repro.core import verify_dfs_tree
@@ -42,11 +40,11 @@ class TestEmptyGraph:
 
     def test_apps(self, empty_graph):
         artifact = seal_dfs(empty_graph, memory=1)
-        assert topological_order(artifact) == []
+        assert artifact.toposort_slice() == []
         assert weakly_connected_components(empty_graph) == []
         assert strongly_connected_components(empty_graph, memory=1) == []
         assert check_bipartite(empty_graph, memory=1).bipartite
-        assert find_cycle(artifact) is None
+        assert artifact.find_cycle() is None
 
 
 class TestSingleNode:
@@ -56,7 +54,7 @@ class TestSingleNode:
         assert result.order == [0]
 
     def test_apps(self, single_node):
-        assert topological_order(seal_dfs(single_node, memory=4)) == [0]
+        assert seal_dfs(single_node, memory=4).toposort_slice() == [0]
         assert strongly_connected_components(single_node, memory=4) == [[0]]
         assert check_eulerian(single_node).has_circuit
 
@@ -71,7 +69,7 @@ class TestSelfLoopsOnly:
 
     def test_self_loop_is_a_cycle(self, self_loops_only):
         artifact = seal_dfs(self_loops_only, memory=3 * 3 + 16)
-        assert find_cycle(artifact) == [0]
+        assert artifact.find_cycle() == [0]
 
 
 class TestParallelEdges:

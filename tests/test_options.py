@@ -74,7 +74,6 @@ class TestFacadeOptions:
     def test_removed_spellings_raise_type_error(self, disk):
         """Each entry point has one spelling; the second ones are gone."""
         from repro.algorithms import divide_td_dfs
-        from repro.apps import find_cycle, topological_order
 
         memory = 3 * 50 + 90
         with pytest.raises(TypeError):
@@ -87,10 +86,6 @@ class TestFacadeOptions:
             RunOptions(block_codec="fixed32")
         with pytest.raises(TypeError):
             RunOptions(use_external_stack=False)
-        with pytest.raises(TypeError):
-            topological_order(disk, memory)
-        with pytest.raises(TypeError):
-            find_cycle(disk, memory)
 
 
 #: The run options every algorithm accepts.
