@@ -4,9 +4,10 @@ The paper's §4.1 (drawback 3) blames baseline iteration counts on low
 *locality*: edges stored far from their position in the DFS visiting
 sequence.  Renumbering nodes by a previously computed DFS order (and
 optionally sorting the edge file by source) produces a layout where
-subsequent traversals touch nearly-sorted data — the preprocessing
-behind the locality ablation benchmark, and a standard trick for graph
-compression.
+subsequent traversals touch nearly-sorted data — a standard trick for
+graph compression.  (The locality ablation benchmark reaches the same
+layout without renumbering: it sorts the edge file by preorder with
+``sort_edge_file``.)
 """
 
 from __future__ import annotations
