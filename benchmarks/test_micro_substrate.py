@@ -65,5 +65,6 @@ def test_inmemory_tree_preferring_dfs(benchmark):
     tree = SpanningTree.initial_star(range(5_000), 5_000)
     extra = {u: list(graph.out_neighbors(u)) for u in range(5_000)}
 
-    result = benchmark(lambda: dfs_preferring_tree(tree, extra))
+    result, preorder = benchmark(lambda: dfs_preferring_tree(tree, extra))
     assert len(result) == 5_001
+    assert len(preorder.nodes) == len(preorder.ends) == 5_001

@@ -60,7 +60,8 @@ def _solve_in_memory(
     """
     extra = adjacency_from_edge_file(edge_file)
     context.bump("inmemory_solves")
-    return dfs_preferring_tree(tree, extra)
+    solved, _ = dfs_preferring_tree(tree, extra)
+    return solved
 
 
 def _first_real_node(tree: SpanningTree) -> Optional[int]:

@@ -6,6 +6,8 @@ through the device kernel's ``classify_slice`` (O(1) per edge via an
 interval index rebuilt only when the tree changes) and, if at least one
 forward-cross edge was loaded, rebuilds the tree with the
 tree-order-preferring in-memory DFS over ``G_M = T ∪ (batch edges)``.
+The DFS hands back its visit order, from which the kernel indexes the
+rebuilt tree; only the pass's first index walks the tree it is given.
 
 Only *cross* edges are retained in the batch adjacency: forward and
 backward edges (ancestor-related endpoints) provably cannot become
@@ -96,8 +98,10 @@ def restructure(
         if batch_has_forward_cross:
             update = True
             rebuilds += 1
-            tree = dfs_preferring_tree(tree, extra, stack_device=stack_device)
-            index = kernel.make_index(tree)
+            tree, preorder = dfs_preferring_tree(
+                tree, extra, stack_device=stack_device
+            )
+            index = kernel.make_index(tree, preorder)
         extra = {}
         loaded = 0
         batch_has_forward_cross = False

@@ -1,7 +1,7 @@
 """Core data structures: ordered spanning trees, edge classification,
 in-memory DFS/SCC/topological sort, and DFS-Tree validation."""
 
-from .classify import EdgeType, IntervalIndex
+from .classify import EdgeType, IntervalIndex, Preorder
 from .inmemory import (
     adjacency_from_edge_file,
     dfs_preferring_tree,
@@ -23,6 +23,7 @@ __all__ = [
     "DFSTreeReport",
     "EdgeType",
     "IntervalIndex",
+    "Preorder",
     "SpanningTree",
     "TreeCheckResult",
     "VirtualNodeAllocator",

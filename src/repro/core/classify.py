@@ -13,18 +13,20 @@ An ordered spanning tree is a DFS-Tree iff it admits **no forward-cross
 edge** — the invariant every algorithm in this library drives toward.
 
 :class:`IntervalIndex` supports O(1) classification while the tree is
-frozen: one O(n) traversal assigns each node its preorder number and subtree
-size, making ancestorship an interval containment test.  Rebuild it after
-any tree mutation (the ``version`` handshake in the restructure loop does
-this); for classification *during* mutation use :mod:`repro.core.order`.
-:class:`CutLabels` numbers a division's cut tree the same way and labels
-every node with its deepest cut ancestor.
+frozen: each node's preorder number and subtree size make ancestorship an
+interval containment test.  Both come from a :class:`Preorder` — the nodes
+in preorder and where each subtree ends — which the in-memory DFS returns
+with every tree it builds, so a rebuilt tree is indexed without walking
+it again; :meth:`Preorder.of` walks any other tree once.  Rebuild the
+index after any tree mutation; for classification *during* mutation use
+:mod:`repro.core.order`.  :class:`CutLabels` numbers a division's cut tree
+the same way and labels every node with its deepest cut ancestor.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import AbstractSet, Dict, List, cast
+from typing import AbstractSet, Dict, List, NamedTuple, Optional, cast
 
 from .tree import SpanningTree
 
@@ -39,37 +41,54 @@ class EdgeType(enum.Enum):
     BACKWARD_CROSS = "backward-cross"
 
 
+class Preorder(NamedTuple):
+    """A tree's nodes in preorder, with where each subtree ends.
+
+    ``nodes[i:ends[i]]`` is the subtree of ``nodes[i]``: ``ends[i]`` is
+    one past the last preorder position in it.  Only nodes reachable from
+    the root appear.
+    """
+
+    nodes: List[int]
+    ends: List[int]
+
+    @classmethod
+    def of(cls, tree: SpanningTree) -> "Preorder":
+        """One walk of ``tree`` plus a bottom-up fold of the ends."""
+        nodes = _preorder(tree)
+        position = dict(zip(nodes, range(len(nodes))))
+        parent = tree.parent
+        ends = list(range(1, len(nodes) + 1))
+        # Reversed preorder meets a parent's last child first, after every
+        # descendant of that child, so its end is final when it is read.
+        for at in range(len(nodes) - 1, 0, -1):
+            up = position[cast(int, parent[nodes[at]])]
+            if ends[up] < ends[at]:
+                ends[up] = ends[at]
+        return cls(nodes, ends)
+
+
 class IntervalIndex:
     """Preorder/size interval labelling of a frozen :class:`SpanningTree`.
 
     ``pre[u] <= pre[v] < pre[u] + size[u]`` iff ``u`` is an ancestor of
-    ``v`` (a node is its own ancestor).
+    ``v`` (a node is its own ancestor).  ``preorder`` must be the tree's
+    own (as :func:`~repro.core.inmemory.dfs_preferring_tree` returns it);
+    without it the tree is walked once.
     """
 
     __slots__ = ("pre", "size", "parent")
 
-    def __init__(self, tree: SpanningTree) -> None:
-        self.pre: Dict[int, int] = {}
-        self.size: Dict[int, int] = {}
+    def __init__(
+        self, tree: SpanningTree, preorder: Optional[Preorder] = None
+    ) -> None:
+        nodes, ends = preorder if preorder is not None else Preorder.of(tree)
+        positions = range(len(nodes))
+        self.pre: Dict[int, int] = dict(zip(nodes, positions))
+        self.size: Dict[int, int] = dict(
+            zip(nodes, map(int.__sub__, ends, positions))
+        )
         self.parent = tree.parent
-        self._build(tree)
-
-    def _build(self, tree: SpanningTree) -> None:
-        # Pass 1: preorder numbering.
-        order = _preorder(tree)
-        pre = self.pre
-        for counter, node in enumerate(order):
-            pre[node] = counter
-        # Pass 2: subtree sizes, folded bottom-up over reversed preorder
-        # (children always precede their parent when walking backwards).
-        size = self.size
-        parent = tree.parent
-        for node in reversed(order):
-            total = size.get(node, 0) + 1
-            size[node] = total
-            up = parent[node]
-            if up is not None:
-                size[up] = size.get(up, 0) + total
 
     # ------------------------------------------------------------------
     def covers(self, node: int) -> bool:
@@ -89,6 +108,8 @@ class IntervalIndex:
         """Classify graph edge ``(u, v)`` against the indexed tree."""
         if self.parent.get(v) == u:
             return EdgeType.TREE
+        if u == v:
+            return EdgeType.BACKWARD
         pre_u = self.pre[u]
         pre_v = self.pre[v]
         if pre_u <= pre_v < pre_u + self.size[u]:

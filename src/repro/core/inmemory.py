@@ -5,11 +5,15 @@ Algorithm 1's Restructure applies to ``G_M = T ∪ (batch edges)``.  Its
 adjacency order lists the current tree children *first, in their current
 sibling order*, then the batch edges, implementing the paper's note that
 "DFS should visit the nodes which stay in memory before newly loaded ones":
-when the batch forces no change, the DFS reproduces ``T`` exactly.
+when the batch forces no change, the DFS reproduces ``T`` exactly.  It
+returns the new tree together with its :class:`~repro.core.classify.Preorder`
+(its visit order and where each subtree ends), so the caller indexes the
+tree without walking it again.
 
-The DFS stack holds plain node ids; when a device is passed, the page
-I/O of an external-memory stack is charged to it inline — the stack the
-paper charges to SEMI-DFS in its Exp-1/Exp-5 discussions.
+The DFS stack holds one int per node (its visit position); when a device
+is passed, the page I/O of an external-memory stack is charged to it
+inline — the stack the paper charges to SEMI-DFS in its Exp-1/Exp-5
+discussions.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from typing import (
 
 from ..errors import InvalidGraphError, NotADAGError
 from ..storage.block_device import BlockDevice
+from .classify import Preorder
 from .tree import SpanningTree
 
 Adjacency = Mapping[int, Sequence[int]]
@@ -66,7 +71,7 @@ def dfs_preferring_tree(
     tree: SpanningTree,
     extra_adjacency: Optional[Adjacency] = None,
     stack_device: Optional[BlockDevice] = None,
-) -> SpanningTree:
+) -> Tuple[SpanningTree, Preorder]:
     """DFS over ``G_M = tree ∪ extra_adjacency``; returns the new DFS tree.
 
     Args:
@@ -76,15 +81,18 @@ def dfs_preferring_tree(
             must be nodes of ``tree``.
         stack_device: when given, the node stack is charged to it as an
             external-memory stack.  A page holds ``B`` (the device's
-            ``block_elements``) node ids and two pages stay hot in memory.
+            ``block_elements``) entries, one per node, and two pages stay
+            hot in memory.
             A push onto two full hot pages spills the deeper one (one
             write); a pop from an empty hot region while pages are spilled
             reloads the top spilled page (one read).
 
     Returns:
-        A fresh :class:`SpanningTree` over the same node set (virtual flags
-        preserved), whose preorder is the DFS visit order.  The result has
-        no forward-cross edges w.r.t. any edge of ``G_M``.
+        ``(new_tree, preorder)``: a fresh :class:`SpanningTree` over the
+        same node set (virtual flags preserved), which has no forward-cross
+        edges w.r.t. any edge of ``G_M``, and its :class:`Preorder` — the
+        DFS visit order, with each node's subtree end written when its
+        targets run out.
     """
     root = tree.root
     if root is None:
@@ -98,26 +106,34 @@ def dfs_preferring_tree(
     get_children = tree.child_lists.get
     node_count = len(tree.parent)
 
-    adjacency: Dict[int, Sequence[int]] = {}
-    next_index: Dict[int, int] = {}
+    # Nodes are numbered by their position in ``order``, the visit order,
+    # which is the new tree's preorder.  The stack and the per-node lists
+    # hold positions, so a node's subtree end is written where its
+    # targets run out.
+    visited = {root}
+    order = [root]
+    order_append = order.append
+    ends = [0] * node_count
+    no_targets: Sequence[int] = ()
+    adjacency = [no_targets] * node_count
+    next_index = [0] * node_count
+    count = 1
     new_parent: Dict[int, Optional[int]] = {root: None}
     children_acc: Dict[int, List[int]] = {}
-    visited = {root}
 
-    def targets_of(node: int) -> None:
+    def targets_of(node: int, at: int) -> None:
         children = get_children(node)
         batch_targets = extra.get(node)
         if not batch_targets:
-            adjacency[node] = children or ()
+            adjacency[at] = children or ()
         elif children:
-            adjacency[node] = children + list(batch_targets)
+            adjacency[at] = children + list(batch_targets)
         else:
-            adjacency[node] = batch_targets
-        next_index[node] = 0
+            adjacency[at] = batch_targets
 
-    # The node stack is a plain list; when `stack_device` is given, the
-    # spill rule in the docstring is counted inline: `hot_elements` ids
-    # sit in memory above `spilled_pages` full pages on the device.
+    # The stack is a plain list; when `stack_device` is given, the spill
+    # rule in the docstring is counted inline: `hot_elements` entries sit
+    # in memory above `spilled_pages` full pages on the device.
     page = stack_device.block_elements if stack_device is not None else 0
     hot_capacity = 2 * page
     hot_elements = 0
@@ -129,20 +145,20 @@ def dfs_preferring_tree(
     stack_append = plain_stack.append
     stack_pop = plain_stack.pop
 
-    targets_of(root)
-    stack_append(root)
+    targets_of(root, 0)
+    stack_append(0)
     if page:
         hot_elements = 1
     while plain_stack:
-        node = stack_pop()
+        at = stack_pop()
         if page:
             if hot_elements == 0 and spilled_pages:
                 spilled_pages -= 1
                 spill_reads += 1
                 hot_elements = page
             hot_elements -= 1
-        targets = adjacency[node]
-        index = next_index[node]
+        targets = adjacency[at]
+        index = next_index[at]
         child = None
         while index < len(targets):
             candidate = targets[index]
@@ -150,36 +166,49 @@ def dfs_preferring_tree(
             if candidate not in visited:
                 child = candidate
                 break
-        next_index[node] = index
-        if child is not None:
-            visited.add(child)
-            new_parent[child] = node
-            acc = children_acc.get(node)
-            if acc is None:
-                children_acc[node] = [child]
-            else:
-                acc.append(child)
-            targets_of(child)
-            stack_append(node)  # resume `node` after the child's subtree
-            stack_append(child)
-            if page:
-                for _ in range(2):
-                    if hot_elements == hot_capacity:
-                        spilled_pages += 1
-                        spill_writes += 1
-                        hot_elements -= page
-                    hot_elements += 1
+        next_index[at] = index
+        if child is None:
+            ends[at] = count
+            continue
+        if count == node_count:
+            raise InvalidGraphError(
+                "DFS reached more nodes than the tree holds; a batch "
+                "target lies outside the tree"
+            )
+        node = order[at]
+        visited.add(child)
+        order_append(child)
+        new_parent[child] = node
+        acc = children_acc.get(node)
+        if acc is None:
+            children_acc[node] = [child]
+        else:
+            acc.append(child)
+        targets_of(child, count)
+        stack_append(at)  # resume `node` after the child's subtree
+        stack_append(count)
+        count += 1
+        if page:
+            for _ in range(2):
+                if hot_elements == hot_capacity:
+                    spilled_pages += 1
+                    spill_writes += 1
+                    hot_elements -= page
+                hot_elements += 1
     if stack_device is not None and (spill_writes or spill_reads):
         stack_device.stats.add_writes(spill_writes)
         stack_device.stats.add_reads(spill_reads)
 
-    if len(visited) != node_count:
-        missing = node_count - len(visited)
+    if count != node_count:
+        missing = node_count - count
         raise InvalidGraphError(
             f"DFS did not span the tree's node set ({missing} nodes unreached); "
             "the input tree must span all nodes"
         )
-    return SpanningTree.from_structure(root, new_parent, children_acc, tree.virtual)
+    new_tree = SpanningTree.from_structure(
+        root, new_parent, children_acc, tree.virtual
+    )
+    return new_tree, Preorder(order, ends)
 
 
 def tarjan_scc(nodes: Iterable[int], adjacency: Adjacency) -> List[List[int]]:

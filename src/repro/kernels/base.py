@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Protocol, Set, Tupl
 from ..errors import ReproError
 
 if TYPE_CHECKING:
-    from ..core.classify import CutLabels
+    from ..core.classify import CutLabels, Preorder
     from ..core.tree import SpanningTree
 
 #: Environment variable consulted when no explicit backend is requested.
@@ -92,8 +92,15 @@ class Kernel(Protocol):
         the result before releasing the underlying memory.
         """
 
-    def make_index(self, tree: "SpanningTree") -> Any:
-        """Build the classifier index of ``tree``."""
+    def make_index(
+        self, tree: "SpanningTree", preorder: "Optional[Preorder]" = None
+    ) -> Any:
+        """Build the classifier index of ``tree``.
+
+        ``preorder`` is the tree's own :class:`~repro.core.classify.Preorder`
+        when the caller has it (the in-memory DFS returns one with every
+        tree it builds); without it the tree is walked once.
+        """
 
     def classify_slice(
         self,

@@ -4,12 +4,14 @@ Blocks move as flat little-endian int32 arrays (``frombuffer`` in,
 ``tobytes`` out; delta-varint bodies decode by array arithmetic too) and
 classification happens with whole-block mask arithmetic against a
 *dense* interval index — ``pre`` / ``size`` / ``parent`` as arrays
-indexed by node id — so only the rare cross edges drop back into Python
-objects.  Every index (tree, cut labels, part owners) has ``max(id) + 1``
-slots: a run's ids are ``0..n-1`` plus virtual ids allocated upward from
-``n``, so the arrays stay ``O(n)``.  Importing this module requires
-numpy; the registry in :mod:`repro.kernels.base` treats the ImportError
-as "backend unavailable".
+indexed by node id, filled straight from the tree's
+:class:`~repro.core.classify.Preorder` without a dict index — so only
+the rare cross edges drop back into Python objects.  Every index (tree,
+cut labels, part owners) has ``max(id) + 1`` slots: a run's ids are
+``0..n-1`` plus virtual ids allocated upward from ``n``, so the arrays
+stay ``O(n)``.  Importing this module requires numpy; the registry in
+:mod:`repro.kernels.base` treats the ImportError as "backend
+unavailable".
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import List, Mapping, Optional, Set, Tuple
 import numpy as np
 import numpy.typing as npt
 
-from ..core.classify import CutLabels, IntervalIndex
+from ..core.classify import CutLabels, Preorder
 from ..core.tree import SpanningTree
 from .base import ClassifiedSlice
 
@@ -38,9 +40,10 @@ _VARINT32_BYTES = 5
 class DenseIntervalIndex:
     """Array-backed ``pre`` / ``size`` / ``parent`` keyed by node id.
 
-    Holes (ids absent from the tree) carry ``-1`` in ``pre``/``size`` and
-    ``-1`` in ``parent``; well-formed inputs never read them, exactly as
-    the dict index would raise ``KeyError`` on a foreign node.
+    Holes (ids absent from the tree, or not reachable from its root)
+    carry ``-1`` in ``pre``/``size`` and ``-1`` in ``parent``; well-formed
+    inputs never read them, exactly as the dict index would raise
+    ``KeyError`` on a foreign node.
     """
 
     __slots__ = ("pre", "size", "parent")
@@ -222,15 +225,29 @@ class NumpyKernel:
         return wide.astype(_EDGE_DTYPE) if arr.size else arr.astype(_EDGE_DTYPE)
 
     # -- classification ------------------------------------------------
-    def make_index(self, tree: SpanningTree) -> DenseIntervalIndex:
-        """Dense index over ``tree``: columns of ``max(id) + 1`` slots."""
+    def make_index(
+        self, tree: SpanningTree, preorder: Optional[Preorder] = None
+    ) -> DenseIntervalIndex:
+        """Dense index over ``tree``: columns of ``max(id) + 1`` slots,
+        filled by scattering the preorder's positions, subtree sizes and
+        parents into them with the node array."""
+        nodes, ends = preorder if preorder is not None else Preorder.of(tree)
+        count = len(nodes)
         length = max(tree.parent, default=-1) + 1
-        index = IntervalIndex(tree)
-        return DenseIntervalIndex(
-            pre=_dense_column(index.pre, length),
-            size=_dense_column(index.size, length),
-            parent=_dense_column(tree.parent, length),
+        ids = np.array(nodes, dtype=np.int64)
+        positions = np.arange(count, dtype=np.int64)
+        pre = np.full(length, -1, dtype=np.int64)
+        pre[ids] = positions
+        size = np.full(length, -1, dtype=np.int64)
+        size[ids] = np.array(ends, dtype=np.int64) - positions
+        parent = np.full(length, -1, dtype=np.int64)
+        # Only the root (first in preorder) has no parent.
+        parent[ids[1:]] = np.fromiter(
+            map(tree.parent.__getitem__, nodes[1:]),
+            dtype=np.int64,
+            count=max(count - 1, 0),
         )
+        return DenseIntervalIndex(pre=pre, size=size, parent=parent)
 
     def classify_slice(
         self,

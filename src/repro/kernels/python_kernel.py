@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import Dict, List, Mapping, Sequence, Set, Tuple, Union, cast
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union, cast
 
-from ..core.classify import CutLabels, IntervalIndex
+from ..core.classify import CutLabels, IntervalIndex, Preorder
 from ..core.tree import SpanningTree
 from .base import ClassifiedSlice
 
@@ -120,9 +120,11 @@ class PythonKernel:
         return column
 
     # -- classification ------------------------------------------------
-    def make_index(self, tree: SpanningTree) -> IntervalIndex:
+    def make_index(
+        self, tree: SpanningTree, preorder: Optional[Preorder] = None
+    ) -> IntervalIndex:
         """The dict-based :class:`IntervalIndex`."""
-        return IntervalIndex(tree)
+        return IntervalIndex(tree, preorder)
 
     def classify_slice(
         self,

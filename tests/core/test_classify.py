@@ -1,6 +1,15 @@
 """Tests for the interval-index edge classifier (Section 2 taxonomy)."""
 
-from repro.core import EdgeType, IntervalIndex, SpanningTree
+from repro import BlockDevice, DiskGraph
+from repro.algorithms import edge_by_batch
+from repro.core import (
+    EdgeType,
+    IntervalIndex,
+    Preorder,
+    SpanningTree,
+    classify_edge_dynamic,
+)
+from repro.graph import random_graph
 
 
 def fig2_tree() -> SpanningTree:
@@ -100,3 +109,37 @@ class TestMechanics:
         index = IntervalIndex(tree)
         assert index.covers(0)
         assert not index.covers(99)
+
+    def test_self_loops_are_backward(self):
+        """A self-loop is backward (the module's taxonomy), for every node
+        of a converged tree, its virtual root included, exactly as the
+        dynamic classifier says."""
+        with BlockDevice(block_elements=32) as device:
+            graph = DiskGraph.from_digraph(device, random_graph(60, 4, seed=3))
+            tree = edge_by_batch(graph, 3 * 60 + 400).tree
+        index = IntervalIndex(tree)
+        assert tree.root in tree.virtual
+        for node in tree.nodes:
+            assert index.classify(node, node) is EdgeType.BACKWARD
+            assert classify_edge_dynamic(tree, node, node) is EdgeType.BACKWARD
+
+
+class TestPreorder:
+    def test_walk_gives_preorder_and_subtree_ends(self):
+        tree = fig2_tree()
+        tree.add_node(99)  # detached: not reachable, not listed
+        nodes, ends = Preorder.of(tree)
+        assert nodes == [0, 1, 2, 4, 3, 5, 6, 7, 8, 9]
+        assert ends == [10, 3, 3, 10, 5, 10, 7, 10, 9, 10]
+        for at, node in enumerate(nodes):
+            assert nodes[at:ends[at]] == list(tree.subtree(node))
+
+    def test_index_from_a_preorder_equals_the_walked_index(self):
+        tree = fig2_tree()
+        walked = IntervalIndex(tree)
+        given = IntervalIndex(tree, Preorder.of(tree))
+        assert (given.pre, given.size) == (walked.pre, walked.size)
+        assert walked.size[4] == 7 and walked.pre[4] == 3
+
+    def test_empty_tree(self):
+        assert Preorder.of(SpanningTree()) == Preorder([], [])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    Preorder,
     SpanningTree,
     dfs_preferring_tree,
     tarjan_scc,
@@ -78,35 +79,63 @@ def replay_stack_trace(tree: SpanningTree, stack) -> None:
         frames.append((child, iter(children.get(child, ()))))
 
 
+#: Hypothesis strategies for one DFS: a random or power-law graph, the
+#: stack device's page size, and whether a first batch builds the tree.
+DFS_CASES = dict(
+    kind=st.sampled_from(["random", "power-law"]),
+    node_count=st.integers(min_value=2, max_value=150),
+    seed=st.integers(min_value=0, max_value=999),
+    block_elements=st.sampled_from([1, 2, 3, 4, 8, 16]),
+    two_batches=st.booleans(),
+)
+
+
+def dfs_case(kind, node_count, seed, two_batches):
+    """The tree and batch a :data:`DFS_CASES` draw describes."""
+    make = random_graph if kind == "random" else power_law_graph
+    graph = make(node_count, 4, seed=seed)
+    tree, extra = star_and_adjacency(graph)
+    if two_batches:
+        # A second DFS starts from a non-star tree, whose children
+        # are visited before the batch's edges.
+        first = {u: targets[::2] for u, targets in extra.items()}
+        tree, _ = dfs_preferring_tree(tree, first)
+        extra = {u: targets[1::2] for u, targets in extra.items()}
+    return tree, extra
+
+
 class TestStackSpillAccounting:
     """The inline spill count equals a paged stack replaying the DFS."""
 
     @settings(max_examples=60)
-    @given(
-        kind=st.sampled_from(["random", "power-law"]),
-        node_count=st.integers(min_value=2, max_value=150),
-        seed=st.integers(min_value=0, max_value=999),
-        block_elements=st.sampled_from([1, 2, 3, 4, 8, 16]),
-        two_batches=st.booleans(),
-    )
+    @given(**DFS_CASES)
     def test_spill_io_matches_paged_stack_replay(
         self, kind, node_count, seed, block_elements, two_batches
     ):
-        make = random_graph if kind == "random" else power_law_graph
-        graph = make(node_count, 4, seed=seed)
-        tree, extra = star_and_adjacency(graph)
-        if two_batches:
-            # A second DFS starts from a non-star tree, whose children
-            # are visited before the batch's edges.
-            first = {u: targets[::2] for u, targets in extra.items()}
-            tree = dfs_preferring_tree(tree, first)
-            extra = {u: targets[1::2] for u, targets in extra.items()}
+        tree, extra = dfs_case(kind, node_count, seed, two_batches)
         with BlockDevice(block_elements=block_elements) as device:
-            result = dfs_preferring_tree(tree, extra, stack_device=device)
+            result, _ = dfs_preferring_tree(tree, extra, stack_device=device)
             charged = (device.stats.reads, device.stats.writes)
         stack = PagedStack(block_elements)
         replay_stack_trace(result, stack)
         assert charged == (stack.reads, stack.writes)
+
+
+class TestReturnedPreorder:
+    """The DFS's visit order is the new tree's own preorder."""
+
+    @settings(max_examples=60)
+    @given(**DFS_CASES, with_device=st.booleans())
+    def test_preorder_is_the_walked_one(
+        self, kind, node_count, seed, block_elements, two_batches, with_device
+    ):
+        tree, extra = dfs_case(kind, node_count, seed, two_batches)
+        with BlockDevice(block_elements=block_elements) as device:
+            result, preorder = dfs_preferring_tree(
+                tree, extra, stack_device=device if with_device else None
+            )
+        assert preorder == Preorder.of(result)
+        assert preorder.nodes == list(result.preorder())
 
 
 class TestDFSPreferringTree:
@@ -114,29 +143,29 @@ class TestDFSPreferringTree:
         """From the initial star, the DFS equals a plain priority DFS."""
         graph = random_graph(60, 3, seed=1)
         tree, extra = star_and_adjacency(graph)
-        result = dfs_preferring_tree(tree, extra)
+        result, _ = dfs_preferring_tree(tree, extra)
         preorder = [n for n in result.preorder() if n != graph.node_count]
         assert preorder == reference_dfs_preorder(graph)
 
     def test_result_has_no_forward_cross_edges(self):
         graph = random_graph(80, 4, seed=2)
         tree, extra = star_and_adjacency(graph)
-        result = dfs_preferring_tree(tree, extra)
+        result, _ = dfs_preferring_tree(tree, extra)
         assert verify_dfs_tree_inmemory(graph, result).ok
 
     def test_no_extra_edges_reproduces_tree(self):
         """With an empty batch, the DFS must reproduce the tree exactly."""
         graph = random_graph(40, 3, seed=3)
         tree, extra = star_and_adjacency(graph)
-        first = dfs_preferring_tree(tree, extra)
-        second = dfs_preferring_tree(first, {})
+        first, _ = dfs_preferring_tree(tree, extra)
+        second, _ = dfs_preferring_tree(first, {})
         assert list(second.preorder()) == list(first.preorder())
         assert second.parent == first.parent
 
     def test_virtual_flags_preserved(self):
         graph = random_graph(20, 2, seed=4)
         tree, extra = star_and_adjacency(graph)
-        result = dfs_preferring_tree(tree, extra)
+        result, _ = dfs_preferring_tree(tree, extra)
         assert result.is_virtual(graph.node_count)
         assert result.root == graph.node_count
 
@@ -146,11 +175,16 @@ class TestDFSPreferringTree:
         with pytest.raises(InvalidGraphError):
             dfs_preferring_tree(tree, {})
 
+    def test_target_outside_the_tree_rejected(self):
+        tree = SpanningTree.initial_star(range(3), 3)
+        with pytest.raises(InvalidGraphError, match="outside the tree"):
+            dfs_preferring_tree(tree, {0: [7]})
+
     def test_external_stack_variant_gives_same_tree(self, device):
         graph = random_graph(100, 4, seed=5)
         tree, extra = star_and_adjacency(graph)
-        plain = dfs_preferring_tree(tree, extra)
-        spilled = dfs_preferring_tree(tree, extra, stack_device=device)
+        plain, _ = dfs_preferring_tree(tree, extra)
+        spilled, _ = dfs_preferring_tree(tree, extra, stack_device=device)
         assert list(spilled.preorder()) == list(plain.preorder())
         stack = PagedStack(device.block_elements)
         replay_stack_trace(spilled, stack)
@@ -164,7 +198,7 @@ class TestDFSPreferringTree:
     def test_property_valid_dfs_tree(self, node_count, seed):
         graph = random_graph(node_count, 3, seed=seed)
         tree, extra = star_and_adjacency(graph)
-        result = dfs_preferring_tree(tree, extra)
+        result, _ = dfs_preferring_tree(tree, extra)
         assert verify_dfs_tree_inmemory(graph, result).ok
         preorder = [n for n in result.preorder() if n != graph.node_count]
         assert sorted(preorder) == list(range(node_count))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro import BlockDevice, DiskGraph, MemoryBudget, ReproError
 from repro.algorithms import initial_star_tree, restructure
+from repro.core.inmemory import dfs_preferring_tree
 from repro.core.tree import SpanningTree, VirtualNodeAllocator
 from repro.graph import random_graph
 from repro.kernels import (
@@ -360,6 +361,41 @@ def converged_tree(node_count=80, degree=4, seed=11):
     return outcome.tree, edges
 
 
+#: ``rebuilt_tree``'s two id ranges: ``0..n`` with ``γ = n``, and one
+#: with a virtual hub well above ``γ``.
+ID_RANGES = dict(argvalues=[False, True], ids=["dense-ids", "virtual-above-n"])
+
+
+def rebuilt_tree(seed, virtual_above_n=False):
+    """A converged tree rebuilt by the in-memory DFS over its own graph's
+    edges, with the preorder the DFS returns.
+
+    With ``virtual_above_n``, a virtual hub with an id well above ``γ``
+    first takes over two of ``γ``'s children, so the id range has holes.
+    """
+    tree, edges = converged_tree(seed=seed)
+    if virtual_above_n:
+        hub = tree.root + 15
+        tree.add_node(hub, virtual=True)
+        for child in tree.child_list(tree.root)[:2]:
+            tree.reattach(child, hub)
+        tree.attach(hub, tree.root)
+    extra = {}
+    for u, v in edges:
+        if u != v:
+            extra.setdefault(u, []).append(v)
+    return dfs_preferring_tree(tree, extra)
+
+
+def index_columns(index):
+    """An index's ``pre``, ``size`` and ``parent`` as plain python values
+    (dicts for the python kernel, whole lists for numpy's arrays)."""
+    return tuple(
+        column.tolist() if hasattr(column, "tolist") else dict(column)
+        for column in (index.pre, index.size, index.parent)
+    )
+
+
 class TestClassifySlice:
     """python-vs-numpy equivalence of the classification kernel."""
 
@@ -421,18 +457,35 @@ class TestClassifySlice:
         assert np_result == py_result
 
     @requires_numpy
-    def test_dense_index_matches_dict_index(self):
+    @pytest.mark.parametrize("virtual_above_n", **ID_RANGES)
+    @pytest.mark.parametrize("source", ["tree", "dfs-preorder"])
+    def test_dense_index_matches_dict_index(self, source, virtual_above_n):
         from repro.core.classify import IntervalIndex
 
         np_kernel = resolve_kernel("numpy")
-        tree, _ = converged_tree(seed=9)
+        tree, preorder = rebuilt_tree(9, virtual_above_n)
         dict_index = IntervalIndex(tree)
-        dense = np_kernel.make_index(tree)
+        dense = np_kernel.make_index(
+            tree, preorder if source == "dfs-preorder" else None
+        )
+        assert len(dense.pre) == max(tree.nodes) + 1
+        holes = [slot for slot in range(len(dense.pre)) if slot not in tree.parent]
+        for slot in holes:
+            assert dense.pre[slot] == dense.size[slot] == dense.parent[slot] == -1
         for node in tree.nodes:
             assert dense.pre[node] == dict_index.pre[node]
             assert dense.size[node] == dict_index.size[node]
             parent = tree.parent[node]
             assert dense.parent[node] == (-1 if parent is None else parent)
+
+    @pytest.mark.parametrize("virtual_above_n", **ID_RANGES)
+    def test_index_from_the_dfs_preorder_equals_the_walked_one(
+        self, kernel, virtual_above_n
+    ):
+        tree, preorder = rebuilt_tree(9, virtual_above_n)
+        given = kernel.make_index(tree, preorder)
+        walked = kernel.make_index(tree)
+        assert index_columns(given) == index_columns(walked)
 
 
 class TestDivisionOps:

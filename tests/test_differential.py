@@ -64,7 +64,7 @@ def is_dfs_order(graph: Digraph, order) -> bool:
         u: sorted(set(graph.out_neighbors(u)) - {u}, key=position.__getitem__)
         for u in range(n)
     }
-    replay = dfs_preferring_tree(star, adjacency)
+    replay, _ = dfs_preferring_tree(star, adjacency)
     reproduced = [v for v in replay.preorder() if not replay.is_virtual(v)]
     return reproduced == list(order)
 
