@@ -5,20 +5,26 @@ node-coverage, contractibility, independence (edge-disjointness, Theorem
 real divisions produced on random graphs.
 """
 
+import os
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
 
-from repro import DiskGraph, MemoryBudget
+from repro import BlockDevice, DiskGraph, MemoryBudget
 from repro.algorithms import (
     divide_with_cut,
     initial_star_tree,
+    merge_division,
     restructure,
     star_cut,
     build_cut_tree,
 )
+from repro.algorithms.divide_conquer import _division_first_real
 from repro.core.tree import VirtualNodeAllocator
 from repro.graph import random_graph, power_law_graph
+
+from .test_cut_labels import division_cases, restructured, sparse_copy
 
 
 def prepared_division(device, graph, memory, cut="star", seed_passes=2):
@@ -188,3 +194,104 @@ class TestWideCut:
         assert covered == list(range(node_count))
         for part in division.parts:
             assert part.edge_file.edge_count == self.SIZE
+
+
+def tree_state(tree):
+    """Everything a division attempt may change in ``tree``, as values."""
+    return (
+        tree.root,
+        dict(tree.parent),
+        {node: list(children) for node, children in tree.child_lists.items()},
+        set(tree.virtual),
+    )
+
+
+def first_real(tree):
+    return next(
+        (node for node in tree.preorder() if not tree.is_virtual(node)), None
+    )
+
+
+def attempt(device, case):
+    """One ``divide_with_cut`` call on a ``division_cases`` example.
+
+    Returns the tree, the allocator, the tree's state, the allocator's next
+    id and the device's file names from before the call, and the division.
+    """
+    make = power_law_graph if case["power_law"] else random_graph
+    graph = make(case["nodes"], case["degree"], seed=case["seed"])
+    tree, edge_file = restructured(device, graph, case["passes"], case["slack"])
+    if case["sparse"]:
+        tree, edge_file = sparse_copy(device, tree, edge_file)
+    if case["cut_budget"] is None:
+        cut_nodes, expanded = star_cut(tree)
+    else:
+        cut_nodes, expanded = build_cut_tree(tree, case["cut_budget"])
+    allocator = VirtualNodeAllocator(max(tree.parent) + 1)
+    before = (
+        tree_state(tree),
+        allocator.next_id,
+        sorted(os.listdir(device.directory)),
+    )
+    division = divide_with_cut(edge_file, tree, cut_nodes, expanded, allocator)
+    return tree, allocator, before, division
+
+
+ATTEMPTS = settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+#: Rejected only after Σ's SCCs are found: the initial star's 20 children
+#: form one SCC, so contracting it would leave a single part.
+ONE_SCC_CASE = {
+    "power_law": False, "nodes": 20, "degree": 5, "seed": 1, "passes": 0,
+    "slack": 200, "cut_budget": None, "kernel": "python", "sparse": False,
+    "block": 32,
+}
+
+
+class TestDivisionAttempts:
+    """Division is all or nothing, and its start-head check agrees with the
+    merge, on the Σ cases of ``test_cut_labels``."""
+
+    @ATTEMPTS
+    @given(division_cases())
+    @example(ONE_SCC_CASE)
+    def test_a_rejected_division_changes_nothing(self, case):
+        with BlockDevice(block_elements=case["block"], kernel=case["kernel"]) as device:
+            tree, allocator, before, division = attempt(device, case)
+            if division is not None:
+                return
+            after = (
+                tree_state(tree),
+                allocator.next_id,
+                sorted(os.listdir(device.directory)),
+            )
+            assert after == before
+
+    @ATTEMPTS
+    @given(division_cases())
+    def test_an_accepted_division_is_well_formed(self, case):
+        with BlockDevice(block_elements=case["block"], kernel=case["kernel"]) as device:
+            _, _, _, division = attempt(device, case)
+            if division is None:
+                return
+            assert division.part_count >= 2
+            t0 = division.t0
+            leaves = [node for node in t0.preorder() if not t0.child_list(node)]
+            assert leaves == [part.root for part in division.parts]
+            assert [part.index for part in division.parts] == list(
+                range(1, division.part_count + 1)
+            )
+
+    @ATTEMPTS
+    @given(division_cases())
+    def test_the_start_head_check_reads_the_merge(self, case):
+        with BlockDevice(block_elements=case["block"], kernel=case["kernel"]) as device:
+            _, _, _, division = attempt(device, case)
+            if division is None:
+                return
+            merged = merge_division(division, [p.tree for p in division.parts])
+            assert _division_first_real(division) == first_real(merged)
