@@ -9,7 +9,11 @@ The recursive procedure over a subgraph on disk:
   means the current tree already is a DFS-Tree; a valid division
   (``p > 1`` parts) recurses into each part — each part's restructure scans
   only that part's (much smaller) edge file — and the part DFS-Trees are
-  reassembled by :func:`~repro.algorithms.merge.merge_division`.
+  reassembled by :func:`~repro.algorithms.merge.merge_division`.  A
+  division is kept only if the merged tree would start at the current
+  restart-priority head; the check reads merge step 1
+  (:attr:`~repro.algorithms.division.Division.ordered`), the same tree
+  the merge grafts into, so the two cannot disagree.
 
 Invariant maintained everywhere (and checked by the test suite): every
 tree edge whose parent is a real node is a real graph edge, so the final
@@ -81,36 +85,21 @@ def _first_real_node(tree: SpanningTree) -> Optional[int]:
 def _division_first_real(division: Division) -> Optional[int]:
     """The first real node the *merged* tree would visit.
 
-    Simulates merge step 1 without building anything: descend ``T_0``
-    from the root, at each level taking the child that the
-    priority-respecting reverse topological order of Σ ranks first.  A
-    part leaf resolves to its part's first real node (the recursion
-    preserves it, by the same invariant this check enforces).
+    Walks merge step 1's tree (:attr:`Division.ordered`) in preorder and
+    returns the first real node it meets, or the head of the first part
+    leaf it meets: the recursion preserves a part's first real node, by
+    the same invariant this check enforces.
     """
-    t0 = division.t0
-    priority: Dict[int, int] = {
-        node: rank for rank, node in enumerate(t0.preorder())
-    }
-    rank_of: Dict[int, int] = {
-        node: rank
-        for rank, node in enumerate(
-            division.sigma.reverse_topological_order(priority)
-        )
-    }
+    ordered = division.ordered
     head_of_part: Dict[int, Optional[int]] = {
         part.root: (part.real_nodes[0] if part.real_nodes else None)
         for part in division.parts
     }
-    node: Optional[int] = t0.root
-    while node is not None:
+    for node in ordered.preorder():
         if node in head_of_part:
             return head_of_part[node]
-        if not t0.is_virtual(node):
+        if not ordered.is_virtual(node):
             return node
-        children = t0.child_list(node)
-        if not children:
-            return None
-        node = min(children, key=lambda child: rank_of[child])
     return None
 
 
@@ -305,7 +294,6 @@ def _run(
             owns_file=False,
             pass_limit=limit,
         )
-        splice_non_root_virtuals(final)
         return context.finish(final)
     finally:
         context.release()

@@ -9,21 +9,25 @@ versus a budgeted multi-level cut-tree):
    node; each distinct such label pair is pushed up once, into Σ.
 2. **Contract Σ's SCCs** (Theorem 6.1): fresh virtual nodes absorb each
    multi-node SCC, in Σ and in the tree alike.
-3. **Build T_0 top-down**: expandable cut nodes contribute their children;
-   contraction virtuals stay leaves (their subgraphs cannot be divided
-   further at this level).  Σ is restricted to ``V(T_0)``.
+3. **Build T_0 top-down** (:func:`_t0_edges`): expandable cut nodes
+   contribute their children; contraction virtuals stay leaves (their
+   subgraphs cannot be divided further at this level).  Σ is restricted
+   to ``V(T_0)``.
 4. **Materialize the parts** (one scan + part writes): every edge with both
    endpoints in the same leaf subtree is routed to that part's edge file.
 
-Step 4 is skipped when the division is invalid (fewer than two parts), so a
-failed attempt costs one scan, not two.
+The same walk counts the parts before step 2, with each multi-node SCC
+standing in for its contraction, so a division with fewer than two parts
+costs one scan and changes nothing.  Merge step 1 is
+:attr:`Division.ordered`, shared by the start-head check and the merge.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Container, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..errors import ReproError
 from ..obs import NULL_TRACER, Tracer
@@ -62,6 +66,33 @@ class Division:
     def part_count(self) -> int:
         return len(self.parts)
 
+    @cached_property
+    def ordered(self) -> SpanningTree:
+        """``T_0`` with every sibling group in Σ's reverse topological order.
+
+        This is merge step 1.  The order breaks ties by ``T_0``'s preorder
+        rank, so wherever Σ leaves two siblings unordered they keep their
+        relative order — in particular the start-node hint, which lives
+        entirely in γ's child order, survives division and reassembly
+        instead of being re-sorted by id.
+        """
+        ordered = self.t0.copy()
+        priority: Dict[int, int] = {
+            node: rank for rank, node in enumerate(ordered.preorder())
+        }
+        sibling_rank: Dict[int, int] = {
+            node: rank
+            for rank, node in enumerate(
+                self.sigma.reverse_topological_order(priority)
+            )
+        }
+        for node in priority:
+            children = ordered.child_list(node)
+            if len(children) > 1:
+                children.sort(key=sibling_rank.__getitem__)
+                ordered.reorder_children(node, children)
+        return ordered
+
 
 def _extract_subtree(tree: SpanningTree, root: int) -> Tuple[SpanningTree, List[int]]:
     """Copy the subtree rooted at ``root`` into a standalone tree."""
@@ -82,43 +113,27 @@ def _extract_subtree(tree: SpanningTree, root: int) -> Tuple[SpanningTree, List[
     return SpanningTree.from_structure(root, parent, child_lists, virtual), real_nodes
 
 
-def _simulate_part_count(
+def _t0_edges(
     tree: SpanningTree,
-    sccs: List[List[int]],
-    cut_nodes: Set[int],
-    expanded: Set[int],
-) -> int:
-    """The number of parts the division would produce, without mutating.
+    in_cut: Container[int],
+    expanded: Container[int],
+    leaves: Container[int],
+) -> Iterator[Tuple[int, int]]:
+    """``T_0``'s ``(parent, child)`` edges, top down and in sibling order.
 
-    Mirrors the top-down ``T_0`` construction with every multi-node SCC of
-    Σ (``sccs``) treated as a single (contracted) leaf.
+    From the root and from each expanded node the walk descends into the
+    in-cut children; it never goes below a node in ``leaves``.
     """
-    group_of: Dict[int, int] = {}
-    for group_id, component in enumerate(sccs):
-        if len(component) > 1:
-            for node in component:
-                group_of[node] = group_id
-    leaves = 0
-    seen_groups: Set[int] = set()
     root = tree.root
-    queue = [root]
+    queue = deque([root])
     while queue:
-        node = queue.pop()
-        group = group_of.get(node)
-        if group is not None:
-            if group not in seen_groups:
-                seen_groups.add(group)
-                leaves += 1
+        node = queue.popleft()
+        if node in leaves or (node != root and node not in expanded):
             continue
-        if node != root and node not in expanded:
-            leaves += 1
-            continue
-        children = [child for child in tree.children(node) if child in cut_nodes]
-        if not children:
-            leaves += 1 if node != root else 0
-            continue
-        queue.extend(children)
-    return leaves
+        for child in tree.children(node):
+            if child in in_cut:
+                yield node, child
+                queue.append(child)
 
 
 def collect_sigma(
@@ -166,68 +181,68 @@ def divide_with_cut(
 ) -> Optional[Division]:
     """Run division steps 1–4 for a given cut.  ``None`` when invalid.
 
-    Mutates ``tree`` only when the division will be valid: the part count
-    is simulated (with Σ's SCCs collapsed) before the node contraction is
-    applied, so failed attempts leave the tree untouched.  The S-edge
-    scan and the part-routing scan each get a child span on ``tracer``
-    (nested under the caller's ``divide`` span).
+    Mutates ``tree`` only when the division will be valid: the parts are
+    counted by the ``T_0`` walk with Σ's SCCs standing in for their
+    contractions before any contraction is applied, so failed attempts
+    leave the tree and the allocator untouched and write no part file.
+    The S-edge scan and the part-routing scan each get a child span on
+    ``tracer`` (nested under the caller's ``divide`` span).
     """
     if len(cut_nodes) <= 1 or not expanded:
         return None
     device = edge_file.device
     sigma = collect_sigma(edge_file, tree, cut_nodes, expanded, tracer)
 
-    # Before mutating anything, simulate the part count the contraction
-    # would leave: each multi-node SCC of Σ collapses its sibling group
-    # into ONE leaf.  An invalid division (p <= 1) must not alter the
-    # tree — otherwise every failed attempt on a hard-to-divide graph
-    # grows a chain of useless virtual nodes.
+    # Count the parts before mutating anything: the walk stops at every
+    # member of a multi-node SCC of Σ, and each SCC counts once, as the
+    # leaf its contraction virtual will be.  An invalid division (p <= 1)
+    # must not alter the tree — otherwise every failed attempt on a
+    # hard-to-divide graph grows a chain of useless virtual nodes.
     sccs = sigma.sccs()
-    if _simulate_part_count(tree, sccs, cut_nodes, expanded) <= 1:
+    scc_of: Dict[int, int] = {
+        node: component[0]
+        for component in sccs if len(component) > 1
+        for node in component
+    }
+    edges = list(_t0_edges(tree, cut_nodes, expanded, scc_of))
+    inner = {parent for parent, _ in edges}
+    groups = {scc_of.get(child, child) for _, child in edges if child not in inner}
+    if len(groups) <= 1:
         return None
 
     # Step 2: make Σ a DAG via SCC-aware contraction (mutates Σ and tree).
     contractions = contract_sigma_sccs(sigma, tree, allocator, sccs)
     new_virtuals = {virtual for virtual, _ in contractions}
 
-    # Step 3: build T_0 top-down; contraction virtuals are leaves.
-    in_cut = cut_nodes | new_virtuals
+    # Step 3: build T_0 by the same walk; contraction virtuals are leaves
+    # (a contracted SCC cannot be divided at this level).
     t0 = SpanningTree()
     root = tree.root
     t0.add_node(root, virtual=tree.is_virtual(root))
     t0.root = root
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        if node in new_virtuals:
-            continue  # a contracted SCC cannot be divided at this level
-        if node != root and node not in expanded:
-            continue  # leaf of the cut-tree: do not descend
-        for child in tree.children(node):
-            if child in in_cut:
-                t0.add_node(child, virtual=tree.is_virtual(child))
-                t0.attach(child, node)
-                queue.append(child)
+    for parent, child in _t0_edges(
+        tree, cut_nodes | new_virtuals, expanded, new_virtuals
+    ):
+        t0.add_node(child, virtual=tree.is_virtual(child))
+        t0.attach(child, parent)
     sigma.restrict(set(t0.nodes))
-
     leaves = [node for node in t0.preorder() if not t0.child_lists.get(node)]
-    if len(leaves) <= 1:
-        return None
 
-    # Step 4: owner map + one columnar routing scan into the part files.
+    # Step 4: extract each part's subtree, then one columnar routing scan
+    # into the part files by the owner map of the extracted nodes.
     kernel = device.kernel
     with tracer.span(
         "partition", parts=len(leaves), kernel=kernel.name,
         codec=device.block_codec,
     ):
-        owner: Dict[int, int] = {}
-        part_meta: List[Tuple[int, int]] = []  # (index, root)
-        for part_index, leaf in enumerate(leaves, start=1):
-            part_meta.append((part_index, leaf))
-            for node in tree.preorder(start=leaf):
-                owner[node] = part_index
+        extracted = [_extract_subtree(tree, leaf) for leaf in leaves]
+        owner: Dict[int, int] = {
+            node: index
+            for index, (subtree, _) in enumerate(extracted, start=1)
+            for node in subtree.parent
+        }
         owner_index = kernel.make_owner_index(owner)
-        writer = PartitionWriter(device, [i for i, _ in part_meta])
+        writer = PartitionWriter(device, list(range(1, len(leaves) + 1)))
         try:
             route = kernel.route_edges
             for u_col, v_col in edge_file.scan_columns():
@@ -244,18 +259,12 @@ def divide_with_cut(
             writer.discard()
             raise
 
-    parts: List[Part] = []
-    for part_index, leaf in part_meta:
-        subtree, real_nodes = _extract_subtree(tree, leaf)
-        parts.append(
-            Part(
-                index=part_index,
-                root=leaf,
-                tree=subtree,
-                real_nodes=real_nodes,
-                edge_file=part_files[part_index],
-            )
+    parts = [
+        Part(index, leaf, subtree, real_nodes, part_files[index])
+        for index, (leaf, (subtree, real_nodes)) in enumerate(
+            zip(leaves, extracted), start=1
         )
+    ]
     return Division(
         t0=t0, sigma=sigma, parts=parts, contractions=len(contractions)
     )

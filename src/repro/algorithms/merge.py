@@ -3,11 +3,13 @@
 Given the parts' DFS-Trees and the S-Graph Σ (a DAG over ``V(T_0)``), the
 DFS-Tree of the whole graph is assembled without touching the edge file:
 
-1. topologically sort Σ and reorder every sibling group of ``T_0`` in
-   *reverse* topological order — every S-edge connects two siblings (the
-   pushup fixpoint), so this single permutation turns each potential
-   forward-cross S-edge into a backward-cross edge;
-2. graft each part's DFS-Tree at its leaf of ``T_0``;
+1. reorder every sibling group of ``T_0`` in Σ's *reverse* topological
+   order — every S-edge connects two siblings (the pushup fixpoint), so
+   this single permutation turns each potential forward-cross S-edge into
+   a backward-cross edge.  The division computes this tree once
+   (:attr:`~repro.algorithms.division.Division.ordered`), because the
+   divide & conquer driver reads its start head before the parts recurse;
+2. graft each part's DFS-Tree at its leaf of that tree;
 3. splice out the virtual contraction nodes (children promoted in place,
    Algorithm 5 lines 6–10).
 
@@ -19,7 +21,7 @@ of a division was already paid by the columnar kernels in
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..core.tree import SpanningTree
 from .division import Division
@@ -53,28 +55,8 @@ def merge_division(division: Division, part_trees: List[SpanningTree]) -> Spanni
         The merged DFS-Tree, with this level's contraction virtuals spliced
         out (the root is kept even if virtual — the caller owns it).
     """
-    merged = division.t0.copy()
-
-    # Step 1: reverse-topological sibling order.  The reverse topological
-    # order is computed with the *current* sibling priority as the
-    # tie-break (T_0's preorder rank), so wherever Σ leaves two siblings
-    # unordered they keep their existing relative order — in particular
-    # the start-node hint, which lives entirely in γ's child order,
-    # survives division and reassembly instead of being re-sorted by id.
-    priority: Dict[int, int] = {
-        node: rank for rank, node in enumerate(merged.preorder())
-    }
-    sibling_rank: Dict[int, int] = {
-        node: rank
-        for rank, node in enumerate(
-            division.sigma.reverse_topological_order(priority)
-        )
-    }
-    for node in list(merged.preorder()):
-        children = merged.child_list(node)
-        if len(children) > 1:
-            children.sort(key=lambda child: sibling_rank[child])
-            merged.reorder_children(node, children)
+    # Step 1 (reverse-topological sibling order) is the division's.
+    merged = division.ordered.copy()
 
     # Step 2: graft each part tree at its T_0 leaf.
     for part, part_tree in zip(division.parts, part_trees):

@@ -59,11 +59,6 @@ class SummaryGraph:
         """Whether Σ is a DAG (Theorem 6.1's validity condition)."""
         return all(len(component) == 1 for component in self.sccs())
 
-    def topological_order(self) -> List[int]:
-        """A deterministic topological order of Σ (must be a DAG)."""
-        ordered = {node: sorted(targets) for node, targets in self.adjacency.items()}
-        return topological_sort(self.nodes, ordered)
-
     def reverse_topological_order(
         self, priority: Optional[Dict[int, int]] = None
     ) -> List[int]:

@@ -6,18 +6,14 @@ functions are applied per statement, and the solver iterates to a
 fixpoint (states must form a finite-height lattice; every analysis here
 uses finite sets keyed by variable names, so termination is structural).
 
-Two analyses ship with the solver:
-
-* :class:`ReachingDefinitions` — which ``(var, line)`` definition sites
-  reach each point; the substrate for "accumulated across a loop
-  back-edge" questions.
-* :class:`TaintAnalysis` — a configurable taint lattice: an environment
-  mapping variable names to frozensets of taint *kinds* (``"wallclock"``,
-  ``"random"``, ``"environ"``, ``"id"``, ``"setiter"``, ``"scan"``, plus
-  synthetic ``"param:N"`` kinds used for function summaries).  Sources,
-  sanitizers, and call summaries are injected by the client, so the same
-  engine powers the determinism rules, the materialization rules, and
-  the call-graph summary construction.
+One analysis ships with the solver: :class:`TaintAnalysis`, a
+configurable taint lattice — an environment mapping variable names to
+frozensets of taint *kinds* (``"wallclock"``, ``"random"``,
+``"environ"``, ``"id"``, ``"setiter"``, ``"scan"``, plus synthetic
+``"param:N"`` kinds used for function summaries).  Sources, sanitizers,
+and call summaries are injected by the client, so the same engine powers
+the determinism rules, the materialization rules, and the call-graph
+summary construction.
 
 States are immutable (dicts are copied on write in transfers); the
 solver never mutates a state it has already stored.
@@ -28,11 +24,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Generic,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -125,62 +119,6 @@ def solve_forward(
                     pending.add(target)
                     worklist.append(target)
     return in_states
-
-
-# ----------------------------------------------------------------------
-# Reaching definitions.
-
-
-@dataclass(frozen=True)
-class Definition:
-    """One definition site: ``var`` assigned at ``line``."""
-
-    var: str
-    line: int
-
-
-class ReachingDefinitions(ForwardAnalysis[FrozenSet[Definition]]):
-    """Classic reaching definitions over simple-name targets."""
-
-    def initial(self) -> FrozenSet[Definition]:
-        return frozenset()
-
-    def join(
-        self, left: FrozenSet[Definition], right: FrozenSet[Definition]
-    ) -> FrozenSet[Definition]:
-        return left | right
-
-    def transfer(
-        self, stmt: ast.stmt, state: FrozenSet[Definition]
-    ) -> FrozenSet[Definition]:
-        killed = set(assigned_names(stmt))
-        if not killed:
-            return state
-        line = getattr(stmt, "lineno", 0)
-        survivors = {d for d in state if d.var not in killed}
-        survivors.update(Definition(var, line) for var in killed)
-        return frozenset(survivors)
-
-
-def assigned_names(stmt: ast.stmt) -> Iterator[str]:
-    """Simple names (re)bound by ``stmt`` (tuple targets included)."""
-    targets: List[ast.expr] = []
-    if isinstance(stmt, ast.Assign):
-        targets = list(stmt.targets)
-    elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-        targets = [stmt.target]
-    elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-        targets = [stmt.target]
-    elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-        targets = [
-            item.optional_vars
-            for item in stmt.items
-            if item.optional_vars is not None
-        ]
-    for target in targets:
-        for node in ast.walk(target):
-            if isinstance(node, ast.Name):
-                yield node.id
 
 
 # ----------------------------------------------------------------------

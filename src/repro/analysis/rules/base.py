@@ -172,32 +172,4 @@ def known_codes() -> Tuple[str, ...]:
     return tuple(sorted(set(RULES) | set(META_CODES)))
 
 
-def call_name(node: ast.Call) -> str:
-    """The called name for ``name(...)`` calls, else ``""``."""
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    return ""
-
-
-def attribute_call(node: ast.Call) -> Tuple[str, str]:
-    """``(base, attr)`` for ``base.attr(...)`` calls with a Name base.
-
-    Returns ``("", attr)`` when the base is a more complex expression and
-    ``("", "")`` when the call is not an attribute call at all.
-    """
-    if not isinstance(node.func, ast.Attribute):
-        return "", ""
-    base = node.func.value
-    if isinstance(base, ast.Name):
-        return base.id, node.func.attr
-    return "", node.func.attr
-
-
-def walk_calls(module: ast.Module) -> Iterator[ast.Call]:
-    """Every :class:`ast.Call` in the module, in document order."""
-    for node in ast.walk(module):
-        if isinstance(node, ast.Call):
-            yield node
-
-
 ScopePredicate = Callable[[str], bool]

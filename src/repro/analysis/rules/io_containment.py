@@ -41,7 +41,7 @@ _ATTRIBUTE_IO_METHODS: Tuple[str, ...] = (
 _CODEC_INTERNAL_NAMES: Tuple[str, ...] = (
     "frame_block", "parse_frame_header", "verify_frame_payload",
     "classify_edge_block", "decode_varint_columns", "decode_edge_block",
-    "DeltaVarintBlockEncoder", "CODEC_TAG_FIXED32", "CODEC_TAG_DELTA_VARINT",
+    "DeltaVarintBlockEncoder", "CODEC_TAG_DELTA_VARINT",
 )
 
 

@@ -22,7 +22,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 #: Shape of a single rule code (``SEX`` + three digits).
 CODE_PATTERN = re.compile(r"^SEX\d{3}$")
@@ -96,12 +96,3 @@ def _parse_comment(comment: str, line: int) -> Waiver:
         return Waiver(line=line, codes=codes, reason=match.group("reason").strip(),
                       malformed=True)
     return Waiver(line=line, codes=codes, reason=match.group("reason").strip())
-
-
-def index_waivers(waivers: List[Waiver]) -> Dict[int, List[Waiver]]:
-    """Map every line a waiver covers to the waivers covering it."""
-    index: Dict[int, List[Waiver]] = {}
-    for waiver in waivers:
-        for line in (waiver.line, waiver.line + 1):
-            index.setdefault(line, []).append(waiver)
-    return index

@@ -337,13 +337,13 @@ def lr_planarity(node_count: int, edges) -> bool:
     return _LRPlanarity(node_count, adjacency).is_planar()
 
 
-def check_planarity(graph: DiskGraph, memory: int = 0) -> PlanarityReport:
+def check_planarity(graph: DiskGraph) -> PlanarityReport:
     """Semi-external planarity test of the underlying undirected graph.
+
+    Takes no memory budget: what survives the Euler bound has ``|G| < 4n``.
 
     Args:
         graph: the (directed) graph on disk; direction is ignored.
-        memory: accepted for interface symmetry with the other apps; the
-            post-filter graph always fits (``|G| < 4n``).
 
     Returns:
         A :class:`PlanarityReport`; ``loaded`` is False when the Euler

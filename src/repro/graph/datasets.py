@@ -84,15 +84,12 @@ def _host_web_edges(
     host_size: int,
     intra_fraction: float,
     seed: int,
-    scramble_ids: bool = True,
 ) -> Iterator[Edge]:
-    """A host-structured web graph (public ids scrambled by default)."""
+    """A host-structured web graph with scrambled public ids."""
     edges = _host_web_edges_structural(
         node_count, average_degree, host_size, intra_fraction, seed
     )
-    if scramble_ids:
-        return _scramble(edges, node_count, seed)
-    return edges
+    return _scramble(edges, node_count, seed)
 
 
 def _host_web_edges_structural(
@@ -131,9 +128,6 @@ def _host_web_edges_structural(
         start = host * host_size
         end = node_count if host == host_count - 1 else start + host_size
         return start, end
-
-    def host_of(node: int) -> int:
-        return min(node // host_size, host_count - 1)
 
     def is_linkable(host: int) -> bool:
         """Hosts that other hosts may link to (3 in 5)."""
@@ -219,15 +213,12 @@ def _giant_scc_edges(
     average_degree: float,
     scc_fraction: float,
     seed: int,
-    scramble_ids: bool = True,
 ) -> Iterator[Edge]:
     """A follower-style graph with a planted giant SCC (scrambled ids)."""
     edges = _giant_scc_edges_structural(
         node_count, average_degree, scc_fraction, seed
     )
-    if scramble_ids:
-        return _scramble(edges, node_count, seed)
-    return edges
+    return _scramble(edges, node_count, seed)
 
 
 def _giant_scc_edges_structural(

@@ -114,10 +114,9 @@ class BlockDevice:
 
         self.block_elements = block_elements
         self.kernel = resolve_kernel(kernel)
-        #: Codec for edge blocks written on this device.  Mutable: a
-        #: :class:`~repro.algorithms.base.RunContext` may install the
-        #: run's codec here for the duration of a run (and restores the
-        #: previous value on release), mirroring the tracer slot below.
+        #: Codec for edge blocks written on this device.  The library never
+        #: changes it after construction, so a run writes every edge file
+        #: under it.
         self.block_codec = resolve_block_codec(block_codec)
         self.stats = IOStats()
         #: The tracer storage-layer code reports to (retry/fault counters,

@@ -78,15 +78,9 @@ BLOCK_CODECS: Tuple[str, ...] = (CODEC_FIXED32, CODEC_DELTA_VARINT)
 #: Environment variable consulted when no explicit codec is requested.
 BLOCK_CODEC_ENV_VAR = "REPRO_BLOCK_CODEC"
 
-#: Codec tag bytes (first payload byte of *tagged* edge blocks; legacy
-#: raw fixed32 blocks carry no tag and are recognised by ``len % 8 == 0``).
-CODEC_TAG_FIXED32 = 0x00
+#: Codec tag byte (first payload byte of a *tagged* edge block; raw
+#: fixed32 blocks carry no tag and are recognised by ``len % 8 == 0``).
 CODEC_TAG_DELTA_VARINT = 0x01
-
-_TAG_TO_CODEC = {
-    CODEC_TAG_FIXED32: CODEC_FIXED32,
-    CODEC_TAG_DELTA_VARINT: CODEC_DELTA_VARINT,
-}
 
 
 def resolve_block_codec(name: Optional[str] = None) -> str:
@@ -296,10 +290,9 @@ def classify_edge_block(payload: bytes) -> Tuple[str, bytes]:
     if len(payload) % EDGE_BYTES == 0:
         return CODEC_FIXED32, payload
     tag = payload[0]
-    codec = _TAG_TO_CODEC.get(tag)
-    if codec is None:
+    if tag != CODEC_TAG_DELTA_VARINT:
         raise CorruptBlockError(f"unknown edge-block codec tag {tag:#04x}")
-    return codec, payload[1:]
+    return CODEC_DELTA_VARINT, payload[1:]
 
 
 def decode_varint_columns(body: bytes) -> Tuple[List[int], List[int]]:

@@ -88,6 +88,16 @@ class TestPaperExample71:
         children = merged.child_list(0)
         assert children.index(4) < children.index(1) < children.index(10)
 
+    def test_ordered_is_merge_step_one(self):
+        """``Division.ordered`` sorts T_0's sibling groups as the merge does,
+        and the merge grafts into a copy of it."""
+        division = self.build_division()
+        assert division.ordered.child_list(0) == [16, 1, 10]
+        assert division.t0.child_list(0) == [1, 16, 10]
+        merge_division(division, [p.tree for p in division.parts])
+        assert division.ordered.child_list(0) == [16, 1, 10]
+        assert sorted(division.ordered.nodes) == [0, 1, 10, 16]
+
     def test_virtual_node_spliced(self):
         division = self.build_division()
         merged = merge_division(division, [p.tree for p in division.parts])

@@ -110,7 +110,7 @@ class TestSummaryGraph:
         sigma.add_edge(0, 1)
         sigma.add_edge(1, 0)
         with pytest.raises(NotADAGError):
-            sigma.topological_order()
+            sigma.reverse_topological_order()
 
     def test_contract_rewires_edges(self):
         sigma = SummaryGraph()

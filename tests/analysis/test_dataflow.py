@@ -1,4 +1,4 @@
-"""The forward worklist solver: reaching definitions and taint."""
+"""The forward worklist solver, through the taint analysis."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ import textwrap
 from repro.analysis.cfg import ENTRY, EXIT, build_cfg
 from repro.analysis.dataflow import (
     CallSummary,
-    Definition,
-    ReachingDefinitions,
     TaintAnalysis,
     TaintConfig,
     dotted_name,
@@ -32,41 +30,6 @@ def env_at_exit(cfg, states):
     sources = [src for src, _ in cfg.pred[EXIT]]
     assert len(sources) == 1, "fixture must have a single exit statement"
     return states[sources[0]]
-
-
-class TestReachingDefinitions:
-    def test_straight_line_definition_reaches(self):
-        cfg, states = solve("""\
-        def f():
-            x = 1
-            return x
-        """, ReachingDefinitions())
-        env = env_at_exit(cfg, states)
-        assert Definition("x", 2) in env
-
-    def test_redefinition_kills(self):
-        cfg, states = solve("""\
-        def f():
-            x = 1
-            x = 2
-            return x
-        """, ReachingDefinitions())
-        env = env_at_exit(cfg, states)
-        assert Definition("x", 3) in env
-        assert Definition("x", 2) not in env
-
-    def test_branches_join_both_definitions(self):
-        cfg, states = solve("""\
-        def f(p):
-            if p:
-                x = 1
-            else:
-                x = 2
-            return x
-        """, ReachingDefinitions())
-        env = env_at_exit(cfg, states)
-        assert Definition("x", 3) in env
-        assert Definition("x", 5) in env
 
 
 class TestTaintPropagation:

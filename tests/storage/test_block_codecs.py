@@ -252,9 +252,19 @@ def adopt_payload(device, directory, payload):
     return EdgeFile.open_sealed(device, path, edge_count=1, block_count=1)
 
 
+#: CRC-valid payloads off the fixed32 grid that open with the tag byte
+#: 0x00, which no writer emits: the edge (1, 2) with and without one more
+#: byte after it.
+TAG_ZERO_PAYLOADS = {
+    "10-bytes": bytes.fromhex("00" "01000000" "02000000" "07"),
+    "9-bytes": bytes.fromhex("00" "01000000" "02000000"),
+}
+
+
 class TestMisassembledBlocks:
-    """A CRC-valid block whose endpoints leave int32 fails loudly on every
-    read path, with the same error on both kernels."""
+    """A CRC-valid block the encoder would never write (endpoints outside
+    int32, an unknown codec tag) fails loudly on every read path, with the
+    same error on both kernels."""
 
     def test_payload_is_a_delta_varint_block(self):
         assert classify_edge_block(OUT_OF_RANGE_PAYLOAD)[0] == CODEC_DELTA_VARINT
@@ -274,6 +284,26 @@ class TestMisassembledBlocks:
         with BlockDevice(directory=str(tmp_path), kernel=kernel) as device:
             edge_file = adopt_payload(device, tmp_path, OUT_OF_RANGE_PAYLOAD)
             with pytest.raises(CorruptBlockError, match="outside int32"):
+                list(edge_file.scan_columns())
+
+    @pytest.mark.parametrize("kernel", available_backends())
+    @pytest.mark.parametrize("name", sorted(TAG_ZERO_PAYLOADS))
+    def test_tag_zero_row_path_raises(self, tmp_path, kernel, name):
+        payload = TAG_ZERO_PAYLOADS[name]
+        with BlockDevice(directory=str(tmp_path), kernel=kernel) as device:
+            edge_file = adopt_payload(device, tmp_path, payload)
+            for scan in (edge_file.scan_blocks, edge_file.scan):
+                with pytest.raises(CorruptBlockError, match="codec tag 0x00"):
+                    list(scan())
+        with pytest.raises(CorruptBlockError, match="codec tag 0x00"):
+            decode_edge_block(payload)
+
+    @pytest.mark.parametrize("kernel", available_backends())
+    @pytest.mark.parametrize("name", sorted(TAG_ZERO_PAYLOADS))
+    def test_tag_zero_column_path_raises(self, tmp_path, kernel, name):
+        with BlockDevice(directory=str(tmp_path), kernel=kernel) as device:
+            edge_file = adopt_payload(device, tmp_path, TAG_ZERO_PAYLOADS[name])
+            with pytest.raises(CorruptBlockError, match="codec tag 0x00"):
                 list(edge_file.scan_columns())
 
 
