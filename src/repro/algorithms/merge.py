@@ -7,8 +7,8 @@ DFS-Tree of the whole graph is assembled without touching the edge file:
    order — every S-edge connects two siblings (the pushup fixpoint), so
    this single permutation turns each potential forward-cross S-edge into
    a backward-cross edge.  The division computes this tree once
-   (:attr:`~repro.algorithms.division.Division.ordered`), because the
-   divide & conquer driver reads its start head before the parts recurse;
+   (:attr:`~repro.algorithms.division.Division.ordered`), because divide
+   & conquer checks its start head before the parts recurse;
 2. graft each part's DFS-Tree at its leaf of that tree;
 3. splice out the virtual contraction nodes (children promoted in place,
    Algorithm 5 lines 6–10).
