@@ -7,7 +7,7 @@ the node count, not the edges, is assumed to fit in memory.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from ..errors import InvalidGraphError
 from ..storage.block_device import BlockDevice
@@ -46,19 +46,27 @@ class DiskGraph:
         Args:
             validate: check every endpoint against ``node_count`` while
                 writing (cheap; disable only for trusted re-materialization).
+
+        On any error the partial edge file is deleted before the error
+        propagates.
         """
         edge_file = device.create_edge_file()
-        if validate:
-            for u, v in edges:
-                if not (0 <= u < node_count and 0 <= v < node_count):
-                    edge_file.delete()
-                    raise InvalidGraphError(
-                        f"edge ({u}, {v}) out of range for {node_count} nodes"
-                    )
-                edge_file.append(u, v)
-        else:
-            edge_file.extend(edges)
-        return cls(device, node_count, edge_file.seal())
+        graph: Optional[DiskGraph] = None
+        try:
+            if validate:
+                for u, v in edges:
+                    if not (0 <= u < node_count and 0 <= v < node_count):
+                        raise InvalidGraphError(
+                            f"edge ({u}, {v}) out of range for {node_count} nodes"
+                        )
+                    edge_file.append(u, v)
+            else:
+                edge_file.extend(edges)
+            graph = cls(device, node_count, edge_file.seal())
+            return graph
+        finally:
+            if graph is None:
+                edge_file.delete()
 
     @classmethod
     def from_digraph(cls, device: BlockDevice, graph: Digraph) -> "DiskGraph":

@@ -360,10 +360,17 @@ class EdgeFile:
 
 
 def edge_file_from_edges(device: BlockDevice, edges: Iterable[Edge]) -> EdgeFile:
-    """Write ``edges`` to a fresh sealed :class:`EdgeFile` on ``device``."""
+    """Write ``edges`` to a fresh sealed :class:`EdgeFile` on ``device``.
+
+    On any error the partial file is deleted before the error propagates.
+    """
     edge_file = device.create_edge_file()
-    edge_file.extend(edges)
-    return edge_file.seal()
+    try:
+        edge_file.extend(edges)
+        return edge_file.seal()
+    finally:
+        if not edge_file.sealed:
+            edge_file.delete()
 
 
 class PartitionWriter:

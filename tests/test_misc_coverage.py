@@ -21,9 +21,7 @@ class TestCLIGenerateRandom:
 class TestExternalSortBranches:
     def test_keep_runs(self, device):
         source = edge_file_from_edges(device, [(3, 0), (1, 0), (2, 0)])
-        output = sort_edge_file(
-            device, source, memory_edges=1, delete_runs=False
-        )
+        output = sort_edge_file(device, source, memory_edges=1)
         assert output.read_all() == [(1, 0), (2, 0), (3, 0)]
 
     def test_single_run_with_unique(self, device):
