@@ -61,38 +61,11 @@ class Digraph:
         self._check_node(u)
         return self.adjacency[u]
 
-    def out_degree(self, u: int) -> int:
-        """Number of out-edges of ``u``."""
-        self._check_node(u)
-        return len(self.adjacency[u])
-
-    def in_degrees(self) -> List[int]:
-        """In-degree of every node, computed in one pass."""
-        degrees = [0] * self.node_count
-        for targets in self.adjacency:
-            for v in targets:
-                degrees[v] += 1
-        return degrees
-
-    def degrees(self) -> List[int]:
-        """Total (in + out) degree of every node."""
-        totals = self.in_degrees()
-        for u, targets in enumerate(self.adjacency):
-            totals[u] += len(targets)
-        return totals
-
     def edges(self) -> Iterator[Edge]:
         """Iterate over all edges in adjacency order."""
         for u, targets in enumerate(self.adjacency):
             for v in targets:
                 yield (u, v)
-
-    def reversed(self) -> "Digraph":
-        """The graph with every edge direction flipped."""
-        flipped = Digraph(self.node_count)
-        for u, v in self.edges():
-            flipped.add_edge(v, u)
-        return flipped
 
     @property
     def size(self) -> int:

@@ -159,16 +159,6 @@ class IOStats:
             self.edge_bytes_stored,
         )
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.reads = 0
-        self.writes = 0
-        self.retries = 0
-        self.faults = 0
-        self.checksum_failures = 0
-        self.edge_bytes_raw = 0
-        self.edge_bytes_stored = 0
-
     def __repr__(self) -> str:
         extras = ""
         if self.retries or self.faults or self.checksum_failures:

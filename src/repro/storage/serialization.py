@@ -374,11 +374,6 @@ class DeltaVarintBlockEncoder:
         self._prev_u = 0
         self._prev_v = 0
 
-    @property
-    def pending(self) -> int:
-        """Edges buffered in the currently open block."""
-        return self._count
-
     def _reset(self) -> None:
         self._u_stream.clear()
         self._v_stream.clear()

@@ -33,19 +33,8 @@ class TestQueries:
     def setup_method(self):
         self.graph = Digraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 0)])
 
-    def test_degrees(self):
-        assert self.graph.out_degree(0) == 2
-        assert self.graph.in_degrees() == [1, 1, 2, 1]
-        assert self.graph.degrees() == [3, 2, 3, 2]
-
     def test_edges_iteration_order(self):
         assert list(self.graph.edges()) == [(0, 1), (0, 2), (1, 2), (2, 3), (3, 0)]
 
     def test_size_measure(self):
         assert self.graph.size == 4 + 5
-
-    def test_reversed(self):
-        reversed_graph = self.graph.reversed()
-        assert sorted(reversed_graph.edges()) == sorted(
-            (v, u) for u, v in self.graph.edges()
-        )

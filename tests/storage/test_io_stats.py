@@ -28,12 +28,6 @@ class TestIOStats:
         with pytest.raises(ValueError):
             stats.add_writes(-5)
 
-    def test_reset(self):
-        stats = IOStats()
-        stats.add_reads(7)
-        stats.reset()
-        assert stats.total == 0
-
     def test_repr_mentions_counts(self):
         stats = IOStats()
         stats.add_writes(2)
