@@ -7,7 +7,7 @@ one fixed restructured tree, grow the Σ budget and record the cut size
 and the number of parts the division produces.
 """
 
-from repro import BlockDevice, DiskGraph, MemoryBudget
+from repro import BlockDevice, DiskGraph
 from repro.algorithms import (
     build_cut_tree,
     divide_with_cut,
@@ -30,10 +30,9 @@ def run_cut_tree_ablation():
         graph = DiskGraph.from_edges(device, node_count, edges, validate=False)
         allocator = VirtualNodeAllocator(node_count)
         tree = initial_star_tree(graph, allocator)
-        budget = MemoryBudget(memory)
-        budget.charge("tree", budget.tree_charge(node_count))
+        free = memory - 3 * node_count  # what M leaves next to the tree
         for _ in range(3):
-            outcome = restructure(graph.edge_file, tree, budget)
+            outcome = restructure(graph.edge_file, tree, free)
             tree = outcome.tree
             if not outcome.update:
                 break

@@ -8,7 +8,7 @@ re-sort the edge file by the source's preorder position and rerun
 SEMI-DFS.  Expected: fewer passes / fewer I/Os on the sorted file.
 """
 
-from repro import BlockDevice, DiskGraph, MemoryBudget
+from repro import BlockDevice, DiskGraph
 from repro.algorithms import edge_by_batch, initial_star_tree, restructure
 from repro.bench import default_nodes, memory_for_gb, synthetic_edges
 from repro.bench.harness import CellResult
@@ -41,10 +41,9 @@ def run_locality_ablation():
         # the *visiting sequence*, which is exactly the paper's point.)
         allocator = VirtualNodeAllocator(node_count)
         tree = initial_star_tree(graph, allocator)
-        budget = MemoryBudget(memory)
-        budget.charge("tree", budget.tree_charge(node_count))
+        free = memory - 3 * node_count  # what M leaves next to the tree
         for _ in range(8):
-            outcome = restructure(graph.edge_file, tree, budget)
+            outcome = restructure(graph.edge_file, tree, free)
             tree = outcome.tree
             if not outcome.update:
                 break

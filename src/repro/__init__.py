@@ -40,7 +40,6 @@ from .errors import (
 from .graph.digraph import Digraph
 from .graph.disk_graph import DiskGraph
 from .storage.block_device import BlockDevice
-from .storage.buffer_pool import MemoryBudget
 from .storage.faults import FaultPlan
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "FaultPlan",
     "InvalidDivisionError",
     "InvalidGraphError",
-    "MemoryBudget",
     "MemoryBudgetExceeded",
     "NotADAGError",
     "NullTracer",

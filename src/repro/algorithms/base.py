@@ -7,7 +7,8 @@ induces, and the measured costs (simulated block I/Os, edge-file passes).
 The DFS family returns the :class:`DFSResult` specialization (divisions,
 recursion depth); sibling traversals such as semi-external BFS return
 their own subclasses (:class:`BFSResult` adds the level array) while the
-context, budget, tracer, and I/O accounting stay shared.
+context (memory and pass limits), tracer, and I/O accounting stay
+shared.
 """
 
 from __future__ import annotations
@@ -19,10 +20,13 @@ from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 from ..errors import MemoryBudgetExceeded
 from ..graph.disk_graph import DiskGraph
 from ..obs import NULL_TRACER, MemorySink, SpanEvent, Tracer
-from ..storage.buffer_pool import TREE_NODE_COST, MemoryBudget
 from ..storage.io_stats import IOSnapshot
 from ..core.tree import SpanningTree, VirtualNodeAllocator
 from ..core.validation import real_preorder
+
+#: The paper's example constant ``k``: an in-memory spanning tree over ``n``
+#: nodes costs ``k * n`` elements (parent pointer, sibling order key, depth).
+TREE_NODE_COST = 3
 
 
 @dataclass
@@ -141,7 +145,12 @@ ResultT = TypeVar("ResultT", bound=RunResult)
 class RunContext:
     """Mutable bookkeeping shared by one algorithm invocation.
 
-    The context owns the run's observability wiring: it binds the given
+    The context is the one place that knows the run's limits: it checks
+    the semi-external model's ``M >= 3·|V|`` once, hands out the memory
+    left next to a spanning tree (:meth:`free_memory`) and resolves the
+    pass cap (:attr:`pass_limit`).
+
+    It also owns the run's observability wiring: it binds the given
     :class:`~repro.obs.Tracer` (or the shared null tracer) to the
     device's I/O counter, attaches a private in-memory sink so
     :attr:`DFSResult.events` is always populated, and installs the
@@ -158,6 +167,7 @@ class RunContext:
         algorithm: str,
         deadline_seconds: Optional[float] = None,
         tracer: Optional[Tracer] = None,
+        max_passes: Optional[int] = None,
     ) -> None:
         minimum = TREE_NODE_COST * graph.node_count
         if memory < minimum:
@@ -168,7 +178,10 @@ class RunContext:
         self.graph = graph
         self.memory = memory
         self.algorithm = algorithm
-        self.budget = MemoryBudget(memory)
+        self.pass_limit = (
+            default_max_passes(graph.node_count)
+            if max_passes is None else max_passes
+        )
         self.allocator = VirtualNodeAllocator(graph.node_count)
         self.passes = 0
         self.divisions = 0
@@ -190,11 +203,19 @@ class RunContext:
             else self._start_time + deadline_seconds
         )
 
+    def free_memory(self, node_count: int) -> int:
+        """Elements of ``M`` left next to a spanning tree over
+        ``node_count`` real nodes: ``M - 3 * node_count``.
+
+        Restructure's batch ``G_M`` and Divide-TD's Σ get this much.
+        """
+        return self.memory - TREE_NODE_COST * node_count
+
     def check_deadline(self) -> None:
         """Raise :class:`ConvergenceError` when the wall-clock limit passed.
 
         The cooperative analogue of the paper's 8-hour experiment timeout;
-        checked once per restructure pass.
+        checked once per pass and once per restructure batch.
         """
         # repro: allow[SEX302] deadline aborts with ConvergenceError; it never alters the result tree
         if self._deadline is not None and time.perf_counter() > self._deadline:

@@ -30,7 +30,7 @@ from ..core.tree import SpanningTree
 from ..errors import ConvergenceError
 from ..graph.disk_graph import DiskGraph
 from ..obs import Tracer
-from .base import BFSResult, RunContext, default_max_passes
+from .base import BFSResult, RunContext
 
 #: Level value marking an unreached node inside the kernel columns (the
 #: public :class:`BFSResult` surfaces these as ``None``).
@@ -112,32 +112,26 @@ def semi_external_bfs(
         ConvergenceError: the pass cap or the deadline was exceeded.
         ValueError: ``start`` out of range.
     """
-    context = RunContext(graph, memory, "bfs", deadline_seconds, tracer)
+    context = RunContext(
+        graph, memory, "bfs", deadline_seconds, tracer, max_passes
+    )
     node_count = graph.node_count
     try:
         if start is None and node_count:
             start = 0
         if start is not None and not 0 <= start < node_count:
             raise ValueError(f"start node {start} out of range")
-        context.budget.charge("levels", node_count)
-        context.budget.charge("parents", node_count)
-        context.budget.charge("proposals", node_count)
         levels = [UNREACHED] * node_count
         parents = [UNREACHED] * node_count
         if start is not None:
             levels[start] = 0
-        limit = (
-            default_max_passes(node_count)
-            if max_passes is None
-            else max_passes
-        )
         kernel = graph.device.kernel
         edge_file = graph.edge_file
         while True:
             context.check_deadline()
-            if context.passes >= limit:
+            if context.passes >= context.pass_limit:
                 raise ConvergenceError(
-                    f"bfs did not converge within {limit} passes"
+                    f"bfs did not converge within {context.pass_limit} passes"
                 )
             frozen = kernel.make_level_column(levels)
             # Merged proposals for this pass: v -> (level, parent).  The

@@ -27,29 +27,24 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..errors import ConvergenceError
 from ..graph.disk_graph import DiskGraph
 from ..obs import Tracer
-from ..storage.buffer_pool import MemoryBudget
 from ..storage.edge_file import EdgeFile
 from ..core.inmemory import adjacency_from_edge_file, dfs_preferring_tree
 from ..core.tree import SpanningTree
-from .base import DFSResult, RunContext, default_max_passes, initial_star_tree
+from .base import DFSResult, RunContext, initial_star_tree
 from .cut_tree import build_cut_tree, star_cut
 from .division import Division, divide_with_cut
 from .merge import merge_division, splice_non_root_virtuals
 from .restructure import restructure
 
-#: A cut strategy maps (tree, memory budget) -> (cut_nodes, expanded).
-CutStrategy = Callable[[SpanningTree, MemoryBudget], Tuple[Set[int], Set[int]]]
+#: A cut strategy maps (tree, free memory) -> (cut_nodes, expanded); the free
+#: memory is what ``M`` leaves next to the level's spanning tree.  Divide-TD's
+#: strategy is :func:`~repro.algorithms.cut_tree.build_cut_tree` itself.
+CutStrategy = Callable[[SpanningTree, int], Tuple[Set[int], Set[int]]]
 
 
-def star_strategy(tree: SpanningTree, budget: MemoryBudget) -> Tuple[Set[int], Set[int]]:
+def star_strategy(tree: SpanningTree, free: int) -> Tuple[Set[int], Set[int]]:
     """Divide-Star's cut: the root and its children (Algorithm 3)."""
     return star_cut(tree)
-
-
-def td_strategy(tree: SpanningTree, budget: MemoryBudget) -> Tuple[Set[int], Set[int]]:
-    """Divide-TD's cut: a multi-level cut-tree sized so the S-Graph fits in
-    the memory left next to the spanning tree (Algorithm 4)."""
-    return build_cut_tree(tree, sigma_budget=budget.available)
 
 
 def _solve_in_memory(
@@ -125,10 +120,12 @@ def _divide_conquer(
     context: RunContext,
     strategy: CutStrategy,
     depth: int,
-    owns_file: bool,
-    pass_limit: int,
 ) -> SpanningTree:
-    """Recursive body of Algorithm 2 (its DivideConquer procedure)."""
+    """Recursive body of Algorithm 2 (its DivideConquer procedure).
+
+    Every level below the top owns its edge file (a part file of the
+    division above it) and deletes it once the file is consumed.
+    """
     if depth > context.max_depth:
         context.max_depth = depth
     size = real_node_count + edge_file.edge_count
@@ -146,13 +143,11 @@ def _divide_conquer(
             codec=edge_file.device.block_codec,
         ):
             result = _solve_in_memory(edge_file, tree, context)
-        if owns_file:
+        if depth > 0:
             edge_file.delete()
         return result
 
-    budget = MemoryBudget(context.memory)
-    budget.charge("tree", budget.tree_charge(real_node_count))
-
+    free = context.free_memory(real_node_count)
     division = None
     level_passes = 0
     next_attempt = 1
@@ -163,7 +158,9 @@ def _divide_conquer(
             kernel=edge_file.device.kernel.name,
             codec=edge_file.device.block_codec,
         ) as restructure_span:
-            outcome = restructure(edge_file, tree, budget)
+            outcome = restructure(
+                edge_file, tree, free, check_deadline=context.check_deadline
+            )
             restructure_span.annotate(
                 edges=edge_file.edge_count, batches=outcome.batches,
                 update=outcome.update,
@@ -175,12 +172,13 @@ def _divide_conquer(
         if not outcome.update:
             # No forward-cross edge anywhere: the tree is a DFS-Tree.
             splice_non_root_virtuals(tree)
-            if owns_file:
+            if depth > 0:
                 edge_file.delete()
             return tree
-        if context.passes >= pass_limit:
+        if context.passes >= context.pass_limit:
             raise ConvergenceError(
-                f"divide & conquer exceeded {pass_limit} restructure passes"
+                f"divide & conquer exceeded {context.pass_limit} "
+                "restructure passes"
             )
         # Divide as early as possible (paper §4.2), but back off after
         # failed attempts: a failed attempt costs a full scan, and on
@@ -192,7 +190,7 @@ def _divide_conquer(
             continue
         head = _first_real_node(tree)
         with context.tracer.span("cut-tree", depth=depth):
-            cut_nodes, expanded = strategy(tree, budget)
+            cut_nodes, expanded = strategy(tree, free)
         with context.tracer.span(
             "divide", depth=depth, nodes=real_node_count
         ) as divide_span:
@@ -224,7 +222,7 @@ def _divide_conquer(
 
     context.divisions += 1
     context.bump("parts_created", division.part_count)
-    if owns_file:
+    if depth > 0:
         edge_file.delete()  # the parts and Σ fully replace this file
 
     part_trees: List[SpanningTree] = []
@@ -239,18 +237,10 @@ def _divide_conquer(
                 "part", depth=depth + 1, part=part.index,
                 nodes=len(part.real_nodes), edges=part.edge_file.edge_count,
             ):
-                part_trees.append(
-                    _divide_conquer(
-                        part.edge_file,
-                        len(part.real_nodes),
-                        part.tree,
-                        context,
-                        strategy,
-                        depth + 1,
-                        owns_file=True,
-                        pass_limit=pass_limit,
-                    )
-                )
+                part_trees.append(_divide_conquer(
+                    part.edge_file, len(part.real_nodes), part.tree,
+                    context, strategy, depth + 1,
+                ))
     # repro: allow[SEX402] cleanup-and-reraise at the recursion boundary; the error propagates untouched
     except Exception:
         # This level's division already replaced the parent edge file, so
@@ -277,22 +267,13 @@ def _run(
     deadline_seconds: Optional[float],
     tracer: Optional[Tracer],
 ) -> DFSResult:
-    context = RunContext(graph, memory, name, deadline_seconds, tracer)
+    context = RunContext(
+        graph, memory, name, deadline_seconds, tracer, max_passes
+    )
     try:
         tree = initial_star_tree(graph, context.allocator, start)
-        limit = (
-            default_max_passes(graph.node_count)
-            if max_passes is None else max_passes
-        )
         final = _divide_conquer(
-            graph.edge_file,
-            graph.node_count,
-            tree,
-            context,
-            strategy,
-            depth=0,
-            owns_file=False,
-            pass_limit=limit,
+            graph.edge_file, graph.node_count, tree, context, strategy, depth=0
         )
         return context.finish(final)
     finally:
@@ -333,7 +314,10 @@ def divide_td_dfs(
         tracer: a :class:`~repro.obs.Tracer` to receive the run's span
             events and metrics.
     """
+    # build_cut_tree is looked up here, at call time, not bound at import,
+    # so a wrapper installed on this module's name (as the layer trace in
+    # benchmarks/e2e installs one) sees every call.
     return _run(
-        graph, memory, td_strategy, "divide-td", start, max_passes,
+        graph, memory, build_cut_tree, "divide-td", start, max_passes,
         deadline_seconds, tracer,
     )

@@ -17,7 +17,7 @@ from ..errors import ConvergenceError
 from ..graph.disk_graph import DiskGraph
 from ..obs import Tracer
 from ..serve.store import ArtifactStore
-from .base import DFSResult, RunContext, default_max_passes, initial_star_tree
+from .base import DFSResult, RunContext, initial_star_tree
 from .restructure import restructure
 
 
@@ -62,8 +62,9 @@ def edge_by_batch(
         ConvergenceError: if the heuristic exceeds ``max_passes`` or the
             deadline.
     """
-    context = RunContext(graph, memory, "edge-by-batch", deadline_seconds, tracer)
-    context.budget.charge("tree", context.budget.tree_charge(graph.node_count))
+    context = RunContext(
+        graph, memory, "edge-by-batch", deadline_seconds, tracer, max_passes
+    )
     if initial_tree is not None:
         if start is not None or order is not None:
             raise ValueError("initial_tree excludes start/order")
@@ -74,7 +75,6 @@ def edge_by_batch(
                 context.allocator.allocate()
     else:
         tree = initial_star_tree(graph, context.allocator, start, order)
-    limit = default_max_passes(graph.node_count) if max_passes is None else max_passes
     checkpoint_ref: Optional[str] = None
 
     def take_checkpoint() -> None:
@@ -100,7 +100,8 @@ def edge_by_batch(
                     "restructure", nodes=graph.node_count
                 ) as span:
                     outcome = restructure(
-                        graph.edge_file, tree, context.budget, graph.device,
+                        graph.edge_file, tree,
+                        context.free_memory(graph.node_count), graph.device,
                         check_deadline=context.check_deadline,
                     )
                     span.annotate(
@@ -122,9 +123,10 @@ def edge_by_batch(
                 result = context.finish(tree)
                 result.artifact_ref = checkpoint_ref
                 return result
-            if context.passes >= limit:
+            if context.passes >= context.pass_limit:
                 error = ConvergenceError(
-                    f"edge-by-batch did not converge within {limit} passes"
+                    "edge-by-batch did not converge within "
+                    f"{context.pass_limit} passes"
                 )
                 if checkpoint_every:
                     take_checkpoint()

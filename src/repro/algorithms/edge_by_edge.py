@@ -20,7 +20,7 @@ from ..graph.disk_graph import DiskGraph
 from ..obs import Tracer
 from ..core.classify import EdgeType, IntervalIndex
 from ..core.order import classify_edge_dynamic
-from .base import DFSResult, RunContext, default_max_passes, initial_star_tree
+from .base import DFSResult, RunContext, initial_star_tree
 
 
 def edge_by_edge(
@@ -44,10 +44,10 @@ def edge_by_edge(
     Raises:
         ConvergenceError: if the heuristic exceeds ``max_passes``.
     """
-    context = RunContext(graph, memory, "edge-by-edge", deadline_seconds, tracer)
-    context.budget.charge("tree", context.budget.tree_charge(graph.node_count))
+    context = RunContext(
+        graph, memory, "edge-by-edge", deadline_seconds, tracer, max_passes
+    )
     tree = initial_star_tree(graph, context.allocator, start)
-    limit = default_max_passes(graph.node_count) if max_passes is None else max_passes
 
     # Adaptive classification: while the tree is unchanged this pass an
     # O(1)-per-edge interval index answers; after a fix the index is
@@ -91,9 +91,10 @@ def edge_by_edge(
             context.bump("reattachments", fixes)
             if not update:
                 return context.finish(tree)
-            if context.passes >= limit:
+            if context.passes >= context.pass_limit:
                 raise ConvergenceError(
-                    f"edge-by-edge did not converge within {limit} passes"
+                    "edge-by-edge did not converge within "
+                    f"{context.pass_limit} passes"
                 )
     finally:
         context.release()

@@ -12,8 +12,8 @@ rebuilt tree; only the pass's first index walks the tree it is given.
 Only *cross* edges are retained in the batch adjacency: forward and
 backward edges (ancestor-related endpoints) provably cannot become
 forward-cross under the tree-preferring rebuild, so carrying them changes
-nothing about the result — but every scanned non-tree edge still *charges*
-the ``|G_M| <= M`` budget, because batch boundaries (and hence I/O
+nothing about the result — but every scanned non-tree edge still counts
+against the batch capacity, because batch boundaries (and hence I/O
 behaviour) must match the paper's procedure, which loads them all.
 """
 
@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Optional
 
 from ..errors import MemoryBudgetExceeded
 from ..storage.block_device import BlockDevice
-from ..storage.buffer_pool import MemoryBudget
 from ..storage.edge_file import EdgeFile
 from ..core.inmemory import dfs_preferring_tree
 from ..core.tree import SpanningTree
@@ -43,7 +42,7 @@ class RestructureOutcome:
 def restructure(
     edge_file: EdgeFile,
     tree: SpanningTree,
-    budget: MemoryBudget,
+    batch_capacity: int,
     stack_device: Optional[BlockDevice] = None,
     check_deadline: Optional[Callable[[], None]] = None,
 ) -> RestructureOutcome:
@@ -51,8 +50,9 @@ def restructure(
 
     Args:
         edge_file: the (sub)graph's edges on disk.
-        budget: memory budget; the tree must already be charged under the
-            label ``"tree"``, and the batch is granted the remainder.
+        batch_capacity: how many edges one batch may load: the memory
+            left next to the tree
+            (:meth:`~repro.algorithms.base.RunContext.free_memory`).
         stack_device: charged for the in-memory DFS's node-stack page
             spills (see :func:`~repro.core.inmemory.dfs_preferring_tree`);
             edge-by-batch passes its graph's device.
@@ -70,11 +70,10 @@ def restructure(
     Raises:
         MemoryBudgetExceeded: when not even one edge fits beside the tree.
     """
-    batch_capacity = budget.available
     if batch_capacity < 1:
         raise MemoryBudgetExceeded(
             "no memory left for batch edges next to the spanning tree; "
-            f"budget {budget.capacity}, used {budget.used}"
+            f"batch capacity {batch_capacity}"
         )
 
     kernel = edge_file.device.kernel

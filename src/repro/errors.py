@@ -62,7 +62,8 @@ class RetriesExhausted(StorageError):
 
 
 class MemoryBudgetExceeded(ReproError):
-    """A charge against :class:`repro.storage.MemoryBudget` went over `M`."""
+    """The memory budget ``M`` is too small: below the spanning tree's
+    ``3·|V|``, or leaving no room for a single batch edge next to it."""
 
 
 class InvalidGraphError(ReproError):

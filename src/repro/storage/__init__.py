@@ -3,11 +3,10 @@
 See DESIGN.md §3 and §5: this package substitutes a physical disk with an
 I/O-accounted block device backed by real temporary files, plus the
 external-memory primitives the paper's algorithms rely on (edge files,
-partition routing, external sort, and logical memory budgeting).
+partition routing, external sort).
 """
 
 from .block_device import DEFAULT_BLOCK_ELEMENTS, DEFAULT_MAX_RETRIES, BlockDevice
-from .buffer_pool import TREE_NODE_COST, MemoryBudget
 from .edge_file import EdgeFile, PartitionWriter, edge_file_from_edges
 from .external_sort import sort_edge_file
 from .faults import FAULT_SEED_ENV_VAR, FaultEvent, FaultInjector, FaultPlan
@@ -31,9 +30,7 @@ __all__ = [
     "FaultPlan",
     "IOSnapshot",
     "IOStats",
-    "MemoryBudget",
     "PartitionWriter",
-    "TREE_NODE_COST",
     "edge_file_from_edges",
     "resolve_block_codec",
     "sort_edge_file",

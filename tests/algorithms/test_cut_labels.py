@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import BlockDevice, DiskGraph, MemoryBudget
+from repro import BlockDevice, DiskGraph
 from repro.algorithms import (
     SummaryGraph,
     build_cut_tree,
@@ -73,10 +73,8 @@ def restructured(device, graph, passes, slack):
     """A mid-run tree: ``passes`` restructure passes under a small budget."""
     disk = DiskGraph.from_digraph(device, graph)
     tree = initial_star_tree(disk, VirtualNodeAllocator(graph.node_count))
-    budget = MemoryBudget(3 * graph.node_count + slack)
-    budget.charge("tree", budget.tree_charge(graph.node_count))
     for _ in range(passes):
-        outcome = restructure(disk.edge_file, tree, budget)
+        outcome = restructure(disk.edge_file, tree, slack)
         tree = outcome.tree
         if not outcome.update:
             break

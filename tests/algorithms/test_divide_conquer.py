@@ -5,7 +5,8 @@ import os
 import pytest
 
 from repro import DiskGraph
-from repro.algorithms import divide_star_dfs, divide_td_dfs
+from repro.algorithms import divide_conquer, divide_star_dfs, divide_td_dfs
+from repro.algorithms.base import RunContext
 from repro.errors import ConvergenceError, MemoryBudgetExceeded
 from repro.graph import (
     Digraph,
@@ -129,6 +130,27 @@ class TestDeadline:
         result = divide_td_dfs(disk, memory=disk.size + 10)
         assert_valid_dfs_result(result, disk, graph)
 
+    @pytest.mark.parametrize("algorithm", [divide_star_dfs, divide_td_dfs])
+    def test_deadline_checked_at_least_once_per_batch(
+        self, device_factory, monkeypatch, algorithm
+    ):
+        # one pass over the whole edge file takes many batches here, so a
+        # run that checked the clock only between passes would overshoot
+        # its deadline by a whole scan
+        graph = random_graph(300, 6, seed=1)
+        disk = DiskGraph.from_digraph(device_factory(64), graph)
+        checks = []
+        check_deadline = RunContext.check_deadline
+
+        def counting(context):
+            checks.append(None)
+            check_deadline(context)
+
+        monkeypatch.setattr(RunContext, "check_deadline", counting)
+        result = algorithm(disk, 3 * 300 + graph.edge_count // 10)
+        assert result.details["batches"] > result.passes
+        assert len(checks) >= result.details["batches"]
+
 
 def dense_clusters(cluster_count=4, cluster_size=300, degree=14):
     """Disconnected power-law clusters, each too dense for the budget.
@@ -168,6 +190,53 @@ class TestFailureCleanup:
         with pytest.raises(ConvergenceError, match="deadline"):
             divide_star_dfs(disk, DENSE_MEMORY, deadline_seconds=0.0)
         assert set(os.listdir(device.directory)) == files_before
+
+
+def real_node_count(tree):
+    return sum(1 for node in tree.nodes if not tree.is_virtual(node))
+
+
+class TestMemoryRule:
+    """Each level hands restructure and the cut strategy ``M - 3·r``, where
+    ``r`` counts the real nodes of that level's spanning tree."""
+
+    @pytest.mark.parametrize("algorithm", [divide_star_dfs, divide_td_dfs])
+    def test_every_level_gets_the_memory_left_next_to_its_tree(
+        self, device, monkeypatch, algorithm
+    ):
+        graph = power_law_graph(500, 5, seed=7)
+        memory = 3 * 500 + 300
+        calls = []
+        restructure = divide_conquer.restructure
+        build_cut_tree = divide_conquer.build_cut_tree
+
+        def recording_restructure(edge_file, tree, capacity, **kwargs):
+            calls.append(("restructure", capacity, real_node_count(tree)))
+            return restructure(edge_file, tree, capacity, **kwargs)
+
+        def recording_build_cut_tree(tree, free):
+            calls.append(("cut", free, real_node_count(tree)))
+            return build_cut_tree(tree, free)
+
+        monkeypatch.setattr(divide_conquer, "restructure", recording_restructure)
+        monkeypatch.setattr(
+            divide_conquer, "build_cut_tree", recording_build_cut_tree
+        )
+        result = algorithm(DiskGraph.from_digraph(device, graph), memory)
+
+        assert result.divisions >= 1
+        # the parts' levels restructure too, over smaller trees
+        assert len({real for _, _, real in calls}) >= 2
+        for index, (kind, free, real) in enumerate(calls):
+            assert free == memory - 3 * real
+            if kind == "cut":
+                # the cut follows its own level's restructure pass
+                assert calls[index - 1][:2] == ("restructure", free)
+        cuts = sum(1 for kind, _, _ in calls if kind == "cut")
+        if algorithm is divide_td_dfs:
+            assert cuts >= result.divisions
+        else:
+            assert cuts == 0
 
 
 class TestDeterminism:

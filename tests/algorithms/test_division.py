@@ -11,7 +11,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from repro import BlockDevice, DiskGraph, MemoryBudget
+from repro import BlockDevice, DiskGraph
 from repro.algorithms import (
     divide_with_cut,
     initial_star_tree,
@@ -32,17 +32,16 @@ def prepared_division(device, graph, memory, cut="star", seed_passes=2):
     disk = DiskGraph.from_digraph(device, graph)
     allocator = VirtualNodeAllocator(graph.node_count)
     tree = initial_star_tree(disk, allocator)
-    budget = MemoryBudget(memory)
-    budget.charge("tree", budget.tree_charge(graph.node_count))
+    free = memory - 3 * graph.node_count
     for _ in range(seed_passes):
-        outcome = restructure(disk.edge_file, tree, budget)
+        outcome = restructure(disk.edge_file, tree, free)
         tree = outcome.tree
         if not outcome.update:
             break
     if cut == "star":
         cut_nodes, expanded = star_cut(tree)
     else:
-        cut_nodes, expanded = build_cut_tree(tree, sigma_budget=budget.available)
+        cut_nodes, expanded = build_cut_tree(tree, free)
     division = divide_with_cut(disk.edge_file, tree, cut_nodes, expanded, allocator)
     return disk, tree, division
 

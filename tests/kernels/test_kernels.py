@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import BlockDevice, DiskGraph, MemoryBudget, ReproError
+from repro import BlockDevice, DiskGraph, ReproError
 from repro.algorithms import initial_star_tree, restructure
 from repro.core.inmemory import dfs_preferring_tree
 from repro.core.tree import SpanningTree, VirtualNodeAllocator
@@ -353,9 +353,7 @@ def converged_tree(node_count=80, degree=4, seed=11):
     graph = DiskGraph.from_digraph(device, random_graph(node_count, degree, seed=seed))
     allocator = VirtualNodeAllocator(node_count)
     tree = initial_star_tree(graph, allocator)
-    budget = MemoryBudget(3 * node_count + 10_000)
-    budget.charge("tree", budget.tree_charge(node_count))
-    outcome = restructure(graph.edge_file, tree, budget)
+    outcome = restructure(graph.edge_file, tree, 10_000)
     edges = graph.edge_file.read_all()
     device.close()
     return outcome.tree, edges

@@ -8,7 +8,7 @@ device per backend and assert the counters — not just the results — match.
 
 import pytest
 
-from repro import BlockDevice, DiskGraph, MemoryBudget, semi_external_dfs
+from repro import BlockDevice, DiskGraph, semi_external_dfs
 from repro.algorithms import initial_star_tree, restructure
 from repro.core.tree import SpanningTree, VirtualNodeAllocator
 from repro.graph import random_graph
@@ -30,12 +30,11 @@ def run_restructure_trace(kernel, graph, node_count, memory, block_elements=16):
 
 
 def trace_to_fixpoint(device, edge_file, tree, node_count, memory):
-    budget = MemoryBudget(memory)
-    budget.charge("tree", budget.tree_charge(node_count))
+    free = memory - 3 * node_count
     trace = []
     for _ in range(2 * node_count + 16):
         before = device.stats.snapshot()
-        outcome = restructure(edge_file, tree, budget)
+        outcome = restructure(edge_file, tree, free)
         io = device.stats.snapshot() - before
         trace.append(
             (outcome.update, outcome.batches, outcome.rebuilds,

@@ -6,10 +6,8 @@ import pytest
 
 import repro.api
 import repro.graph.digraph
-import repro.storage.buffer_pool
 
 MODULES_WITH_EXAMPLES = [
-    repro.storage.buffer_pool,
     repro.graph.digraph,
 ]
 

@@ -79,13 +79,6 @@ class TestDunderCoverage:
         sigma.add_edge(1, 2)
         assert "nodes=2" in repr(sigma) and "edges=1" in repr(sigma)
 
-    def test_budget_repr(self):
-        from repro import MemoryBudget
-
-        budget = MemoryBudget(10)
-        budget.charge("x", 4)
-        assert "used=4" in repr(budget)
-
     def test_dataset_spec_edges_property(self):
         from repro.graph import wikilink_like
 
