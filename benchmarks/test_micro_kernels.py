@@ -3,8 +3,9 @@
 Times the three per-edge operations the restructure loop lives in —
 classify, pack, unpack — on a single large edge block (1M edges by
 default; override with ``REPRO_MICRO_KERNEL_EDGES``), the division-scan
-ops, and the delta-varint decode of the same edges in 64 KB blocks, and
-emits the measured trajectory into
+ops, the delta-varint decode of the same edges in 64 KB blocks, and the
+numpy decode of small 512-byte blocks one call per block versus one call
+per BFS edge group, and emits the measured trajectory into
 ``benchmarks/results/BENCH_micro_kernels.json``.
 
 Run directly (``pytest benchmarks/test_micro_kernels.py``) for the
@@ -19,13 +20,14 @@ import os
 import random
 import time
 from functools import cached_property
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Sequence
 
 import pytest
 
 from repro.algorithms import star_cut
 from repro.core.classify import CutLabels
 from repro.core.tree import SpanningTree
+from repro.graph import random_graph_edges
 from repro.kernels import available_backends, numpy_available, resolve_kernel
 from repro.storage.serialization import (
     DeltaVarintBlockEncoder,
@@ -47,6 +49,14 @@ SMOKE_EDGES = 50_000
 
 #: Byte budget of the delta-varint blocks: the paper's 64 KB disk block.
 VARINT_BLOCK_BYTES = 64 * 1024
+
+#: The ``bfs-varint`` regime: 512-byte delta-varint blocks of a random
+#: graph over 4,000 nodes (about 127 edges each), decoded one kernel call
+#: per block or one per group of at most 3,600 edges, the way a BFS scan
+#: with that much free memory groups them.
+SMALL_BODY_BYTES = 512
+SMALL_BODY_GRAPH = (4_000, 25)
+GROUP_EDGES = 3_600
 
 
 class _ChainForestWorkload:
@@ -173,13 +183,46 @@ def varint_op(backend: str, load: _ChainForestWorkload):
     def unpack_varint():
         blocks = []
         for body in bodies:
-            columns = kernel.unpack_varint_columns(body)
+            columns = kernel.unpack_varint_columns([body])
             if columns is None:
                 columns = kernel.make_columns(*decode_varint_columns(body))
             blocks.append(columns)
         return blocks
 
     return unpack_varint
+
+
+def small_body_groups() -> List[List[bytes]]:
+    """512-byte delta-varint bodies grouped as ``scan_columns`` groups
+    them under ``max_edges=GROUP_EDGES``: consecutive whole bodies."""
+    encoder = DeltaVarintBlockEncoder(SMALL_BODY_BYTES)
+    closed = [
+        encoder.add(u, v) for u, v in random_graph_edges(*SMALL_BODY_GRAPH)
+    ] + [encoder.flush()]
+    groups: List[List[bytes]] = []
+    loaded = GROUP_EDGES
+    for payload, count in filter(None, closed):
+        if loaded + count > GROUP_EDGES:
+            groups.append([])
+            loaded = 0
+        groups[-1].append(classify_edge_block(payload)[1])
+        loaded += count
+    return groups
+
+
+def varint_group_op(groups: Sequence[Sequence[bytes]]) -> Callable[[], int]:
+    """Decode every group with one numpy ``unpack_varint_columns`` call."""
+    kernel = resolve_kernel("numpy")
+
+    def unpack_groups():
+        edges = 0
+        for group in groups:
+            columns = kernel.unpack_varint_columns(group)
+            assert columns is not None
+            edges += len(columns[0])
+        return edges
+
+    return unpack_groups
 
 
 def test_kernel_speedup_trajectory(report_text):
@@ -221,6 +264,19 @@ def test_kernel_speedup_trajectory(report_text):
             entry["speedup"] = entry["python"] / entry["numpy"]
         results["operations"][operation] = entry
 
+    if numpy_available():
+        groups = small_body_groups()
+        per_body = [[body] for group in groups for body in group]
+        grouped_s = best_of(varint_group_op(groups), repeats=5)
+        per_body_s = best_of(varint_group_op(per_body), repeats=5)
+        results["small_varint_groups"] = {
+            "bodies": len(per_body),
+            "groups": len(groups),
+            "per_body_s": per_body_s,
+            "grouped_s": grouped_s,
+            "speedup": per_body_s / grouped_s,
+        }
+
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, "BENCH_micro_kernels.json")
     with open(path, "w") as handle:
@@ -241,6 +297,16 @@ def test_kernel_speedup_trajectory(report_text):
             f"  speedup={entry['speedup']:.1f}x" if "speedup" in entry else ""
         )
         lines.append(f"  {operation:>13s}: {cells}{speedup}")
+    small = results.get("small_varint_groups")
+    if small:
+        lines.append(
+            f"  numpy unpack_varint, {small['bodies']} bodies of "
+            f"{SMALL_BODY_BYTES} B: per body "
+            f"{small['per_body_s'] / small['bodies'] * 1e6:.1f}us, in "
+            f"{small['groups']} groups of <= {GROUP_EDGES} edges "
+            f"{small['grouped_s'] / small['bodies'] * 1e6:.1f}us "
+            f"({small['speedup']:.1f}x)"
+        )
     report_text("micro_kernels", "\n".join(lines))
 
     if numpy_available():
@@ -250,6 +316,11 @@ def test_kernel_speedup_trajectory(report_text):
                 f"vectorized {operation} only {entry['speedup']:.2f}x faster "
                 f"({entry['python']:.4f}s vs {entry['numpy']:.4f}s)"
             )
+        small = results["small_varint_groups"]
+        assert small["speedup"] >= 1.5, (
+            f"grouped small-body decode only {small['speedup']:.2f}x faster "
+            f"({small['per_body_s']:.4f}s vs {small['grouped_s']:.4f}s)"
+        )
 
 
 @pytest.mark.parametrize("backend", available_backends())

@@ -207,7 +207,8 @@ class RunContext:
         """Elements of ``M`` left next to a spanning tree over
         ``node_count`` real nodes: ``M - 3 * node_count``.
 
-        Restructure's batch ``G_M`` and Divide-TD's Σ get this much.
+        Restructure's batch ``G_M``, Divide-TD's Σ and the edges a BFS
+        scan hands one ``relax_levels`` call get this much.
         """
         return self.memory - TREE_NODE_COST * node_count
 
@@ -215,7 +216,8 @@ class RunContext:
         """Raise :class:`ConvergenceError` when the wall-clock limit passed.
 
         The cooperative analogue of the paper's 8-hour experiment timeout;
-        checked once per pass and once per restructure batch.
+        checked once per pass, once per restructure batch and once per
+        BFS group of blocks.
         """
         # repro: allow[SEX302] deadline aborts with ConvergenceError; it never alters the result tree
         if self._deadline is not None and time.perf_counter() > self._deadline:

@@ -1,20 +1,22 @@
 """Semi-external breadth-first search — the DFS family's sibling traversal.
 
 Wan & Han's semi-external BFS (arXiv:2507.12925) under this repo's cost
-model: the only in-memory state is O(n) — a level array, a parent array,
-and one pass's improvement proposals — while the edge set stays on disk
-and is scanned block-by-block through the kernel layer.  Each *relaxation
-pass* freezes the level array, streams every edge block through
-``Kernel.relax_levels`` (``level[v] -> level[u] + 1`` where that
-improves), and applies the merged proposals at the pass boundary; the
-run converges when a pass improves nothing.
+model: the in-memory state is ``3·n`` elements — a level array, a parent
+array, and one pass's improvement proposals — while the edge set stays on
+disk.  Like Algorithm 1's batch ``G_M``, the memory left next to that
+state, ``M − 3·n``, holds edges: each scan hands the kernel layer a
+memory-load of consecutive whole blocks at a time (one block when ``M =
+3·n``).  Each *relaxation pass* freezes the level array, streams every
+group of blocks through ``Kernel.relax_levels`` (``level[v] -> level[u]
++ 1`` where that improves), and applies the merged proposals at the pass
+boundary; the run converges when a pass improves nothing.
 
 Freezing the levels per pass (Jacobi iteration, like the restructure
 baseline's batch discipline) buys determinism: a pass's outcome depends
 only on the levels entering it, so the result is bit-identical across
-kernel backends, block codecs, and block sizes, and the pass count is
-exactly ``depth(start) + 1`` — each pass settles one more BFS level, and
-the final pass proves the fixpoint.
+kernel backends, block codecs, block sizes and memory budgets, and the
+pass count is exactly ``depth(start) + 1`` — each pass settles one more
+BFS level, and the final pass proves the fixpoint.
 
 The run returns the BFS-tree in memory and writes nothing: a virtual
 root ``γ`` adopts the start node and every unreached node, and each
@@ -94,11 +96,13 @@ def semi_external_bfs(
     Args:
         graph: the graph on disk.
         memory: budget ``M`` in elements (``>= 3 * |V|``: levels,
-            parents, and one pass's proposals).
+            parents, and one pass's proposals); each kernel call relaxes
+            at most the ``M - 3 * |V|`` edges left, or one block.
         start: BFS source node (default 0).
         max_passes: cap on relaxation passes; defaults to ``2n + 16``
             (any reachable level settles within ``n`` passes).
-        deadline_seconds: optional wall-clock limit, checked per block.
+        deadline_seconds: optional wall-clock limit, checked once per
+            group of blocks.
         tracer: a :class:`~repro.obs.Tracer` to receive the run's span
             events (one ``relax`` span per pass).
 
@@ -127,6 +131,7 @@ def semi_external_bfs(
             levels[start] = 0
         kernel = graph.device.kernel
         edge_file = graph.edge_file
+        free = context.free_memory(node_count)
         while True:
             context.check_deadline()
             if context.passes >= context.pass_limit:
@@ -136,14 +141,14 @@ def semi_external_bfs(
             frozen = kernel.make_level_column(levels)
             # Merged proposals for this pass: v -> (level, parent).  The
             # strictly-less replacement mirrors the kernels' own rule, so
-            # across blocks the winner is still the first edge in overall
+            # across groups the winner is still the first edge in overall
             # scan order achieving the global minimum.
             best: Dict[int, Tuple[int, int]] = {}
             with context.tracer.span(
                 "relax", nodes=node_count,
                 kernel=kernel.name, codec=graph.device.block_codec,
             ) as span:
-                for u_col, v_col in edge_file.scan_columns():
+                for u_col, v_col in edge_file.scan_columns(max_edges=free):
                     context.check_deadline()
                     for v, level, parent in kernel.relax_levels(
                         frozen, u_col, v_col

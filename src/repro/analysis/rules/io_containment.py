@@ -40,8 +40,8 @@ _ATTRIBUTE_IO_METHODS: Tuple[str, ...] = (
 #: ``pack_ints`` / ``unpack_ints`` stay public by design.
 _CODEC_INTERNAL_NAMES: Tuple[str, ...] = (
     "frame_block", "parse_frame_header", "verify_frame_payload",
-    "classify_edge_block", "decode_varint_columns", "decode_edge_block",
-    "DeltaVarintBlockEncoder", "CODEC_TAG_DELTA_VARINT",
+    "classify_edge_block", "declared_edge_count", "decode_varint_columns",
+    "decode_edge_block", "DeltaVarintBlockEncoder", "CODEC_TAG_DELTA_VARINT",
 )
 
 

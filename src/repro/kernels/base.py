@@ -1,8 +1,8 @@
 """Backend registry and selection for the columnar kernel layer.
 
 A *kernel* bundles the per-edge hot operations the restructure, division
-and BFS passes perform millions of times — unpacking a disk block into
-columns (a fixed32 block, or a delta-varint body the backend may decline
+and BFS passes perform millions of times — unpacking disk blocks into
+columns (fixed32 blocks, or delta-varint bodies the backend may decline
 back to the scalar decoder in :mod:`repro.storage.serialization`),
 packing columns back to bytes, classifying a block of edges
 against the in-memory spanning tree, collecting a block's cross edges or
@@ -25,7 +25,9 @@ identical classification decisions, identical I/O accounting.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Protocol, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, List, Optional, Protocol, Sequence, Set, Tuple,
+)
 
 from ..errors import ReproError
 
@@ -62,14 +64,17 @@ class Kernel(Protocol):
     def unpack_edge_columns(self, data: bytes) -> Tuple[Any, Any]:
         """Split packed edge bytes into ``(u, v)`` int32 columns."""
 
-    def unpack_varint_columns(self, body: bytes) -> Optional[Tuple[Any, Any]]:
-        """Decode a tag-stripped delta-varint block body into ``(u, v)``
-        int32 columns, or return ``None`` to decline it.
+    def unpack_varint_columns(
+        self, bodies: Sequence[bytes]
+    ) -> Optional[Tuple[Any, Any]]:
+        """Decode a group of tag-stripped delta-varint block bodies into
+        one pair of ``(u, v)`` int32 columns (the bodies' edges in order),
+        or return ``None`` to decline the group.
 
         A decline sends the caller to the scalar decoder in
-        ``repro.storage``, which decodes what a backend declines and
-        raises every error, so this op never raises on a malformed body.
-        The python backend always declines.
+        ``repro.storage``, which decodes the bodies a backend declines one
+        by one and raises every error, so this op never raises on a
+        malformed body.  The python backend always declines.
         """
 
     def pack_edge_columns(self, u_col: Any, v_col: Any) -> bytes:
@@ -150,23 +155,25 @@ class Kernel(Protocol):
 
         The BFS relaxation pass reads levels through this snapshot so a
         pass's proposals depend only on the levels *entering* the pass —
-        the property that makes the result independent of block
-        boundaries, codecs, and backends.
+        the property that makes the result independent of block and
+        group boundaries, codecs, and backends.
         """
 
     def relax_levels(
         self, level_col: Any, u_col: Any, v_col: Any
     ) -> List[Tuple[int, int, int]]:
-        """One BFS relaxation step over a block of edges.
+        """One BFS relaxation step over a group of edges (one or more
+        whole blocks, at most the run's free memory unless one block).
 
         For every edge ``(u, v)`` with ``u`` reached, the candidate level
         of ``v`` is ``level[u] + 1``; an edge *improves* ``v`` when ``v``
         is unreached or the candidate beats ``v``'s frozen level.  Returns
         one ``(v, level, parent)`` triple of python ints per improved
         destination, sorted by ``v`` ascending, where ``level`` is the
-        block's minimal candidate for ``v`` and ``parent`` is the tail of
+        group's minimal candidate for ``v`` and ``parent`` is the tail of
         the *first edge in scan order* achieving it — the deterministic
-        tie-break both backends must reproduce bit-for-bit.
+        tie-break both backends must reproduce bit-for-bit, and the one
+        that makes the pass's result independent of the grouping.
         """
 
     def route_edges(

@@ -16,7 +16,7 @@ unavailable".
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Set, Tuple
+from typing import List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -95,6 +95,16 @@ def _dense_column(
     return column
 
 
+def _ranges(
+    firsts: "npt.NDArray[np.intp]", counts: "npt.NDArray[np.intp]"
+) -> "npt.NDArray[np.intp]":
+    """The ranges ``[firsts[i], firsts[i] + counts[i])`` concatenated."""
+    offsets = np.cumsum(counts) - counts
+    return np.arange(offsets[-1] + counts[-1]) + np.repeat(
+        firsts - offsets, counts
+    )
+
+
 class NumpyKernel:
     """Vectorized columnar backend (requires numpy)."""
 
@@ -114,50 +124,79 @@ class NumpyKernel:
         return flat[0::2], flat[1::2]
 
     def unpack_varint_columns(
-        self, body: bytes
+        self, bodies: Sequence[bytes]
     ) -> Optional[
         Tuple["npt.NDArray[np.int32]", "npt.NDArray[np.int32]"]
     ]:
-        """Decode a tag-stripped delta-varint body in one array pass.
+        """Decode tag-stripped delta-varint bodies in one array pass.
 
-        The body is ``<uvarint count> <u-stream> <v-stream> [pad]``, each
+        A body is ``<uvarint count> <u-stream> <v-stream> [pad]``, each
         stream ``count`` LEB128 varints of zig-zag deltas from 0.  The
-        first ``2·count`` bytes below ``0x80`` end the stream varints;
-        each varint's 7-bit groups are shifted into place and summed with
-        ``reduceat``, un-zig-zagged, and prefix-summed per stream.
+        bodies are joined and every byte below ``0x80`` ends a varint, so
+        the count heads and pads decode as varints of their own; each
+        body's streams are the ``2·count`` varints after its head.  Each
+        varint's 7-bit groups are shifted into place and summed with
+        ``reduceat``, un-zig-zagged, and prefix-summed per stream.  The
+        columns are the bodies' edges in order.
 
-        Returns ``None`` for every body the encoder would not write — a
-        count varint over 5 bytes, a count of 0, fewer than ``2·count``
-        stream varints, a stream varint over 5 bytes, an endpoint outside
-        int32 — so the caller's scalar decoder decodes it or raises.
+        Returns ``None`` for every list holding a body the encoder would
+        not write — a count varint over 5 bytes, a count of 0, fewer than
+        ``2·count`` stream varints, a stream varint over 5 bytes, an
+        endpoint outside int32 — so the caller's scalar decoder decodes
+        the bodies or raises.
         """
-        count = 0
-        for position, byte in enumerate(body[:_VARINT32_BYTES]):
-            count |= (byte & 0x7F) << (7 * position)
-            if byte < 0x80:
-                break
+        counts: List[int] = []
+        heads: List[int] = []  # where each body's streams start
+        tails: List[int] = []  # where each body ends
+        offset = 0
+        for body in bodies:
+            count = 0
+            for position, byte in enumerate(body[:_VARINT32_BYTES]):
+                count |= (byte & 0x7F) << (7 * position)
+                if byte < 0x80:
+                    break
+            else:
+                return None  # truncated, or a count varint over 5 bytes
+            if count == 0:
+                return None
+            counts.append(count)
+            heads.append(offset + position + 1)
+            offset += len(body)
+            tails.append(offset)
+        data = np.frombuffer(b"".join(bodies), dtype=np.uint8)
+        ends = np.flatnonzero(data < 0x80)
+        if len(counts) == 1:
+            # The streams are the varints after the count's (varint 0).
+            if len(ends) <= 2 * count:
+                return None
+            streams: "slice | npt.NDArray[np.intp]" = slice(1, 1 + 2 * count)
         else:
-            return None  # truncated, or a count varint over 5 bytes
-        if count == 0:
-            return None
-        streams = np.frombuffer(body, dtype=np.uint8, offset=position + 1)
-        ends = np.flatnonzero(streams < 0x80)
-        if len(ends) < 2 * count:
-            return None
-        ends = ends[: 2 * count]
+            count_col = np.array(counts)
+            first = np.searchsorted(ends, heads)
+            if (np.searchsorted(ends, tails) - first < 2 * count_col).any():
+                return None
+            # u-streams of every body, then v-streams, as varint numbers
+            streams = _ranges(
+                np.concatenate((first, first + count_col)),
+                np.concatenate((count_col, count_col)),
+            )
         starts = np.empty_like(ends)
         starts[0] = 0
         np.add(ends[:-1], 1, out=starts[1:])
         lengths = ends - starts + 1
-        if int(lengths.max()) > _VARINT32_BYTES:
+        if int(lengths[streams].max()) > _VARINT32_BYTES:
             return None
-        used = streams[: ends[-1] + 1]
+        used = data[: ends[-1] + 1]
         shifts = 7 * (np.arange(len(used)) - np.repeat(starts, lengths))
         encoded = np.add.reduceat(
             (used & 0x7F).astype(np.int64) << shifts, starts
-        )
-        deltas = (encoded >> 1) ^ -(encoded & 1)
-        values = np.cumsum(deltas.reshape(2, count), axis=1)
+        )[streams]
+        deltas = ((encoded >> 1) ^ -(encoded & 1)).reshape(2, -1)
+        if len(counts) > 1:  # restart each stream's sum at every body
+            body_starts = np.cumsum(count_col) - count_col
+            sums = np.add.reduceat(deltas, body_starts, axis=1)
+            deltas[:, body_starts[1:]] -= sums[:, :-1]
+        values = np.cumsum(deltas, axis=1)
         if int(values.min()) < _INT32_MIN or int(values.max()) > _INT32_MAX:
             return None
         columns = values.astype(_EDGE_DTYPE)

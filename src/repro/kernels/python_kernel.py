@@ -49,10 +49,10 @@ class PythonKernel:
             flat.byteswap()
         return flat[0::2], flat[1::2]
 
-    def unpack_varint_columns(self, body: bytes) -> None:
+    def unpack_varint_columns(self, bodies: Sequence[bytes]) -> None:
         """Always declines: this backend's delta-varint path is the scalar
-        decoder in :mod:`repro.storage.serialization` plus
-        :meth:`make_columns`."""
+        decoder in :mod:`repro.storage.serialization`, one body at a
+        time, plus :meth:`make_columns`."""
         return None
 
     def pack_edge_columns(

@@ -29,6 +29,7 @@ from .serialization import (
     DeltaVarintBlockEncoder,
     Edge,
     classify_edge_block,
+    declared_edge_count,
     decode_edge_block,
     decode_varint_columns,
     pack_edges,
@@ -280,21 +281,32 @@ class EdgeFile:
                 device.stats.add_edge_bytes(len(block) * EDGE_BYTES, len(data))
                 yield block
 
-    def scan_columns(self) -> Iterator[Tuple[Sequence[int], Sequence[int]]]:
-        """Yield ``(u, v)`` columns per block, charging one read I/O each.
+    def scan_columns(
+        self, max_edges: Optional[int] = None
+    ) -> Iterator[Tuple[Sequence[int], Sequence[int]]]:
+        """Yield ``(u, v)`` columns of the file's blocks, charging one read
+        I/O per block.
 
         The columnar twin of :meth:`scan_blocks`: the same bytes and the
-        same I/O charges, but each block arrives as two flat int32 columns
+        same I/O charges, but edges arrive as two flat int32 columns
         decoded by the device's kernel (numpy arrays on the vectorized
         backend, stdlib ``array`` columns on the pure-Python one) instead
-        of a list of per-edge tuples.
+        of lists of per-edge tuples.
 
-        A delta-varint block goes to the kernel's
+        Without ``max_edges`` each yield is one block.  With it, each
+        yield holds the consecutive whole blocks whose edges together
+        number at most ``max_edges`` — always at least one block, and
+        never blocks of two codecs (a codec switch closes the group), so
+        one kernel call sees a memory-load of edges instead of a block.
+        Every block is still one ``read_block``, and its edge bytes are
+        counted.
+
+        A delta-varint group goes to the kernel's
         ``unpack_varint_columns`` first; when the kernel declines it (the
         python kernel always does, numpy any body the encoder would not
-        write), the scalar :func:`decode_varint_columns` decodes it or
-        raises, so both kernels yield equal columns and raise the same
-        error on the same block.
+        write), the scalar :func:`decode_varint_columns` decodes its
+        bodies one by one or raises, so both kernels yield equal columns
+        and raise the same error on the same block.
 
         Raises:
             CorruptBlockError: a checksum failure that persists across
@@ -302,24 +314,55 @@ class EdgeFile:
         """
         self._check_readable()
         device = self.device
-        kernel = device.kernel
+        limit = 0 if max_edges is None else max_edges
+        codec = CODEC_FIXED32
+        bodies: List[bytes] = []
+        loaded = stored = 0
         with open(self.path, "rb") as handle:
             while True:
                 data = device.read_block(handle, context=self.path)
                 if data is None:
                     break
-                codec, body = classify_edge_block(data)
-                if codec == CODEC_FIXED32:
-                    u_col, v_col = kernel.unpack_edge_columns(body)
-                else:
-                    columns = kernel.unpack_varint_columns(body)
-                    if columns is None:
-                        columns = kernel.make_columns(
-                            *decode_varint_columns(body)
-                        )
-                    u_col, v_col = columns
-                device.stats.add_edge_bytes(len(u_col) * EDGE_BYTES, len(data))
-                yield u_col, v_col
+                block_codec, body = classify_edge_block(data)
+                count = declared_edge_count(block_codec, body)
+                if bodies and (
+                    block_codec != codec or loaded + count > limit
+                ):
+                    yield self._group_columns(codec, bodies, stored)
+                    bodies = []
+                    loaded = stored = 0
+                codec = block_codec
+                bodies.append(body)
+                loaded += count
+                stored += len(data)
+                if loaded >= limit:  # full: yield before reading on
+                    yield self._group_columns(codec, bodies, stored)
+                    bodies = []
+                    loaded = stored = 0
+        if bodies:
+            yield self._group_columns(codec, bodies, stored)
+
+    def _group_columns(
+        self, codec: str, bodies: List[bytes], stored: int
+    ) -> Tuple[Sequence[int], Sequence[int]]:
+        """Decode one group of same-codec block bodies into ``(u, v)``
+        columns and count its edge bytes: raw, and ``stored`` on disk."""
+        kernel = self.device.kernel
+        if codec == CODEC_FIXED32:
+            columns = kernel.unpack_edge_columns(b"".join(bodies))
+        else:
+            decoded = kernel.unpack_varint_columns(bodies)
+            if decoded is None:
+                u_values: List[int] = []
+                v_values: List[int] = []
+                for body in bodies:
+                    us, vs = decode_varint_columns(body)
+                    u_values += us
+                    v_values += vs
+                decoded = kernel.make_columns(u_values, v_values)
+            columns = decoded
+        self.device.stats.add_edge_bytes(len(columns[0]) * EDGE_BYTES, stored)
+        return columns
 
     def scan(self) -> Iterator[Edge]:
         """Yield every edge in file order, charging one read I/O per block."""

@@ -134,7 +134,7 @@ class IOStats:
         self.checksum_failures += count
 
     def add_edge_bytes(self, raw: int, stored: int) -> None:
-        """Record one edge block moved: logical vs on-disk payload bytes.
+        """Record edge blocks moved: logical vs on-disk payload bytes.
 
         Charged by the edge-file layer on every edge-block read and write
         (never for non-edge payloads such as stack pages or checkpoints),

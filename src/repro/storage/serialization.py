@@ -295,6 +295,23 @@ def classify_edge_block(payload: bytes) -> Tuple[str, bytes]:
     return CODEC_DELTA_VARINT, payload[1:]
 
 
+def declared_edge_count(codec: str, body: bytes) -> int:
+    """How many edges a block body holds, read from its head alone.
+
+    A fixed32 body holds ``len(body) / 8`` edges; a delta-varint body
+    starts with its count.  A count varint the reader rejects declares
+    0 edges: :func:`decode_varint_columns` stays the one delta-varint
+    path that raises, so a scan raises at the first broken block in
+    file order however its blocks are grouped.
+    """
+    if codec == CODEC_FIXED32:
+        return len(body) // EDGE_BYTES
+    try:
+        return _read_uvarint(body, 0, "delta-varint block")[0]
+    except CorruptBlockError:
+        return 0  # decoding the body raises
+
+
 def decode_varint_columns(body: bytes) -> Tuple[List[int], List[int]]:
     """Decode a (tag-stripped) delta-varint body into ``(u, v)`` columns.
 

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import BlockDevice, DiskGraph, semi_external_bfs
-from repro.graph import Digraph
+from repro.graph import Digraph, power_law_graph, random_graph
 from repro.kernels import available_backends
 
 from ..test_differential import digraphs
@@ -152,3 +152,51 @@ class TestTargetedShapes:
         result = self.run(Digraph.from_edges(1, [(0, 0)]))
         assert result.levels == [0]
         assert result.passes == 1
+
+
+class TestEdgeGroupingNeverChangesTheResult:
+    """A BFS scan hands ``relax_levels`` up to ``M - 3n`` edges of whole
+    blocks per call; where the groups end must not show in the result."""
+
+    GRAPHS = {
+        "random": lambda: random_graph(120, 5, seed=3),
+        "power-law": lambda: power_law_graph(120, 5, seed=3),
+    }
+
+    @staticmethod
+    def outcome(result):
+        tree = result.tree
+        return (
+            result.levels,
+            tree.parent,
+            tree.child_lists,
+            result.order,
+            result.passes,
+            result.io.reads,
+            result.io.edge_bytes_raw,
+            result.io.edge_bytes_stored,
+        )
+
+    @pytest.mark.parametrize("codec", ["fixed32", "delta-varint"])
+    @pytest.mark.parametrize("kind", sorted(GRAPHS))
+    def test_memory_budget_moves_no_outcome(self, kind, codec):
+        graph = self.GRAPHS[kind]()
+        n, m = graph.node_count, graph.edge_count
+        memories = (
+            3 * n,  # one block per kernel call
+            3 * n + 5 * 16 + 3,  # a few blocks, never a block boundary
+            3 * n + m,  # the whole file in one call
+        )
+        outcomes = []
+        for backend in KERNELS:
+            for memory in memories:
+                with BlockDevice(
+                    block_elements=16, kernel=backend, block_codec=codec
+                ) as device:
+                    disk = DiskGraph.from_digraph(device, graph)
+                    result = semi_external_bfs(disk, memory)
+                assert result.levels == oracle_bfs_levels(graph, 0)
+                outcomes.append(self.outcome(result))
+        assert outcomes[0][4] > 2  # a run of several passes
+        for other in outcomes[1:]:
+            assert other == outcomes[0]

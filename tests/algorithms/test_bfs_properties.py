@@ -7,6 +7,7 @@ is bit-identical across kernel backends and block codecs, because each
 relaxation pass is a pure function of the levels entering it.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import BlockDevice, DiskGraph, Tracer, RunOptions, semi_external_bfs
@@ -190,3 +191,50 @@ def test_pass_cap_raises_convergence_error():
         disk = DiskGraph.from_digraph(device, chain)
         with pytest.raises(ConvergenceError, match="bfs"):
             semi_external_bfs(disk, 3 * 6 + 30, max_passes=2)
+
+
+def relax_call_sizes(monkeypatch, graph, memory, codec):
+    """``(edges per relax_levels call, edges per block, passes)`` of one
+    BFS run, with a spy on the device kernel's ``relax_levels``."""
+    with BlockDevice(block_elements=16, block_codec=codec) as device:
+        disk = DiskGraph.from_digraph(device, graph)
+        blocks = [len(u_col) for u_col, _ in disk.edge_file.scan_columns()]
+        kernel = device.kernel
+        relax = kernel.relax_levels
+        calls = []
+
+        def spy(level_col, u_col, v_col):
+            calls.append(len(u_col))
+            return relax(level_col, u_col, v_col)
+
+        monkeypatch.setattr(kernel, "relax_levels", spy)
+        result = semi_external_bfs(disk, memory)
+    return calls, blocks, result.passes
+
+
+@pytest.mark.parametrize("codec", ["fixed32", "delta-varint"])
+@pytest.mark.parametrize("free", [0, 1, 40, 150, 10_000])
+def test_relax_calls_hold_at_most_the_free_memory(monkeypatch, codec, free):
+    """Each ``relax_levels`` call gets consecutive whole blocks holding at
+    most ``M - 3n`` edges, or one block; a group ends only where the next
+    block would overflow it.  At ``M = 3n`` every call is one block."""
+    from repro.graph import random_graph
+
+    graph = random_graph(90, 5, seed=21)
+    calls, blocks, passes = relax_call_sizes(
+        monkeypatch, graph, 3 * graph.node_count + free, codec
+    )
+    assert passes > 2
+    position = 0
+    for size in calls:
+        group = []
+        while sum(group) < size:
+            group.append(blocks[position % len(blocks)])
+            position += 1
+        assert sum(group) == size  # whole blocks only
+        assert size <= free or len(group) == 1
+        if position % len(blocks):  # not the last group of its pass
+            assert size + blocks[position % len(blocks)] > free
+    assert position == passes * len(blocks)
+    if free == 0:
+        assert calls == blocks * passes

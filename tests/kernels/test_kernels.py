@@ -227,13 +227,23 @@ def scan_outcome(kernel, tmp_path, payload):
             return type(error)
 
 
-def assert_declined_or_equal(body):
-    """numpy declines ``body`` or returns exactly the scalar decode (which
-    must then not raise)."""
-    columns = resolve_kernel("numpy").unpack_varint_columns(body)
+def scalar_decode(bodies):
+    """The scalar decoder's columns of ``bodies``, concatenated."""
+    us, vs = [], []
+    for body in bodies:
+        u_values, v_values = decode_varint_columns(body)
+        us += u_values
+        vs += v_values
+    return [us, vs]
+
+
+def assert_declined_or_equal(*bodies):
+    """numpy declines ``bodies`` or returns exactly their concatenated
+    scalar decode (which must then not raise)."""
+    columns = resolve_kernel("numpy").unpack_varint_columns(bodies)
     if columns is not None:
         assert [column.tolist() for column in columns] \
-            == list(decode_varint_columns(body))
+            == scalar_decode(bodies)
 
 
 class TestVarintColumns:
@@ -250,7 +260,9 @@ class TestVarintColumns:
         py = resolve_kernel("python")
         bodies = varint_bodies(MALFORMED_EDGES, 4096)
         for body in bodies + list(MALFORMED_BODIES.values()):
-            assert py.unpack_varint_columns(body) is None
+            assert py.unpack_varint_columns([body]) is None
+        assert py.unpack_varint_columns(varint_bodies(MALFORMED_EDGES, 9)) \
+            is None
 
     @requires_numpy
     @settings(max_examples=60, deadline=None)
@@ -263,7 +275,7 @@ class TestVarintColumns:
         decoded = []
         for body in varint_bodies(edge_list, block_bytes):
             expected = np_kernel.make_columns(*decode_varint_columns(body))
-            columns = np_kernel.unpack_varint_columns(body)
+            columns = np_kernel.unpack_varint_columns([body])
             assert columns is not None
             for actual, reference in zip(columns, expected):
                 assert actual.dtype == reference.dtype
@@ -277,7 +289,47 @@ class TestVarintColumns:
     def test_malformed_body_declined_or_equal(self, name):
         body = MALFORMED_BODIES[name]
         assert_declined_or_equal(body)
-        columns = resolve_kernel("numpy").unpack_varint_columns(body)
+        columns = resolve_kernel("numpy").unpack_varint_columns([body])
+        assert (columns is not None) == (name in DECODED_BODIES)
+
+    @requires_numpy
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.tuples(endpoints, endpoints), min_size=1, max_size=60),
+            min_size=1, max_size=4,
+        ),
+        st.sampled_from([9, 16, 64, 512]),
+    )
+    def test_body_lists_equal_the_concatenated_scalar_decode(
+        self, edge_lists, block_bytes
+    ):
+        """Bodies of several files, joined in one call, decode to the
+        concatenation of their scalar decodes: every stream restarts its
+        deltas at its own body."""
+        bodies = [
+            body
+            for edge_list in edge_lists
+            for body in varint_bodies(edge_list, block_bytes)
+        ]
+        columns = resolve_kernel("numpy").unpack_varint_columns(bodies)
+        assert columns is not None
+        assert [column.dtype.name for column in columns] == ["int32"] * 2
+        assert [column.tolist() for column in columns] \
+            == scalar_decode(bodies) \
+            == [list(column) for column in zip(*sum(edge_lists, []))]
+
+    @requires_numpy
+    @pytest.mark.parametrize("position", [0, 1, 3])
+    @pytest.mark.parametrize("name", sorted(MALFORMED_BODIES))
+    def test_malformed_body_in_a_list(self, name, position):
+        """A body numpy declines alone declines any list it sits in (first,
+        inside, last); the ones it decodes alone decode in a list too."""
+        bodies = varint_bodies([(i * 37, 5 - i) for i in range(40)], 32)
+        assert len(bodies) == 3
+        bodies.insert(position, MALFORMED_BODIES[name])
+        assert_declined_or_equal(*bodies)
+        columns = resolve_kernel("numpy").unpack_varint_columns(bodies)
         assert (columns is not None) == (name in DECODED_BODIES)
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_BODIES))
@@ -305,18 +357,22 @@ class TestVarintColumns:
     )
     def test_mutated_bodies_declined_or_equal(self, edge_list, edits, trim):
         """Byte edits and truncations never make numpy disagree: it
-        declines, or returns exactly what the scalar decoder returns."""
+        declines, or returns exactly what the scalar decoder returns,
+        alone and between two valid bodies."""
         (body,) = varint_bodies(edge_list, 4096)
         mutated = bytearray(body)
         for position, value in edits:
             mutated[position % len(mutated)] = value
-        assert_declined_or_equal(bytes(mutated[: len(mutated) - trim]))
+        mutated_body = bytes(mutated[: len(mutated) - trim])
+        assert_declined_or_equal(mutated_body)
+        assert_declined_or_equal(body, mutated_body, body)
 
     @requires_numpy
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=40))
     def test_arbitrary_bytes_declined_or_equal(self, body):
         assert_declined_or_equal(body)
+        assert_declined_or_equal(_VALID, body)
 
     def test_file_scan_identical_across_kernels(self, tmp_path):
         edge_list = [((i * 7919) % 1000, (i * 104729) % 997 - 500)

@@ -307,6 +307,131 @@ class TestMisassembledBlocks:
                 list(edge_file.scan_columns())
 
 
+def adopt_payloads(device, directory, payloads, edge_count):
+    """A sealed edge file holding ``payloads`` as framed blocks, in order."""
+    path = os.path.join(str(directory), "assembled.edges")
+    with open(path, "wb") as handle:
+        for payload in payloads:
+            handle.write(frame_block(payload))
+    return EdgeFile.open_sealed(device, path, edge_count, len(payloads))
+
+
+def grouped_scan(edge_file, max_edges):
+    """``(edges per yield, the edges, reads, raw bytes, stored bytes)`` of
+    one ``scan_columns(max_edges)``."""
+    stats = edge_file.device.stats
+    before = stats.snapshot()
+    sizes, scanned = [], []
+    for u_col, v_col in edge_file.scan_columns(max_edges):
+        sizes.append(len(u_col))
+        scanned.extend(zip(map(int, u_col), map(int, v_col)))
+    delta = stats.snapshot() - before
+    return (sizes, scanned, delta.reads, delta.edge_bytes_raw,
+            delta.edge_bytes_stored)
+
+
+#: Edges per block of a file mixing both codecs: runs of fixed32 blocks
+#: and of delta-varint blocks, which a reader must accept per block.
+MIXED_RUNS = [("fixed32", [5, 3]), ("delta-varint", [4, 6, 2]),
+              ("fixed32", [7]), ("delta-varint", [1, 5])]
+
+
+def mixed_file(device, directory):
+    """``(edge_file, edges, block sizes, codec switch offsets)``."""
+    payloads, edge_list, blocks, switches = [], [], [], []
+    for codec, sizes in MIXED_RUNS:
+        if edge_list:
+            switches.append(len(edge_list))
+        for size in sizes:
+            chunk = [(len(edge_list) + i, 3 * i - 7) for i in range(size)]
+            if codec == "fixed32":
+                payloads.append(pack_edges(chunk))
+            else:
+                ((payload, _),) = encode_all(chunk, block_bytes=4096)
+                payloads.append(payload)
+            edge_list.extend(chunk)
+            blocks.append(size)
+    edge_file = adopt_payloads(device, directory, payloads, len(edge_list))
+    return edge_file, edge_list, blocks, switches
+
+
+class TestGroupedScan:
+    """``scan_columns(max_edges)`` yields whole blocks together; only the
+    grouping moves, never the edges, the reads or the bytes counted."""
+
+    @pytest.mark.parametrize("kernel", available_backends())
+    def test_mixed_codec_file_scans_alike_at_every_size(self, tmp_path, kernel):
+        with BlockDevice(directory=str(tmp_path), kernel=kernel) as device:
+            edge_file, edge_list, blocks, switches = mixed_file(
+                device, tmp_path
+            )
+            per_block = grouped_scan(edge_file, None)
+            assert per_block[0] == blocks
+            assert per_block[1] == edge_list
+            assert per_block[2] == len(blocks)
+            assert per_block[3] == len(edge_list) * EDGE_BYTES
+            for max_edges in (0, 1, 4, 8, 9, 15, 33, len(edge_list)):
+                sizes, *rest = grouped_scan(edge_file, max_edges)
+                assert rest == list(per_block[1:])
+                ends = [sum(sizes[: i + 1]) for i in range(len(sizes))]
+                block_ends = [sum(blocks[: i + 1]) for i in range(len(blocks))]
+                assert set(ends) <= set(block_ends)  # whole blocks only
+                assert set(switches) <= set(ends)  # a codec switch closes
+                for size in sizes:
+                    assert size <= max_edges or size in blocks
+
+    @staticmethod
+    def malformed_payloads():
+        """CRC-valid payloads no writer emits, each off the fixed32 grid."""
+        good = encode_all([(i, 2 * i) for i in range(60)], block_bytes=24)
+        truncated = good[0][0][:-3]
+        if len(truncated) % EDGE_BYTES == 0:
+            truncated = truncated[:-1]
+        return good, {
+            "out-of-range": OUT_OF_RANGE_PAYLOAD,
+            "truncated": truncated,
+            "tag-zero": TAG_ZERO_PAYLOADS["10-bytes"],
+            # tag, then a count varint wider than 64 bits
+            "count-too-wide": b"\x01" + b"\xff" * 10 + b"\x02",
+        }
+
+    def assert_grouped_scans_raise_alike(self, tmp_path, kernel, payloads):
+        with BlockDevice(directory=str(tmp_path), kernel=kernel) as device:
+            edge_file = adopt_payloads(device, tmp_path, payloads, 1)
+            with pytest.raises(CorruptBlockError) as per_block:
+                list(edge_file.scan_columns())
+            for max_edges in (1, 12, 10_000):
+                with pytest.raises(CorruptBlockError) as grouped:
+                    list(edge_file.scan_columns(max_edges))
+                assert str(grouped.value) == str(per_block.value)
+        return str(per_block.value)
+
+    @pytest.mark.parametrize("kernel", available_backends())
+    @pytest.mark.parametrize("position", [0, 2, 5])
+    @pytest.mark.parametrize(
+        "bad", ["out-of-range", "truncated", "tag-zero", "count-too-wide"]
+    )
+    def test_malformed_block_raises_as_the_per_block_scan(
+        self, tmp_path, kernel, position, bad
+    ):
+        good, malformed = self.malformed_payloads()
+        payloads = [payload for payload, _ in good][:5]
+        payloads.insert(position, malformed[bad])
+        self.assert_grouped_scans_raise_alike(tmp_path, kernel, payloads)
+
+    @pytest.mark.parametrize("kernel", available_backends())
+    def test_first_malformed_block_in_file_order_raises(self, tmp_path, kernel):
+        """A broken count head read while a group fills does not pre-empt
+        an earlier broken block of the same group."""
+        good, malformed = self.malformed_payloads()
+        payloads = [good[0][0], malformed["truncated"], good[1][0],
+                    malformed["count-too-wide"], good[2][0]]
+        message = self.assert_grouped_scans_raise_alike(
+            tmp_path, kernel, payloads
+        )
+        assert "truncated" in message
+
+
 class TestCompressionAccounting:
     def test_fixed32_ratio_is_one(self, device_factory):
         device = device_factory(block_elements=8, block_codec="fixed32")
