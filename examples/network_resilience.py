@@ -17,7 +17,7 @@ import random
 from repro import BlockDevice, DiskGraph, Tracer
 from repro.algorithms import divide_td_dfs
 from repro.apps import connectivity_report, weakly_connected_components
-from repro.obs import render_profile
+from repro.obs import MemorySink, render_profile
 
 
 def backbone_network_edges(region_count: int = 24, region_size: int = 120,
@@ -79,11 +79,11 @@ def main() -> None:
                   f"and region {child // region_size}")
 
         # How does Divide-TD see this topology?
-        tracer = Tracer()
-        result = divide_td_dfs(graph, memory, tracer=tracer)
+        events = MemorySink()
+        result = divide_td_dfs(graph, memory, tracer=Tracer(sinks=[events]))
         print(f"\nDivide-TD: {result.passes} passes, {result.divisions} "
               f"divisions, {result.io.total} block I/Os")
-        for event in result.events:
+        for event in events.events:
             attrs = event.attributes
             if event.name == "divide" and "parts" in attrs:
                 sizes = attrs["part_sizes"]
@@ -93,7 +93,7 @@ def main() -> None:
                       f"nodes into {attrs['parts']} parts "
                       f"(sizes {preview}{extra})")
         print()
-        print(render_profile(result.events))
+        print(render_profile(events.events, result.details))
 
 
 if __name__ == "__main__":

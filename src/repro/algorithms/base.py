@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from ..errors import MemoryBudgetExceeded
 from ..graph.disk_graph import DiskGraph
-from ..obs import NULL_TRACER, MemorySink, SpanEvent, Tracer
+from ..obs import NULL_TRACER, Tracer
 from ..storage.io_stats import IOSnapshot
 from ..core.tree import SpanningTree, VirtualNodeAllocator
 from ..core.validation import real_preorder
@@ -53,10 +53,10 @@ class RunResult:
         block_codec: edge-block codec of the run's device (``fixed32``
             or ``delta-varint``); like :attr:`kernel`, it changes costs
             only, never the tree, and benchmarks record it.
-        details: free-form per-algorithm counters.
-        events: the run's completed :class:`~repro.obs.SpanEvent` records
-            (populated when the run was given a real
-            :class:`~repro.obs.Tracer`; empty under the null tracer).
+        details: free-form per-algorithm work counters (batches,
+            rebuilds, division attempts, ...).  A run's span events go
+            only to the sinks of the :class:`~repro.obs.Tracer` it was
+            given.
     """
 
     tree: SpanningTree
@@ -68,7 +68,6 @@ class RunResult:
     kernel: str = "python"
     block_codec: str = "fixed32"
     details: Dict[str, int] = field(default_factory=dict)
-    events: List[SpanEvent] = field(default_factory=list)
     #: Path of edge-by-batch's latest checkpoint version directory
     #: (``<device>/artifacts/<name>/vNNNNNN``) when ``checkpoint_every``
     #: is set; ``None`` for every other run.  Open it with
@@ -150,14 +149,12 @@ class RunContext:
     left next to a spanning tree (:meth:`free_memory`) and resolves the
     pass cap (:attr:`pass_limit`).
 
-    It also owns the run's observability wiring: it binds the given
-    :class:`~repro.obs.Tracer` (or the shared null tracer) to the
-    device's I/O counter, attaches a private in-memory sink so
-    :attr:`DFSResult.events` is always populated, and installs the
-    tracer on the device for the duration of the run (so storage-layer
-    code can count retries against it).  Runners must call
-    :meth:`release` when done — :meth:`finish` does it for them on the
-    success path; error paths should use ``try/finally``.
+    It also binds the given :class:`~repro.obs.Tracer` (or the shared
+    null tracer) to the device's I/O counter, so every span of the run
+    records its phase's I/O delta.  Runners must call :meth:`release`
+    when done — :meth:`finish` does it for them on the success path;
+    every check that can reject an argument belongs inside the runner's
+    ``try/finally``, so a rejected call unbinds too.
     """
 
     def __init__(
@@ -188,12 +185,7 @@ class RunContext:
         self.max_depth = 0
         self.details: Dict[str, int] = {}
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
-        self._events = MemorySink()
-        self.tracer.attach(self._events)
         self.tracer.bind(graph.device.stats)
-        self._prior_device_tracer = graph.device.tracer
-        graph.device.tracer = self.tracer
-        self._released = False
         self._start_io = graph.device.stats.snapshot()
         # repro: allow[SEX302] observational timing metric; never feeds tree construction
         self._start_time = time.perf_counter()
@@ -232,18 +224,10 @@ class RunContext:
         self.details[key] = self.details.get(key, 0) + amount
 
     def release(self) -> None:
-        """Detach the run's tracer wiring (idempotent).
-
-        Restores the device's previous tracer, detaches the private
-        event sink, and unbinds the I/O counter, so an abandoned context
-        (``ConvergenceError``, deadline) cannot keep attributing another
-        run's I/O to this one.
+        """Unbind the tracer from the device's I/O counter (idempotent),
+        so an abandoned context (``ConvergenceError``, deadline, rejected
+        argument) cannot keep attributing later I/O to its tracer.
         """
-        if self._released:
-            return
-        self._released = True
-        self.graph.device.tracer = self._prior_device_tracer
-        self.tracer.detach(self._events)
         self.tracer.bind(None)
 
     def finish_result(
@@ -256,15 +240,14 @@ class RunContext:
         """Package the final tree into a :class:`RunResult` subclass.
 
         Fills every algorithm-neutral field from the context (I/O window,
-        elapsed time, pass count, kernel/codec, counters, events) and
-        releases the tracer wiring; ``extra_fields`` carry the
+        elapsed time, pass count, kernel/codec, counters) and releases
+        the tracer; ``extra_fields`` carry the
         specialization's own fields (``divisions=...``, ``levels=...``).
         ``order`` defaults to the tree's non-virtual preorder.
         """
         io = self.graph.device.stats.snapshot() - self._start_io
         # repro: allow[SEX302] observational timing metric; never feeds tree construction
         elapsed = time.perf_counter() - self._start_time
-        events = list(self._events.events)
         self.release()
         return factory(
             tree=tree,
@@ -276,7 +259,6 @@ class RunContext:
             kernel=self.graph.device.kernel.name,
             block_codec=self.graph.device.block_codec,
             details=dict(self.details),
-            events=events,
             **extra_fields,
         )
 

@@ -292,7 +292,7 @@ def divide_star_dfs(
 
     Args:
         tracer: a :class:`~repro.obs.Tracer` to receive the run's span
-            events and metrics.
+            events.
     """
     return _run(
         graph, memory, star_strategy, "divide-star", start, max_passes,
@@ -312,7 +312,7 @@ def divide_td_dfs(
 
     Args:
         tracer: a :class:`~repro.obs.Tracer` to receive the run's span
-            events and metrics.
+            events.
     """
     # build_cut_tree is looked up here, at call time, not bound at import,
     # so a wrapper installed on this module's name (as the layer trace in

@@ -167,7 +167,6 @@ def collect_sigma(
             a, b, _ = s_edge_endpoints(tree, labels, cut_u, cut_v)
             sigma.add_edge(a, b)
         sgraph_span.annotate(cut_pairs=len(pairs), s_edges=sigma.edge_count)
-    tracer.count("sgraph.cut_pairs", len(pairs))
     return sigma
 
 

@@ -108,9 +108,7 @@ def run_cell(
         graph = DiskGraph.from_edges(device, node_count, edges, validate=False)
         started = time.perf_counter()
         before = device.stats.snapshot()
-        # The harness keeps its own sink so the per-phase breakdown
-        # survives even a DNF (the run context's private sink is detached
-        # when the run aborts).
+        # The sink keeps the spans a DNF completed before its deadline.
         events = MemorySink()
         tracer = Tracer(sinks=[events])
         try:
@@ -135,7 +133,7 @@ def run_cell(
                 blocks_per_scan=graph.edge_file.block_count,
                 phase_seconds=seconds, phase_ios=ios,
             )
-        seconds, ios = _phase_breakdown(result.events)
+        seconds, ios = _phase_breakdown(events.events)
         return CellResult(
             x=x, algorithm=algorithm,
             time_seconds=result.elapsed_seconds, ios=result.io.total,

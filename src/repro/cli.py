@@ -45,7 +45,7 @@ from .core import verify_dfs_tree
 from .errors import ReproError
 from .graph import DiskGraph, all_datasets, load_edge_list, write_edge_list
 from .graph.generators import power_law_graph_edges, random_graph_edges
-from .obs import JSONLSink, Tracer, render_profile
+from .obs import JSONLSink, MemorySink, Tracer, render_profile
 from .options import RunOptions
 from .serve import (
     ArtifactStore,
@@ -201,11 +201,15 @@ def _command_run(args: argparse.Namespace) -> int:
         )
         tracer: Optional[Tracer] = None
         trace_sink: Optional[JSONLSink] = None
+        profile_sink: Optional[MemorySink] = None
         if args.trace_out or args.profile:
             tracer = Tracer()
             if args.trace_out:
                 trace_sink = JSONLSink(args.trace_out)
                 tracer.attach(trace_sink)
+            if args.profile:
+                profile_sink = MemorySink()
+                tracer.attach(profile_sink)
         try:
             result = semi_external_dfs(
                 graph, memory, algorithm=args.algorithm, start=args.start,
@@ -220,8 +224,8 @@ def _command_run(args: argparse.Namespace) -> int:
                 f"trace: {trace_sink.events_written} span events written "
                 f"to {args.trace_out}"
             )
-        if args.profile and tracer is not None:
-            print(render_profile(result.events, tracer.metrics))
+        if profile_sink is not None:
+            print(render_profile(profile_sink.events, result.details))
         device = graph.device
         if device.fault_plan is not None:
             print(

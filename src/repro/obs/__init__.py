@@ -8,7 +8,6 @@ schema and usage, :mod:`repro.obs.span` for the tracer itself.
 """
 
 from .events import SpanEvent
-from .metrics import Metrics
 from .profile import LEAF_PHASES, PhaseTotal, phase_totals, render_profile
 from .sinks import JSONLSink, MemorySink, TraceSink
 from .span import NULL_TRACER, NullTracer, Span, Tracer
@@ -17,7 +16,6 @@ __all__ = [
     "JSONLSink",
     "LEAF_PHASES",
     "MemorySink",
-    "Metrics",
     "NULL_TRACER",
     "NullTracer",
     "PhaseTotal",

@@ -9,18 +9,18 @@ Two consumers:
   per-phase CSV columns from here.
 * :func:`render_profile` — a flamegraph-style text tree: span paths
   (``run/part/restructure``) aggregated over calls, indented by depth,
-  with wall-clock and I/O columns.  This is what ``repro dfs --profile``
-  prints.
+  with wall-clock and I/O columns, optionally followed by a run's work
+  counters (``RunResult.details``).  This is what ``repro dfs
+  --profile`` prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..storage.io_stats import IOSnapshot
 from .events import ZERO_IO, SpanEvent
-from .metrics import Metrics
 
 #: The non-overlapping phase spans: no span in this set is ever nested
 #: inside another one from the set, so their I/O deltas partition the
@@ -30,7 +30,7 @@ from .metrics import Metrics
 #: the BFS sibling of ``restructure``: one span per level-relaxation
 #: pass over the edge file.
 LEAF_PHASES: "frozenset[str]" = frozenset(
-    {"restructure", "divide", "solve", "merge", "checkpoint", "sort", "relax"}
+    {"restructure", "divide", "solve", "merge", "checkpoint", "relax"}
 )
 
 
@@ -87,13 +87,15 @@ def _span_paths(events: Sequence[SpanEvent]) -> List[Tuple[Tuple[str, ...], Span
 
 def render_profile(
     events: Sequence[SpanEvent],
-    metrics: Optional[Metrics] = None,
+    counters: Optional[Mapping[str, int]] = None,
 ) -> str:
     """Flamegraph-style text summary of a run's span events.
 
     Spans are grouped by their name *path* (so each ``restructure``
     under a deeper recursion aggregates separately from the top level's),
     indented by path depth, with call counts, wall-clock, and I/O deltas.
+    ``counters`` (a run's ``details``: batches, rebuilds, division
+    attempts, ...) are listed under the table, sorted by name.
     """
     if not events:
         return "profile: no span events recorded"
@@ -135,13 +137,11 @@ def render_profile(
         )
         if index == 0:
             lines.append("  ".join("-" * width for width in widths))
-    if metrics is not None and metrics:
+    if counters:
         lines.append("")
-        lines.append("metrics:")
-        for name in sorted(metrics.counters):
-            lines.append(f"  {name} = {metrics.counters[name]}")
-        for name in sorted(metrics.gauges):
-            lines.append(f"  {name} = {metrics.gauges[name]:g}")
+        lines.append("counters:")
+        for name in sorted(counters):
+            lines.append(f"  {name} = {counters[name]}")
     return "\n".join(lines)
 
 

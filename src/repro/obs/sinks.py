@@ -4,8 +4,8 @@ A sink is anything with ``emit(event)`` (:class:`TraceSink`); the tracer
 fans every completed :class:`~repro.obs.events.SpanEvent` out to all
 attached sinks in attachment order.
 
-* :class:`MemorySink` — collects events in a list; the run context uses
-  a private one to populate ``DFSResult.events``.
+* :class:`MemorySink` — collects events in a list; a caller that wants
+  a run's events in memory attaches one to the tracer it passes.
 * :class:`JSONLSink` — appends one JSON object per event to a text file
   (the ``repro dfs --trace-out events.jsonl`` format); round-trips
   through :meth:`~repro.obs.events.SpanEvent.from_dict`.
@@ -28,7 +28,7 @@ class TraceSink(Protocol):
 
 
 class MemorySink:
-    """Collect events in memory (the ``DFSResult.events`` source)."""
+    """Collect events in memory, in completion order."""
 
     def __init__(self) -> None:
         self.events: List["SpanEvent"] = []

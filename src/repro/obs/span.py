@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Type
 
 from ..storage.io_stats import IOSnapshot, IOStats
 from .events import ZERO_IO, SpanEvent
-from .metrics import Metrics
 from .sinks import TraceSink
 
 
@@ -116,12 +115,13 @@ class _NullSpan(Span):
 
 
 class Tracer:
-    """Collects span events and counters.
+    """Collects span events and fans them out to its sinks.
 
     Args:
         sinks: initial sinks to fan events out to (more can be attached
-            with :meth:`attach`; the run context attaches a private
-            in-memory sink so ``DFSResult.events`` is always populated).
+            with :meth:`attach`).  The sinks are the only place a run's
+            events go: a caller that wants them in memory attaches a
+            :class:`~repro.obs.sinks.MemorySink`.
 
     The tracer measures I/O against the :class:`IOStats` counter bound
     with :meth:`bind` (a run context binds its device's counter).  With
@@ -129,17 +129,12 @@ class Tracer:
     zero I/O deltas.
     """
 
-    #: Whether this tracer records anything (``False`` on the null
-    #: implementation); lets hot paths skip attribute preparation.
-    enabled = True
-
     def __init__(self, sinks: Sequence[TraceSink] = ()) -> None:
         self._sinks: List[TraceSink] = list(sinks)
         self._stats: Optional[IOStats] = None
         self._stack: List[Span] = []
         self._next_id = 1
         self._sequence = 0
-        self.metrics = Metrics()
 
     # ------------------------------------------------------------------
     # wiring
@@ -151,13 +146,6 @@ class Tracer:
     def attach(self, sink: TraceSink) -> None:
         """Add a sink; it receives every event completed from now on."""
         self._sinks.append(sink)
-
-    def detach(self, sink: TraceSink) -> None:
-        """Remove a previously attached sink (no-op when absent)."""
-        try:
-            self._sinks.remove(sink)
-        except ValueError:
-            pass
 
     # ------------------------------------------------------------------
     # spans
@@ -204,13 +192,6 @@ class Tracer:
         for sink in self._sinks:
             sink.emit(event)
 
-    # ------------------------------------------------------------------
-    # metrics
-    # ------------------------------------------------------------------
-    def count(self, name: str, amount: int = 1) -> None:
-        """Increment the named counter metric."""
-        self.metrics.count(name, amount)
-
 
 class NullTracer(Tracer):
     """The disabled tracer: every operation is a no-op.
@@ -219,8 +200,6 @@ class NullTracer(Tracer):
     counters, never allocates events, and ignores sink attachment, so a
     run traced by it is bit-identical to an untraced run.
     """
-
-    enabled = False
 
     _NULL_SPAN = _NullSpan()
 
@@ -232,9 +211,6 @@ class NullTracer(Tracer):
 
     def span(self, name: str, **attributes: object) -> Span:
         return self._NULL_SPAN
-
-    def count(self, name: str, amount: int = 1) -> None:
-        return None
 
 
 #: Shared disabled tracer for default arguments; stateless, so one

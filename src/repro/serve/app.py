@@ -24,10 +24,9 @@ deadline (``deadline_ms`` parameter, else the server default), 500 for
 integrity failures and everything unexpected.
 
 Each request runs under a :mod:`repro.obs` span (when the server is
-configured with a trace sink) and updates shared
-:class:`~repro.obs.Metrics`; tracers are per-request because span
-stacks are not thread-safe, while the sink and metrics are shared
-behind locks.
+configured with a trace sink) and updates the server's counters and
+gauges; tracers are per-request because span stacks are not
+thread-safe, while the sink and the counters are shared behind locks.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from ..errors import (
     QueryError,
     ReproError,
 )
-from ..obs import JSONLSink, Metrics, SpanEvent, TraceSink, Tracer
+from ..obs import JSONLSink, SpanEvent, TraceSink, Tracer
 from .queries import QueryEngine
 from .store import ArtifactStore, parse_ref
 
@@ -94,7 +93,9 @@ class ReproServer(ThreadingHTTPServer):
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
         self.store = ArtifactStore(config.store_root)
-        self.metrics = Metrics()
+        #: ``/metricsz`` state, guarded by :attr:`metrics_lock`.
+        self.counters: Dict[str, int] = {}
+        self.gauges: Dict[str, float] = {}
         self.metrics_lock = threading.Lock()
         self._trace_file: Optional[JSONLSink] = (
             JSONLSink(config.trace_path) if config.trace_path else None
@@ -123,13 +124,13 @@ class ReproServer(ThreadingHTTPServer):
                 self._engines[key] = engine
             return engine
 
-    def count(self, name: str, amount: int = 1) -> None:
+    def count(self, name: str) -> None:
         with self.metrics_lock:
-            self.metrics.count(name, amount)
+            self.counters[name] = self.counters.get(name, 0) + 1
 
     def gauge(self, name: str, value: float) -> None:
         with self.metrics_lock:
-            self.metrics.gauge(name, value)
+            self.gauges[name] = value
 
     def close(self) -> None:
         """Stop accepting, close the socket, the store, and the trace."""
@@ -264,8 +265,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
         if path == "/metricsz":
             with server.metrics_lock:
                 payload = {
-                    "counters": dict(server.metrics.counters),
-                    "gauges": dict(server.metrics.gauges),
+                    "counters": dict(server.counters),
+                    "gauges": dict(server.gauges),
                 }
             self._send_json(200, payload)
             return

@@ -33,13 +33,9 @@ import os
 import shutil
 import tempfile
 import time
-from typing import TYPE_CHECKING, BinaryIO, Optional
+from typing import BinaryIO, Optional
 
 from ..errors import ClosedFileError, CorruptBlockError, RetriesExhausted, TransientIOError
-
-if TYPE_CHECKING:
-    from ..obs import Tracer
-
 from .faults import FaultInjector, FaultPlan
 from .io_stats import IOStats
 from .serialization import (
@@ -110,7 +106,6 @@ class BlockDevice:
         if backoff_seconds < 0:
             raise ValueError("backoff_seconds must be non-negative")
         from ..kernels import resolve_kernel  # local import to avoid a cycle
-        from ..obs import NULL_TRACER  # local import to avoid a cycle
 
         self.block_elements = block_elements
         self.kernel = resolve_kernel(kernel)
@@ -119,11 +114,6 @@ class BlockDevice:
         #: under it.
         self.block_codec = resolve_block_codec(block_codec)
         self.stats = IOStats()
-        #: The tracer storage-layer code reports to (retry/fault counters,
-        #: external-sort spans).  A :class:`~repro.algorithms.base.RunContext`
-        #: installs the run's tracer here for the duration of a run and
-        #: restores the previous one on release.
-        self.tracer: "Tracer" = NULL_TRACER
         self.fault_plan = fault_plan
         self.faults: Optional[FaultInjector] = (
             fault_plan.bind() if fault_plan is not None else None
@@ -177,7 +167,6 @@ class BlockDevice:
         injected = self.faults.injected if self.faults is not None else 0
         if injected > baseline:
             self.stats.add_faults(injected - baseline)
-            self.tracer.count("device.faults", injected - baseline)
         return injected
 
     def write_block(self, handle: BinaryIO, payload: bytes,
@@ -211,7 +200,6 @@ class BlockDevice:
         for attempt in range(self.max_retries + 1):
             if attempt:
                 self.stats.add_retries(1)
-                self.tracer.count("device.write_retries")
                 self._backoff(attempt - 1)
                 handle.seek(start)
             try:
@@ -267,7 +255,6 @@ class BlockDevice:
         for attempt in range(self.max_retries + 1):
             if attempt:
                 self.stats.add_retries(1)
-                self.tracer.count("device.read_retries")
                 self._backoff(attempt - 1)
                 handle.seek(start)
             try:
@@ -285,7 +272,6 @@ class BlockDevice:
             except CorruptBlockError as error:
                 last_error = error
                 self.stats.add_checksum_failures(1)
-                self.tracer.count("device.checksum_failures")
                 baseline = self._sync_faults(baseline)
                 continue
             except (TransientIOError, OSError) as error:

@@ -108,22 +108,14 @@ def sort_edge_file(
     """
     if memory_edges <= 0:
         raise ValueError("memory_edges must be positive")
-    tracer = device.tracer
     runs: List[EdgeFile] = []
     try:
-        with tracer.span(
-            "sort", edges=source.edge_count, memory_edges=memory_edges
-        ) as sort_span:
-            with tracer.span("sort.runs"):
-                _form_runs(device, source, memory_edges, key, runs)
-            sort_span.annotate(runs=len(runs))
-            tracer.count("sort.runs_formed", len(runs))
-            if not runs:
-                return device.create_edge_file().seal()
-            if len(runs) == 1 and not unique:
-                return runs.pop()  # the only run is the output
-            with tracer.span("sort.merge", runs=len(runs)):
-                return _merge_runs(device, runs, key, unique)
+        _form_runs(device, source, memory_edges, key, runs)
+        if not runs:
+            return device.create_edge_file().seal()
+        if len(runs) == 1 and not unique:
+            return runs.pop()  # the only run is the output
+        return _merge_runs(device, runs, key, unique)
     finally:
         for run in runs:
             run.delete()

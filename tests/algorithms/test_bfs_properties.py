@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from repro import BlockDevice, DiskGraph, Tracer, RunOptions, semi_external_bfs
 from repro.core import check_spanning_tree
 from repro.kernels import available_backends
-from repro.obs import phase_totals
+from repro.obs import MemorySink, phase_totals
 
 from ..test_differential import digraphs
 
@@ -141,14 +141,14 @@ def test_relax_and_checkpoint_spans_tile_the_io():
     graph = random_graph(60, 4, seed=7)
     with BlockDevice(block_elements=16) as device:
         disk = DiskGraph.from_digraph(device, graph)
-        tracer = Tracer()
+        sink = MemorySink()
         from repro import semi_external_dfs
 
         result = semi_external_dfs(
             disk, 3 * 60 + 50, algorithm="bfs",
-            options=RunOptions(tracer=tracer),
+            options=RunOptions(tracer=Tracer(sinks=[sink])),
         )
-        totals = phase_totals(result.events)
+        totals = phase_totals(sink.events)
         assert set(totals) == {"relax"}
         assert totals["relax"].calls == result.passes
         # every read happens in relax passes, and the run writes nothing

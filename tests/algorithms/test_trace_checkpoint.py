@@ -9,6 +9,7 @@ from repro.algorithms import divide_td_dfs, edge_by_batch
 from repro.core import verify_dfs_tree
 from repro.errors import ConvergenceError
 from repro.graph import power_law_graph
+from repro.obs import MemorySink
 from repro.serve import ArtifactStore
 
 
@@ -19,23 +20,24 @@ def open_checkpoint(device, ref):
     return store.open(f"{name}@{version}").tree
 
 
-class TestTrace:
-    def test_trace_off_by_default(self, device):
-        graph = power_law_graph(300, 4, seed=1)
-        disk = DiskGraph.from_digraph(device, graph)
-        result = divide_td_dfs(disk, 3 * 300 + 200)
-        assert result.events == []
+def traced_divide_td(disk, memory):
+    """Run Divide-TD under a tracer with a memory sink."""
+    sink = MemorySink()
+    result = divide_td_dfs(disk, memory, tracer=Tracer(sinks=[sink]))
+    return result, sink.events
 
+
+class TestTrace:
     def test_trace_records_levels(self, device):
         graph = power_law_graph(500, 5, seed=2)
         disk = DiskGraph.from_digraph(device, graph)
-        result = divide_td_dfs(disk, 3 * 500 + 300, tracer=Tracer())
-        names = {event.name for event in result.events}
+        result, events = traced_divide_td(disk, 3 * 500 + 300)
+        names = {event.name for event in events}
         assert "restructure" in names
         if result.divisions:
             # a divide span is annotated with its parts only on success
             divisions = [
-                event.attributes for event in result.events
+                event.attributes for event in events
                 if event.name == "divide" and "parts" in event.attributes
             ]
             assert len(divisions) == result.divisions
@@ -48,9 +50,9 @@ class TestTrace:
     def test_trace_depths_consistent(self, device):
         graph = power_law_graph(500, 5, seed=3)
         disk = DiskGraph.from_digraph(device, graph)
-        result = divide_td_dfs(disk, 3 * 500 + 300, tracer=Tracer())
+        result, events = traced_divide_td(disk, 3 * 500 + 300)
         deepest = max(
-            (event.attributes["depth"] for event in result.events
+            (event.attributes["depth"] for event in events
              if "depth" in event.attributes),
             default=0,
         )

@@ -4,14 +4,15 @@ This is the acceptance property of the observability layer — the
 non-overlapping phase spans (``LEAF_PHASES``) partition every block the
 algorithms transfer, so their read/write deltas must add up exactly to
 ``DFSResult.io.reads`` / ``.writes`` — and the converse guarantee that
-tracing is free when disabled.
+tracing is free when disabled.  The events come from a sink the test
+attaches to the tracer it passes, the one channel a run's events take.
 """
 
 import pytest
 
 from repro import DiskGraph, RunOptions, Tracer, semi_external_dfs
 from repro.graph import random_graph
-from repro.obs import phase_totals
+from repro.obs import MemorySink, phase_totals
 
 ALGORITHM_NAMES = [
     "edge-by-edge", "edge-by-batch", "divide-star", "divide-td", "bfs",
@@ -27,29 +28,33 @@ def run(device, algorithm, tracer=None, nodes=80, degree=4, seed=11):
     )
 
 
+def traced_run(device, algorithm, **graph_args):
+    """Run under a tracer with a memory sink; ``(result, events)``."""
+    sink = MemorySink()
+    result = run(device, algorithm, tracer=Tracer(sinks=[sink]), **graph_args)
+    return result, sink.events
+
+
 class TestPhaseSumsMatchRunTotals:
     @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
     def test_leaf_phase_deltas_tile_the_run(self, device, algorithm):
-        tracer = Tracer()
-        result = run(device, algorithm, tracer=tracer)
-        assert result.events, "traced run produced no span events"
-        totals = phase_totals(result.events)
+        result, events = traced_run(device, algorithm)
+        assert events, "traced run produced no span events"
+        totals = phase_totals(events)
         assert sum(t.io.reads for t in totals.values()) == result.io.reads
         assert sum(t.io.writes for t in totals.values()) == result.io.writes
 
     def test_divide_conquer_covers_all_phases(self, device):
-        tracer = Tracer()
-        result = run(device, "divide-td", tracer=tracer, nodes=120, degree=5)
-        names = {event.name for event in result.events}
+        result, events = traced_run(device, "divide-td", nodes=120, degree=5)
+        names = {event.name for event in events}
         assert {"restructure", "divide", "solve"} <= names
         if result.divisions:
             assert "merge" in names and "part" in names
 
     def test_events_capture_division_structure(self, device):
-        tracer = Tracer()
-        result = run(device, "divide-td", tracer=tracer, nodes=120, degree=5)
+        result, events = traced_run(device, "divide-td", nodes=120, degree=5)
         divisions = [
-            e for e in result.events
+            e for e in events
             if e.name == "divide" and "parts" in e.attributes
         ]
         assert len(divisions) == result.divisions
@@ -69,12 +74,3 @@ class TestTracingIsFree:
         assert traced.order == untraced.order
         assert traced.passes == untraced.passes
 
-    def test_untraced_run_has_no_events(self, device):
-        result = run(device, "divide-td")
-        assert result.events == []
-
-    def test_traced_events_need_no_user_sink(self, device):
-        # RunContext attaches its own memory sink, so a bare Tracer() is
-        # enough to populate DFSResult.events.
-        result = run(device, "edge-by-batch", tracer=Tracer())
-        assert any(e.name == "restructure" for e in result.events)

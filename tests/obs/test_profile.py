@@ -3,7 +3,6 @@
 from repro.obs import (
     LEAF_PHASES,
     MemorySink,
-    Metrics,
     Tracer,
     phase_totals,
     render_profile,
@@ -62,8 +61,7 @@ class TestPhaseTotals:
 
     def test_leaf_phases_inventory(self):
         assert LEAF_PHASES == {
-            "restructure", "divide", "solve", "merge", "checkpoint", "sort",
-            "relax",
+            "restructure", "divide", "solve", "merge", "checkpoint", "relax",
         }
 
 
@@ -84,12 +82,11 @@ class TestRenderProfile:
 
     def test_metrics_section(self):
         events = record_run([("solve", 1, {}, [])])
-        metrics = Metrics()
-        metrics.count("device.read_retries", 3)
-        text = render_profile(events, metrics)
-        assert "metrics:" in text
-        assert "device.read_retries = 3" in text
+        text = render_profile(events, {"rebuilds": 2, "batches": 3})
+        lines = text.splitlines()
+        assert lines[-3:] == ["counters:", "  batches = 3", "  rebuilds = 2"]
 
     def test_no_metrics_section_when_empty(self):
         events = record_run([("solve", 1, {}, [])])
-        assert "metrics:" not in render_profile(events, Metrics())
+        assert "counters:" not in render_profile(events, {})
+        assert "counters:" not in render_profile(events)

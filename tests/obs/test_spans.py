@@ -1,4 +1,4 @@
-"""Unit tests for the span tracer: nesting, deltas, sinks, metrics."""
+"""Unit tests for the span tracer: nesting, deltas, sinks."""
 
 import json
 
@@ -125,16 +125,15 @@ class TestIODeltaAttribution:
 
 
 class TestSinks:
-    def test_detached_sink_stops_receiving(self, traced):
+    def test_sink_attached_later_receives_later_events(self, traced):
         tracer, sink, _ = traced
-        extra = MemorySink()
-        tracer.attach(extra)
         with tracer.span("one"):
             pass
-        tracer.detach(extra)
+        extra = MemorySink()
+        tracer.attach(extra)
         with tracer.span("two"):
             pass
-        assert [e.name for e in extra.events] == ["one"]
+        assert [e.name for e in extra.events] == ["two"]
         assert [e.name for e in sink.events] == ["one", "two"]
 
     def test_jsonl_round_trip(self, tmp_path, traced):
@@ -170,14 +169,6 @@ class TestSinks:
             SpanEvent.from_dict(data)
 
 
-class TestMetricsAndProgress:
-    def test_counters_accumulate(self, traced):
-        tracer, _, _ = traced
-        tracer.count("retries")
-        tracer.count("retries", 4)
-        assert tracer.metrics.counters["retries"] == 5
-
-
 class TestNullTracer:
     def test_everything_is_a_no_op(self):
         sink = MemorySink()
@@ -186,10 +177,7 @@ class TestNullTracer:
         tracer.bind(IOStats())
         with tracer.span("ignored", attr=1) as span:
             span.annotate(more=2)
-        tracer.count("x")
         assert sink.events == []
-        assert not tracer.metrics
-        assert not tracer.enabled
 
     def test_shared_singleton_span(self):
         assert NULL_TRACER.span("a") is NULL_TRACER.span("b")
