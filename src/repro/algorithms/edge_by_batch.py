@@ -13,12 +13,26 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core.tree import SpanningTree
-from ..errors import ConvergenceError
+from ..errors import ConvergenceError, InvalidGraphError
 from ..graph.disk_graph import DiskGraph
 from ..obs import Tracer
 from ..serve.store import ArtifactStore
 from .base import DFSResult, RunContext, initial_star_tree
 from .restructure import restructure
+
+
+def _check_resume_tree(tree: SpanningTree, node_count: int) -> None:
+    """Reject a resume tree that is not rooted or whose real nodes are
+    not exactly the graph's ``0..node_count-1``."""
+    real = [node for node in tree.nodes if not tree.is_virtual(node)]
+    if (
+        tree.root is None or len(real) != node_count
+        or not all(0 <= node < node_count for node in real)
+    ):
+        raise InvalidGraphError(
+            "initial_tree must be a rooted tree over exactly the graph's "
+            f"nodes 0..{node_count - 1}"
+        )
 
 
 def edge_by_batch(
@@ -56,25 +70,17 @@ def edge_by_batch(
             of the initial γ-star.
         tracer: a :class:`~repro.obs.Tracer` to receive the run's span
             events (one ``restructure`` span per pass, ``checkpoint``
-            spans) and metrics.
+            spans).
 
     Raises:
         ConvergenceError: if the heuristic exceeds ``max_passes`` or the
             deadline.
+        InvalidGraphError: if ``initial_tree`` has no root or its real
+            nodes are not exactly the graph's ``0..n-1``.
     """
     context = RunContext(
         graph, memory, "edge-by-batch", deadline_seconds, tracer, max_passes
     )
-    if initial_tree is not None:
-        if start is not None or order is not None:
-            raise ValueError("initial_tree excludes start/order")
-        tree = initial_tree
-        # keep virtual ids fresh above any the checkpoint already uses
-        for node in initial_tree.virtual:
-            while context.allocator.next_id <= node:
-                context.allocator.allocate()
-    else:
-        tree = initial_star_tree(graph, context.allocator, start, order)
     checkpoint_ref: Optional[str] = None
 
     def take_checkpoint() -> None:
@@ -88,6 +94,17 @@ def edge_by_batch(
             checkpoint_ref = ref.path
 
     try:
+        if initial_tree is not None:
+            if start is not None or order is not None:
+                raise ValueError("initial_tree excludes start/order")
+            _check_resume_tree(initial_tree, graph.node_count)
+            tree = initial_tree
+            # keep virtual ids fresh above any the checkpoint already uses
+            for node in initial_tree.virtual:
+                while context.allocator.next_id <= node:
+                    context.allocator.allocate()
+        else:
+            tree = initial_star_tree(graph, context.allocator, start, order)
         while True:
             # The deadline is checked per pass here *and* per batch inside
             # restructure (check_deadline=): a single pass over a huge edge

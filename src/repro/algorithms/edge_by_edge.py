@@ -47,8 +47,6 @@ def edge_by_edge(
     context = RunContext(
         graph, memory, "edge-by-edge", deadline_seconds, tracer, max_passes
     )
-    tree = initial_star_tree(graph, context.allocator, start)
-
     # Adaptive classification: while the tree is unchanged this pass an
     # O(1)-per-edge interval index answers; after a fix the index is
     # stale.  A bounded number of O(n) rebuilds is worth paying (late,
@@ -59,6 +57,7 @@ def edge_by_edge(
     rebuild_allowance = max(1, graph.edge_count // max(1, graph.node_count))
 
     try:
+        tree = initial_star_tree(graph, context.allocator, start)
         while True:
             context.check_deadline()
             update = False

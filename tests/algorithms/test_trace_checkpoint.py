@@ -4,11 +4,13 @@ import os
 
 import pytest
 
-from repro import DiskGraph, Tracer
+from repro import BlockDevice, DiskGraph, Tracer
 from repro.algorithms import divide_td_dfs, edge_by_batch
 from repro.core import verify_dfs_tree
-from repro.errors import ConvergenceError
+from repro.core.tree import SpanningTree
+from repro.errors import ConvergenceError, InvalidGraphError
 from repro.graph import power_law_graph
+from repro.kernels import available_backends
 from repro.obs import MemorySink
 from repro.serve import ArtifactStore
 
@@ -91,6 +93,22 @@ class TestCheckpointResume:
         restored = open_checkpoint(device, first.artifact_ref)
         with pytest.raises(ValueError):
             edge_by_batch(disk, 3 * 100 + 100, initial_tree=restored, start=3)
+
+    @pytest.mark.parametrize("kernel", available_backends())
+    @pytest.mark.parametrize("resume", ["partial", "extra", "unrooted"])
+    def test_resume_tree_must_span_the_graph(self, kernel, resume):
+        if resume == "unrooted":
+            tree = SpanningTree()
+            for node in range(6):
+                tree.add_node(node)
+        else:
+            real = range(4) if resume == "partial" else range(7)
+            tree = SpanningTree.initial_star(real, 7)
+        with BlockDevice(block_elements=4, kernel=kernel) as device:
+            ring = [(node, (node + 1) % 6) for node in range(6)]
+            disk = DiskGraph.from_edges(device, 6, ring)
+            with pytest.raises(InvalidGraphError, match="initial_tree"):
+                edge_by_batch(disk, 3 * 6 + 20, initial_tree=tree)
 
     def test_no_checkpoint_without_option(self, device):
         graph = power_law_graph(150, 3, seed=7)

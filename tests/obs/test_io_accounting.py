@@ -11,6 +11,13 @@ attaches to the tracer it passes, the one channel a run's events take.
 import pytest
 
 from repro import DiskGraph, RunOptions, Tracer, semi_external_dfs
+from repro.algorithms import (
+    divide_star_dfs,
+    divide_td_dfs,
+    edge_by_batch,
+    edge_by_edge,
+    semi_external_bfs,
+)
 from repro.graph import random_graph
 from repro.obs import MemorySink, phase_totals
 
@@ -74,3 +81,20 @@ class TestTracingIsFree:
         assert traced.order == untraced.order
         assert traced.passes == untraced.passes
 
+
+class TestRejectedRunUnbindsTracer:
+    @pytest.mark.parametrize("runner", [
+        edge_by_edge, edge_by_batch, divide_star_dfs, divide_td_dfs,
+        semi_external_bfs,
+    ], ids=lambda runner: runner.__name__)
+    def test_rejected_start_leaves_no_io_on_the_tracer(self, device, runner):
+        disk = DiskGraph.from_digraph(device, random_graph(40, 3, seed=5))
+        sink = MemorySink()
+        tracer = Tracer(sinks=[sink])
+        with pytest.raises(ValueError, match="out of range"):
+            runner(disk, 3 * 40 + 60, start=-1, tracer=tracer)
+        with tracer.span("probe"):
+            scanned = sum(1 for _ in disk.edge_file.scan())
+        assert scanned == disk.edge_count
+        assert sink.events[-1].name == "probe"
+        assert sink.events[-1].io.reads == 0
