@@ -1,8 +1,9 @@
-"""Smoke tests: the two fast example scripts must run end to end.
+"""Smoke tests: example scripts must run end to end.
 
-The slower examples (web crawl, social reachability, resilience) are
-exercised by CI's example job; here we only keep the quick ones so the
-unit suite stays fast.
+CI's example job runs every example.  Here run quickstart (all four
+algorithms), the toposort pipeline, and the resilience audit, the one
+example that reads span events from a sink it attaches; the web crawl
+and social reachability examples run only in CI.
 """
 
 import os
@@ -38,3 +39,13 @@ def test_toposort_pipeline_runs():
     out = run_example("toposort_pipeline.py")
     assert "dependency violations: 0" in out
     assert "cycle correctly rejected" in out
+
+
+def test_network_resilience_runs():
+    out = run_example("network_resilience.py")
+    assert "bridges (single points of failure): 7" in out
+    table, counters = out[out.index("profile (per span path"):].split("\n\n")
+    calls = {line.split()[0]: line.split()[1] for line in table.splitlines()[3:]}
+    assert {"restructure", "divide", "sgraph", "merge"} <= set(calls)
+    assert calls["divide"] == "1"  # the one division the summary reports
+    assert "  division_attempts = 1" in counters.splitlines()
