@@ -100,6 +100,8 @@ class TestDFS:
         out = capsys.readouterr().out
         assert "profile (per span path" in out
         assert "restructure" in out
+        counters = out[out.index("\ncounters:\n"):].splitlines()
+        assert any(line.startswith("  batches = ") for line in counters)
 
 
 class TestBFS:
