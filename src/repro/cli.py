@@ -467,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     dfs.add_argument("--trace-out",
                      help="write span events as JSON-Lines to this file")
     dfs.add_argument("--profile", action="store_true",
-                     help="print a per-phase time/I/O profile after the run")
+                     help="print a per-phase time/I/O profile and the "
+                          "run's work counters after the run")
     dfs.set_defaults(handler=_command_run)
 
     bfs = commands.add_parser(
@@ -481,7 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
     bfs.add_argument("--trace-out",
                      help="write span events as JSON-Lines to this file")
     bfs.add_argument("--profile", action="store_true",
-                     help="print a per-phase time/I/O profile after the run")
+                     help="print a per-phase time/I/O profile and the "
+                          "run's work counters after the run")
     bfs.set_defaults(handler=_command_run, algorithm="bfs", verify=False)
 
     compare = commands.add_parser(
