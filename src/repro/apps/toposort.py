@@ -3,9 +3,10 @@
 A DFS forest's reverse finishing order is a topological order of a DAG,
 so topological sort on disk reduces to one semi-external DFS plus one
 verification scan that looks for back edges (which certify a cycle).
-Sealing a run (:func:`repro.serve.seal_result`) performs the scan once
-and stores the reverse finishing order as the ``topo`` column, which
-:meth:`~repro.serve.TreeArtifact.toposort_slice` reads;
+Sealing a run (:func:`repro.serve.seal_result`) performs the scan once;
+the sealed artifact derives the reverse finishing order from its tree
+as the ``topo`` column, which
+:meth:`~repro.serve.TreeArtifact.toposort_slice` reads.
 :func:`sealed_topological_order` computes and seals from a graph.
 """
 

@@ -12,19 +12,19 @@ columnar payloads, published atomically under ``<root>/<name>/v<NNNNNN>``::
       <name>/
         v000001/
           manifest.json   # control-plane metadata (schema, digests, counts)
-          order.col       # DFS/BFS total order, one int32 per position
-          pre.col         # preorder number per node (interval labelling)
-          size.col        # subtree size per node
           parent.col      # tree parent per node (-1 at forest roots)
-          topo.col        # topological order (DAG artifacts only)
+          pre.col         # preorder number per node (interval labelling)
           scc.col         # SCC id per node (when sealed with SCCs)
           selfloop.col    # 1 where the graph has a self-loop
           reach-<s>.col   # exact reachability bitset for pinned source s
 
-The spanning tree has no payload of its own: ``parent`` and ``pre``
-determine it (children in ``pre`` order under their parent, forest roots
-under the manifest's ``root``, which is the virtual ``γ`` when it lies
-outside the node ids), and every artifact carries both columns.
+The spanning tree is stored once, as ``parent`` and ``pre`` (children in
+``pre`` order under their parent, forest roots under the manifest's
+``root``, which is the virtual ``γ`` when it lies outside the node ids),
+and every artifact carries both columns.  What the tree determines — the
+depth-first order, subtree sizes and, on a DAG, the topological order —
+:class:`TreeArtifact` derives; only what the graph adds is stored beside
+the tree.
 
 Payload files are written through :class:`~repro.storage.BlockDevice`
 (every block framed, CRC'd, charged to IOStats, and fault-injectable);
@@ -78,7 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..graph.disk_graph import DiskGraph
 
 #: Manifest schema version; bumped on any incompatible layout change.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 MANIFEST_FILE = "manifest.json"
 
@@ -139,11 +139,19 @@ class TreeArtifact:
     """A sealed, read-only spanning-tree artifact with query columns.
 
     All columns are dense lists indexed by node id (``0..n-1``); the
-    virtual root ``γ`` never appears in a column.  Query methods answer
-    in O(answer) time from resident state and never touch the raw
-    graph.  Column-less artifacts (lightweight checkpoints sealed by a
-    run) still expose the tree; column queries raise
+    virtual root ``γ`` never appears in a column.  The tree determines
+    ``order`` (its real preorder), ``pre``, ``size`` and ``parent``, and,
+    when the manifest's ``is_dag`` is true, ``topo`` (its reversed real
+    postorder), so they are derived here; ``scc``, ``selfloop`` and
+    ``reach`` come from the graph.  Query methods answer in O(answer)
+    time from resident state and never touch the raw graph.  A tree-only
+    artifact (a checkpoint, or :meth:`ArtifactStore.publish_tree`)
+    answers the tree's queries; the graph's raise
     :class:`~repro.errors.QueryError` with code ``column-missing``.
+
+    Raises:
+        ArtifactError: the tree does not fit the columns (see
+            :func:`_tree_columns`).
     """
 
     def __init__(
@@ -151,11 +159,6 @@ class TreeArtifact:
         manifest: Dict[str, Any],
         tree: SpanningTree,
         *,
-        order: Optional[List[int]] = None,
-        pre: Optional[List[int]] = None,
-        size: Optional[List[int]] = None,
-        parent: Optional[List[int]] = None,
-        topo: Optional[List[int]] = None,
         scc: Optional[List[int]] = None,
         selfloop: Optional[List[int]] = None,
         reach: Optional[Dict[int, List[int]]] = None,
@@ -163,28 +166,26 @@ class TreeArtifact:
     ) -> None:
         self.manifest = manifest
         self.tree = tree
-        self.order = order
-        self.pre = pre
-        self.size = size
-        self.parent = parent
-        self.topo = topo
+        self.order, self.pre, self.size, self.parent = _tree_columns(
+            tree, self.node_count
+        )
+        self.topo: Optional[List[int]] = None
+        self._topo_position: Optional[List[int]] = None
+        if self.is_dag:
+            topo = [
+                node for node in tree.postorder() if not tree.is_virtual(node)
+            ]
+            topo.reverse()
+            topo_position = [-1] * self.node_count
+            for index, node in enumerate(topo):
+                topo_position[node] = index
+            self.topo = topo
+            self._topo_position = topo_position
         self.scc = scc
         self.selfloop = selfloop
         self.reach: Dict[int, List[int]] = dict(reach or {})
         self.ref = ref
-        self._position: Optional[List[int]] = None
-        self._topo_position: Optional[List[int]] = None
         self._scc_sizes: Optional[List[int]] = None
-        if order is not None:
-            position = [-1] * self.node_count
-            for index, node in enumerate(order):
-                position[node] = index
-            self._position = position
-        if topo is not None:
-            topo_position = [-1] * self.node_count
-            for index, node in enumerate(topo):
-                topo_position[node] = index
-            self._topo_position = topo_position
         if scc is not None:
             count = int(self.manifest.get("scc_count") or 0)
             sizes = [0] * count
@@ -242,7 +243,9 @@ class TreeArtifact:
             "scc_count": self.scc_count,
             "sources": self.sources,
             "columns": sorted(
-                dict(self.manifest.get("columns") or {})
+                ["order", "size"]
+                + ([] if self.topo is None else ["topo"])
+                + [name for name, _ in _stored_columns(self)]
             ),
         }
 
@@ -265,46 +268,40 @@ class TreeArtifact:
     # -- order ---------------------------------------------------------
     def order_slice(self, offset: int = 0, limit: int = 0) -> List[int]:
         """Nodes in the sealed total order, from ``offset`` (0 = all)."""
-        order = self._require(self.order, "order")
         if offset < 0 or limit < 0:
             raise QueryError("offset/limit must be non-negative")
+        order = self.order
         end = len(order) if limit == 0 else min(len(order), offset + limit)
         return order[offset:end]
 
     def position_of(self, node: int) -> int:
         """Position of ``node`` in the sealed total order."""
         self._check_node(node)
-        position = self._require(self._position, "order")[node]
-        if position < 0:
+        if self.pre[node] < 0:
             raise QueryError(
                 f"node {node} is not covered by the sealed order",
                 code="bad-node",
             )
-        return position
+        # The order is the real preorder and only the root may be
+        # virtual, so positions are preorder numbers less the first one.
+        return self.pre[node] - self.pre[self.order[0]]
 
     # -- ancestry ------------------------------------------------------
     def is_ancestor(self, u: int, v: int) -> bool:
         """Whether ``u`` is a (non-strict) tree ancestor of ``v``."""
         self._check_node(u, "u")
         self._check_node(v, "v")
-        pre = self._require(self.pre, "pre")
-        size = self._require(self.size, "size")
-        return pre[u] <= pre[v] < pre[u] + size[u]
+        pre = self.pre
+        return pre[u] <= pre[v] < pre[u] + self.size[u]
 
     def tree_path(self, u: int, v: int) -> Optional[List[int]]:
         """Tree path ``u -> ... -> v`` when ``u`` is an ancestor, else None."""
         if not self.is_ancestor(u, v):
             return None
-        parent = self._require(self.parent, "parent")
         path = [v]
         current = v
         while current != u:
-            current = parent[current]
-            if current == _NO_PARENT:
-                raise ArtifactIntegrityError(
-                    f"parent chain from {v} escaped the forest before "
-                    f"reaching ancestor {u}"
-                )
+            current = self.parent[current]
             path.append(current)
         path.reverse()
         return path
@@ -339,14 +336,19 @@ class TreeArtifact:
         return position
 
     # -- cycles / SCCs -------------------------------------------------
-    def has_cycle(self) -> bool:
-        """Whether the sealed graph contains a directed cycle."""
-        if self.is_dag is None:
+    def _verified_is_dag(self) -> bool:
+        """The verification scan's verdict; a tree-only artifact has none."""
+        is_dag = self.is_dag
+        if is_dag is None:
             raise QueryError(
                 "artifact was sealed without cycle verification",
                 code="column-missing",
             )
-        return not self.is_dag
+        return is_dag
+
+    def has_cycle(self) -> bool:
+        """Whether the sealed graph contains a directed cycle."""
+        return not self._verified_is_dag()
 
     def find_cycle(self) -> Optional[List[int]]:
         """The sealed cycle witness, or None for acyclic graphs."""
@@ -397,34 +399,54 @@ class TreeArtifact:
         they cannot (the caller may recompute from the graph).  Proofs:
         ``identity``, ``pinned-source``, ``tree-path``, ``same-scc``,
         ``topo-order``.
+
+        Raises:
+            QueryError: ``column-missing`` on a tree-only artifact, whose
+                tree need not follow the graph's edges.
         """
         self._check_node(u, "u")
         self._check_node(v, "v")
+        self._verified_is_dag()
         if u == v:
             return True, "identity"
         pinned = self.reach.get(u)
         if pinned is not None:
             return bool(pinned[v]), "pinned-source"
-        if self.pre is not None and self.is_ancestor(u, v):
+        if self.is_ancestor(u, v):
             return True, "tree-path"
         if self.scc is not None and self.scc_of(u) == self.scc_of(v):
             return True, "same-scc"
-        if self.is_dag and self._topo_position is not None \
-                and self._topo_position[v] < self._topo_position[u]:
+        topo_position = self._topo_position
+        if topo_position is not None and topo_position[v] < topo_position[u]:
             return False, "topo-order"
         return None, ""
 
 
+def _stored_columns(artifact: TreeArtifact) -> List[Tuple[str, List[int]]]:
+    """The columns :meth:`ArtifactStore.publish` writes: the tree's
+    ``parent`` and ``pre``, and what the graph adds."""
+    items = [("parent", artifact.parent), ("pre", artifact.pre)]
+    for column_name, values in (
+        ("scc", artifact.scc), ("selfloop", artifact.selfloop),
+    ):
+        if values is not None:
+            items.append((column_name, values))
+    for source in sorted(artifact.reach):
+        items.append((f"reach-{source}", artifact.reach[source]))
+    return items
+
+
 def _tree_columns(
     tree: SpanningTree, n: int
-) -> Tuple[List[int], List[int], List[int]]:
-    """The ``pre``, ``size`` and ``parent`` columns of ``tree`` over ids ``0..n-1``.
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """The ``order``, ``pre``, ``size`` and ``parent`` columns of ``tree``.
 
-    ``parent`` and ``pre`` are the tree's only stored form (see
-    :func:`_tree_from_columns`), so the tree must fit them: every node
-    below the root is a real node with an id in ``0..n-1``, and a virtual
-    root has an id outside that range.  Nodes the root does not reach get
-    ``pre`` -1 and are not stored.
+    ``order`` is the real preorder; the others are indexed by node id
+    ``0..n-1``.  ``parent`` and ``pre`` are the tree's only stored form
+    (see :func:`_tree_from_columns`), so the tree must fit them: every
+    node below the root is a real node with an id in ``0..n-1``, and a
+    virtual root has an id outside that range.  Nodes the root does not
+    reach get ``pre`` -1 and are not stored.
 
     Raises:
         ArtifactError: a rootless tree, a virtual node below the root, or
@@ -434,6 +456,7 @@ def _tree_columns(
     if root is None:
         raise ArtifactError("cannot store a rootless tree")
     index = IntervalIndex(tree)
+    order: List[int] = []
     pre = [-1] * n
     size = [0] * n
     parent = [_NO_PARENT] * n
@@ -451,12 +474,13 @@ def _tree_columns(
             continue
         if not 0 <= node < n:
             raise ArtifactError(f"node {node} lies outside node ids 0..{n - 1}")
+        order.append(node)
         pre[node] = number
         size[node] = index.size[node]
         up = tree.parent[node]
         if up is not None and not tree.is_virtual(up):
             parent[node] = up
-    return pre, size, parent
+    return order, pre, size, parent
 
 
 def _tree_from_columns(
@@ -467,17 +491,13 @@ def _tree_from_columns(
     Appending each node to its parent's child list in ``pre`` order
     restores every sibling order; a parent of -1 below the root means the
     root itself.  The root is virtual exactly when its id lies outside
-    the columns.
+    the columns (both ``graph.nodes`` long, see :func:`_check_columns`).
 
     Raises:
         ArtifactIntegrityError: the columns are not a preorder numbering
             of a tree.
     """
     n = len(parent_col)
-    if len(pre_col) != n:
-        raise ArtifactIntegrityError(
-            f"{context}: the parent and pre columns differ in length"
-        )
     by_pre = [-1] * (n + 1)
     for node, number in enumerate(pre_col):
         if number < 0:
@@ -511,17 +531,16 @@ def _tree_from_columns(
 
 def _check_columns(
     manifest: Dict[str, Any],
-    tree: SpanningTree,
     columns: Dict[str, List[int]],
     reach: Dict[int, List[int]],
     context: str,
 ) -> None:
-    """Reject column values no sealed run writes, naming the column.
+    """Reject stored values no sealed run writes, naming the column.
 
-    Per-node columns hold ``graph.nodes`` values; ``order`` and ``topo``
-    hold distinct node ids; ``scc`` ids lie below ``scc_count``; bit
-    columns hold 0 or 1 and pin a node; ``pre`` and ``size`` are the
-    rebuilt tree's preorder numbers and subtree sizes (-1 and 0 off it).
+    Per-node columns hold ``graph.nodes`` values; ``scc`` ids lie below
+    ``scc_count``; bit columns hold 0 or 1 and pin a node.  The tree's
+    ``parent`` and ``pre`` are checked by rebuilding the tree from them
+    (see :meth:`ArtifactStore.open`).
 
     Raises:
         ArtifactIntegrityError: the first column that fails a check.
@@ -533,7 +552,7 @@ def _check_columns(
 
     per_node = [
         (name, columns[name])
-        for name in ("pre", "size", "parent", "scc", "selfloop")
+        for name in ("pre", "parent", "scc", "selfloop")
         if name in columns
     ]
     bits = [("selfloop", columns["selfloop"])] if "selfloop" in columns else []
@@ -546,13 +565,6 @@ def _check_columns(
     for name, values in per_node:
         if len(values) != n:
             fail(name, f"holds {len(values)} values for {n} nodes")
-    for name in ("order", "topo"):
-        values = columns.get(name)
-        if values is not None and (
-            len(set(values)) != len(values)
-            or not all(0 <= node < n for node in values)
-        ):
-            fail(name, f"does not hold distinct node ids 0..{n - 1}")
     scc_count = int(manifest.get("scc_count") or 0)
     if "scc" in columns and not all(
         0 <= component < scc_count for component in columns["scc"]
@@ -561,15 +573,6 @@ def _check_columns(
     for name, values in bits:
         if not all(bit in (0, 1) for bit in values):
             fail(name, "holds a value other than 0 or 1")
-    index = IntervalIndex(tree)
-    expected = {"pre": [-1] * n, "size": [0] * n}
-    for node, number in index.pre.items():
-        if 0 <= node < n:
-            expected["pre"][node] = number
-            expected["size"][node] = index.size[node]
-    for name, values in expected.items():
-        if name in columns and columns[name] != values:
-            fail(name, "does not match the tree the parent column holds")
 
 
 def _graph_digest(graph: "DiskGraph") -> int:
@@ -596,17 +599,20 @@ def seal_result(
     graph_digest: bool = True,
     options: object = None,
 ) -> TreeArtifact:
-    """Build a full query artifact from a finished run.
+    """Build a full query artifact from a finished DFS run.
 
     One verification scan classifies every edge against the tree
     (acyclicity + cycle witness + self-loops); SCCs are computed only
     when the graph turned out cyclic (on a DAG every node is its own
     SCC), which needs a ``memory`` budget for the backward Kosaraju
-    pass.
+    pass.  Only a DFS run can be sealed: a back edge certifies a cycle
+    only against a DFS tree, and against a BFS tree a cycle of cross
+    edges passes the scan unseen (:meth:`ArtifactStore.publish_tree`
+    stores any tree).
 
     Args:
         graph: the graph the run traversed (scanned for verification).
-        result: the finished run (tree + order + costs).
+        result: the finished DFS run (tree + costs).
         memory: semi-external budget for the SCC pass; required only
             when ``with_scc`` and the graph has a cycle.
         sources: node ids to pin exact reachability bitsets for.
@@ -615,13 +621,20 @@ def seal_result(
         options: the RunOptions the run used, recorded in the manifest.
 
     Raises:
+        ArtifactError: ``result`` is not a DFS run.
         QueryError: when SCCs are requested on a cyclic graph without a
             ``memory`` budget.
     """
+    from ..algorithms.base import DFSResult
+
+    if not isinstance(result, DFSResult):
+        raise ArtifactError(
+            f"cannot seal a {result.algorithm} run: a back edge certifies a "
+            "cycle only against a DFS tree (publish_tree stores any tree)"
+        )
     tree = result.tree
     n = graph.node_count
-    order = list(result.order)
-    pre, size, parent = _tree_columns(tree, n)
+    index = IntervalIndex(tree)
 
     # Verification scan: the first witness in scan order (a self-loop,
     # or the tree path closed by a back edge).
@@ -632,7 +645,7 @@ def seal_result(
             selfloop[u] = 1
             if witness is None:
                 witness = [u]
-        elif witness is None and pre[v] <= pre[u] < pre[v] + size[v]:
+        elif witness is None and index.is_ancestor(v, u):
             path = [u]
             current = u
             while current != v:
@@ -642,14 +655,6 @@ def seal_result(
             witness = path
     is_dag = witness is None
 
-    topo: Optional[List[int]] = None
-    if is_dag:
-        finish = [
-            node for node in tree.postorder() if not tree.is_virtual(node)
-        ]
-        finish.reverse()
-        topo = finish
-
     scc: Optional[List[int]] = None
     scc_count: Optional[int] = None
     if with_scc:
@@ -657,7 +662,7 @@ def seal_result(
             # Every node is its own SCC; id nodes by traversal order so
             # ids are deterministic without a Kosaraju pass.
             scc = [0] * n
-            for position, node in enumerate(order):
+            for position, node in enumerate(result.order):
                 scc[node] = position
             scc_count = n
         else:
@@ -716,16 +721,7 @@ def seal_result(
         "scc_count": scc_count,
     }
     return TreeArtifact(
-        manifest,
-        tree,
-        order=order,
-        pre=pre,
-        size=size,
-        parent=parent,
-        topo=topo,
-        scc=scc,
-        selfloop=selfloop,
-        reach=reach,
+        manifest, tree, scc=scc, selfloop=selfloop, reach=reach
     )
 
 
@@ -826,11 +822,6 @@ class ArtifactStore:
         """Atomically publish ``artifact`` as the next version of ``name``."""
         if not _NAME_RE.match(name):
             raise ArtifactError(f"invalid artifact name {name!r}")
-        if artifact.parent is None or artifact.pre is None:
-            raise ArtifactError(
-                "an artifact stores its tree as the parent and pre columns; "
-                "build it with seal_result or publish_tree"
-            )
         name_dir = os.path.join(self.root, name)
         os.makedirs(name_dir, exist_ok=True)
         existing = self.versions(name)
@@ -847,7 +838,7 @@ class ArtifactStore:
             manifest["version"] = version
 
             columns: Dict[str, Dict[str, Any]] = {}
-            for column_name, values in self._column_items(artifact):
+            for column_name, values in _stored_columns(artifact):
                 filename = f"{column_name}.col"
                 sha, count = self._write_values(
                     os.path.join(staging, filename), values
@@ -890,8 +881,9 @@ class ArtifactStore:
 
         This is the lightweight path edge-by-batch uses to seal its
         checkpoints mid-flight: two columns plus a manifest, no
-        verification scan, ``2·⌈n/B⌉`` block writes.  Open it later and
-        re-seal with :func:`seal_result` to add query columns.
+        verification scan, ``2·⌈n/B⌉`` block writes.  Opened, it answers
+        the tree's queries (order, position, ancestor, path); sealing a
+        DFS run with :func:`seal_result` adds the graph's.
 
         Args:
             node_count: ``n``, the real node ids ``0..n-1`` the columns
@@ -906,7 +898,6 @@ class ArtifactStore:
             node_count = sum(
                 1 for node in tree.preorder() if not tree.is_virtual(node)
             )
-        pre, _, parent = _tree_columns(tree, node_count)
         manifest: Dict[str, Any] = {
             "schema": SCHEMA_VERSION,
             "kind": kind,
@@ -922,8 +913,7 @@ class ArtifactStore:
             "cycle_witness": None,
             "scc_count": None,
         }
-        artifact = TreeArtifact(manifest, tree, pre=pre, parent=parent)
-        return self.publish(artifact, name)
+        return self.publish(TreeArtifact(manifest, tree), name)
 
     # -- open ----------------------------------------------------------
     def open(self, ref: str, version: Optional[int] = None) -> TreeArtifact:
@@ -931,9 +921,10 @@ class ArtifactStore:
 
         Every payload's SHA-256 and value count are checked against the
         manifest; each block's CRC frame is checked by the device.  The
-        tree is rebuilt from the ``parent`` and ``pre`` columns under the
-        manifest's ``root``, and every column's values are checked
-        against it and the manifest (see :func:`_check_columns`).
+        stored values are checked against the manifest (see
+        :func:`_check_columns`), the tree is rebuilt from the ``parent``
+        and ``pre`` columns under the manifest's ``root``, and the stored
+        ``pre`` must equal the rebuilt tree's preorder numbers.
 
         Raises:
             ArtifactNotFound: unknown name or version.
@@ -966,23 +957,25 @@ class ArtifactStore:
                 f"{directory}: manifest lacks the root or the parent and "
                 "pre columns that hold the tree"
             )
+        _check_columns(manifest, columns, reach, context=directory)
         tree = _tree_from_columns(
             root, columns["parent"], columns["pre"], context=directory
         )
-        _check_columns(manifest, tree, columns, reach, context=directory)
-        return TreeArtifact(
+        artifact = TreeArtifact(
             manifest,
             tree,
-            order=columns.get("order"),
-            pre=columns.get("pre"),
-            size=columns.get("size"),
-            parent=columns.get("parent"),
-            topo=columns.get("topo"),
             scc=columns.get("scc"),
             selfloop=columns.get("selfloop"),
             reach=reach,
             ref=ArtifactRef(name=name, version=version, path=directory),
         )
+        # Sibling order that is not a preorder still rebuilds a tree.
+        if artifact.pre != columns["pre"]:
+            raise ArtifactIntegrityError(
+                f"{directory}: the pre column does not match the tree the "
+                "parent column holds"
+            )
+        return artifact
 
     def read_manifest(self, name: str, version: Optional[int] = None) -> Dict[str, Any]:
         """Parse and schema-check one version's manifest."""
@@ -1010,20 +1003,6 @@ class ArtifactStore:
         return manifest
 
     # -- payload plumbing ----------------------------------------------
-    @staticmethod
-    def _column_items(
-        artifact: TreeArtifact,
-    ) -> List[Tuple[str, List[int]]]:
-        items: List[Tuple[str, List[int]]] = []
-        for column_name in ("order", "pre", "size", "parent", "topo",
-                            "scc", "selfloop"):
-            values = getattr(artifact, column_name)
-            if values is not None:
-                items.append((column_name, values))
-        for source in sorted(artifact.reach):
-            items.append((f"reach-{source}", artifact.reach[source]))
-        return items
-
     def _write_values(
         self, path: str, values: List[int]
     ) -> Tuple[str, int]:

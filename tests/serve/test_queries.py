@@ -14,9 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import BlockDevice, DiskGraph, semi_external_dfs
+from repro import BlockDevice, DiskGraph, semi_external_bfs, semi_external_dfs
 from repro.apps import strongly_connected_components
-from repro.errors import NotADAGError, QueryError
+from repro.errors import ArtifactError, NotADAGError, QueryError
 from repro.graph import random_graph
 from repro.graph.digraph import Digraph
 from repro.serve import ArtifactStore, QueryEngine, seal_result
@@ -222,3 +222,12 @@ class TestSealSemantics:
         dag = DiskGraph.from_digraph(device, Digraph.from_edges(2, [(0, 1)]))
         sealed = seal_result(dag, semi_external_dfs(dag, 3 * 2 + 64))
         assert sealed.scc_count == 2
+
+    def test_bfs_run_cannot_be_sealed(self, device):
+        """Against the BFS tree 0→1, 0→2 the cross edges 1→2 and 2→1
+        close a cycle no back edge shows, so a seal would call it a DAG."""
+        graph = Digraph.from_edges(3, [(0, 1), (0, 2), (1, 2), (2, 1)])
+        disk = DiskGraph.from_digraph(device, graph)
+        result = semi_external_bfs(disk, 3 * 3 + 64)
+        with pytest.raises(ArtifactError, match="DFS tree"):
+            seal_result(disk, result, memory=3 * 3 + 64)

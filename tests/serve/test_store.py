@@ -9,14 +9,23 @@ import pytest
 
 from repro import DiskGraph, semi_external_bfs, semi_external_dfs
 from repro.algorithms import edge_by_batch
+from repro.core import SpanningTree
+from repro.core.order import is_ancestor
 from repro.errors import (
     ArtifactError,
     ArtifactIntegrityError,
     ArtifactNotFound,
+    QueryError,
 )
-from repro.graph import random_graph
+from repro.graph import random_dag, random_graph
 from repro.graph.digraph import Digraph
-from repro.serve import SCHEMA_VERSION, ArtifactStore, parse_ref, seal_result
+from repro.serve import (
+    SCHEMA_VERSION,
+    ArtifactStore,
+    QueryEngine,
+    parse_ref,
+    seal_result,
+)
 from repro.serve.store import MANIFEST_FILE
 
 from .conftest import publish_graph
@@ -83,6 +92,84 @@ class TestRoundTrip:
         assert "scc" in info["columns"]
 
 
+def query_answers(artifact):
+    """Every query kind's answer (or its typed error) over all nodes and
+    node pairs, without the ``artifact`` reference."""
+    engine = QueryEngine(artifact)
+    nodes = [{"node": str(x)} for x in range(artifact.node_count)]
+    pairs = [{"u": str(u), "v": str(v)}
+             for u in range(artifact.node_count)
+             for v in range(artifact.node_count)]
+    params = {
+        "order": [{}], "toposort": [{}], "cycle": [{}],
+        "position": nodes, "topo-position": nodes,
+        "ancestor": pairs, "path": pairs, "reachable": pairs,
+        "scc": [{}, *nodes, *pairs],
+        "reachable-set": [{"source": str(x)}
+                          for x in range(artifact.node_count)],
+    }
+    assert sorted(params) == list(engine.kinds)
+    answers = []
+    for kind in engine.kinds:
+        for query in params[kind]:
+            try:
+                answer = engine.execute(kind, query)
+            except QueryError as error:
+                answer = {"code": error.code, "message": str(error)}
+            answer.pop("artifact", None)
+            answers.append(answer)
+    return answers
+
+
+class TestDerivedColumns:
+    """A stored artifact holds its tree once; ``order``, ``size`` and
+    ``topo`` are derived from it, on sealing and on opening alike."""
+
+    @pytest.mark.parametrize("shape", ["dag", "cyclic"])
+    @pytest.mark.parametrize(
+        "algorithm", ["divide-td", "divide-star", "edge-by-batch",
+                      "edge-by-edge"],
+    )
+    def test_reopened_artifact_answers_as_sealed(self, store, device,
+                                                 algorithm, shape):
+        if shape == "dag":
+            graph = random_dag(30, 70, seed=8)
+        else:  # with a self-loop
+            graph = Digraph.from_edges(
+                30, [*random_graph(30, 2, seed=8).edges(), (5, 5)]
+            )
+        disk = DiskGraph.from_digraph(device, graph)
+        memory = 3 * 30 + 40
+        result = semi_external_dfs(disk, memory, algorithm=algorithm)
+        sealed = seal_result(disk, result, memory=memory, sources=(0,))
+        expected = query_answers(sealed)
+        artifact = store.open(str(store.publish(sealed, shape)))
+        assert query_answers(artifact) == expected
+        assert artifact.order_slice() == result.order
+        assert [artifact.position_of(node) for node in result.order] \
+            == list(range(30))
+        assert artifact.is_dag is (shape == "dag")
+        if shape == "dag":
+            position = {node: index for index, node
+                        in enumerate(artifact.toposort_slice())}
+            assert all(position[u] < position[v] for u, v in graph.edges())
+
+    @pytest.mark.parametrize("dag", [True, False])
+    def test_sealed_artifact_stores_only_parent_pre_and_graph_columns(
+            self, store, device, dag):
+        edges = [(0, 1), (1, 2), (0, 3), (3, 2)] + ([] if dag else [(2, 0)])
+        ref = publish_graph(store, device, Digraph.from_edges(5, edges), "g",
+                            sources=(0,))
+        assert sorted(os.listdir(ref.path)) == [
+            MANIFEST_FILE, "parent.col", "pre.col", "reach-0.col",
+            "scc.col", "selfloop.col",
+        ]
+        assert store.open(str(ref)).describe()["columns"] == sorted(
+            ["order", "parent", "pre", "reach-0", "scc", "selfloop", "size"]
+            + (["topo"] if dag else [])
+        )
+
+
 class TestVersioning:
     def test_republish_bumps_version(self, store, device):
         graph = Digraph.from_edges(3, [(0, 1), (1, 2)])
@@ -142,15 +229,15 @@ class TestIntegrity:
         """Swapping a payload for a valid-but-different one is caught by
         the manifest sha even though every block frame still CRCs."""
         store, ref = published
-        order = os.path.join(ref.path, "order.col")
+        parent = os.path.join(ref.path, "parent.col")
         pre = os.path.join(ref.path, "pre.col")
-        os.replace(pre, order)
+        os.replace(pre, parent)
         with pytest.raises(ArtifactIntegrityError):
             store.open(str(ref))
 
     def test_missing_payload_file(self, published):
         store, ref = published
-        os.remove(os.path.join(ref.path, "order.col"))
+        os.remove(os.path.join(ref.path, "scc.col"))
         with pytest.raises(ArtifactIntegrityError):
             store.open(str(ref))
 
@@ -170,10 +257,6 @@ def set_value(column, position, value):
     return column, edit
 
 
-def repeat_first(values):
-    values[1] = values[0]
-
-
 def move_reach_source(manifest):
     manifest["columns"]["reach-40"] = manifest["columns"].pop("reach-0")
 
@@ -185,14 +268,9 @@ def grow_graph(manifest):
 #: One impossible value each, as ``(column the error names, column to
 #: rewrite, edit of its values | None, edit of the manifest | None)``.
 DAMAGE = {
-    "negative order id": ("order", *set_value("order", 0, -3), None),
-    "order id past n": ("order", *set_value("order", 0, 99), None),
-    "repeated order id": ("order", "order", repeat_first, None),
-    "negative topo id": ("topo", *set_value("topo", 0, -2), None),
     "negative scc id": ("scc", *set_value("scc", 3, -1), None),
     "scc id past scc_count": ("scc", *set_value("scc", 3, 57), None),
     "selfloop of 7": ("selfloop", *set_value("selfloop", 4, 7), None),
-    "negative size": ("size", *set_value("size", 5, -9), None),
     "reach bit of 3": ("reach-0", *set_value("reach-0", 6, 3), None),
     "pinned source past n": ("reach-40", None, None, move_reach_source),
     "more nodes than values": ("pre", None, None, grow_graph),
@@ -227,6 +305,30 @@ def test_open_rejects_impossible_column_values(store, device, damage):
         store.open(str(ref))
 
 
+def test_open_rejects_a_pre_column_that_is_not_the_preorder(store):
+    """Numbering every parent before its children rebuilds a tree, but
+    only the tree's preorder is a stored ``pre``."""
+    tree = SpanningTree()
+    for node in range(4):
+        tree.add_node(node)
+    tree.root = 0
+    for child, parent in ((1, 0), (2, 0), (3, 1)):
+        tree.attach(child, parent)
+    ref = store.publish_tree(tree, "t")
+    assert store.open(str(ref)).pre == [0, 1, 3, 2]
+    path = os.path.join(ref.path, MANIFEST_FILE)
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    meta = manifest["columns"]["pre"]
+    meta["sha256"], meta["count"] = store._write_values(
+        os.path.join(ref.path, meta["file"]), [0, 1, 2, 3]  # level order
+    )
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    with pytest.raises(ArtifactIntegrityError, match="pre column does not"):
+        store.open(str(ref))
+
+
 class TestTreeOnlyArtifacts:
     def test_publish_tree_round_trip(self, store, device):
         graph = Digraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -246,17 +348,36 @@ class TestTreeOnlyArtifacts:
         assert "tree" not in artifact.manifest
 
     def test_querying_missing_column_is_typed(self, store, device):
-        from repro.errors import QueryError
-
         graph = Digraph.from_edges(2, [(0, 1)])
         disk = DiskGraph.from_digraph(device, graph)
         result = semi_external_dfs(disk, 3 * 2 + 64)
         ref = store.publish_tree(result.tree, "bare", node_count=2)
         artifact = store.open(str(ref))
         with pytest.raises(QueryError):
-            artifact.order_slice()
+            artifact.toposort_slice()
         with pytest.raises(QueryError):
             artifact.scc_of(0)
+
+    def test_checkpoint_answers_tree_queries(self, device):
+        disk = DiskGraph.from_digraph(device, random_graph(40, 3, seed=6))
+        result = edge_by_batch(disk, 3 * 40 + 40, checkpoint_every=1)
+        artifact = ArtifactStore.for_run(device).open("edge-by-batch-ckpt")
+        assert artifact.order_slice() == result.order
+        for u in range(40):
+            for v in range(40):
+                path = artifact.tree_path(u, v)
+                assert artifact.is_ancestor(u, v) is (path is not None)
+                assert (path is not None) == is_ancestor(result.tree, u, v)
+                if path is not None:
+                    assert path[0] == u and path[-1] == v
+                    assert all(result.tree.parent[child] == up
+                               for up, child in zip(path, path[1:]))
+        for query in (artifact.toposort_slice,
+                      lambda: artifact.scc_of(0),
+                      lambda: artifact.reachable(0, 1)):
+            with pytest.raises(QueryError) as error:
+                query()
+            assert error.value.code == "column-missing"
 
 
 class TestTreeFromColumns:

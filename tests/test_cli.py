@@ -180,6 +180,18 @@ class TestBench:
         assert "SEMI-DFS" in out and "Divide-TD" in out
 
 
+class TestPublish:
+    def test_bfs_run_is_not_sealed(self, tmp_path, capsys):
+        path = str(tmp_path / "g.txt")
+        write_edge_list(path, [(0, 1), (0, 2), (1, 2), (2, 1)])
+        store = tmp_path / "store"
+        assert main(["publish", "--input", path, "--store", str(store),
+                     "--name", "g", "--algorithm", "bfs"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (store / "g").exists()
+
+
 class TestCompare:
     def test_compare_table(self, graph_file, capsys):
         assert main(["compare", "--input", graph_file, "--memory-ratio", "0.3",
