@@ -6,7 +6,8 @@ Uses two of the library's DFS applications together with run tracing:
 1. articulation points and bridges find the single points of failure of
    a hub-structured network (semi-external lowpoint computation);
 2. a span `Tracer` exposes how Divide-TD actually carves the graph —
-   which recursion level divided, into how many parts, of what sizes —
+   which recursion level divided, into how many parts, of what sizes
+   (each part's nodes plus edges, |V_i|+|E_i|) —
    and where the block I/O went, phase by phase.
 
 Run:  python examples/network_resilience.py
@@ -91,7 +92,7 @@ def main() -> None:
                 extra = " ..." if len(sizes) > 6 else ""
                 print(f"  depth {attrs['depth']}: divided {attrs['nodes']} "
                       f"nodes into {attrs['parts']} parts "
-                      f"(sizes {preview}{extra})")
+                      f"(|V_i|+|E_i|: {preview}{extra})")
         print()
         print(render_profile(events.events, result.details))
 

@@ -44,6 +44,8 @@ def test_toposort_pipeline_runs():
 def test_network_resilience_runs():
     out = run_example("network_resilience.py")
     assert "bridges (single points of failure): 7" in out
+    # a part's size counts its nodes and its edges
+    assert "parts (|V_i|+|E_i|: " in out
     table, counters = out[out.index("profile (per span path"):].split("\n\n")
     calls = {line.split()[0]: line.split()[1] for line in table.splitlines()[3:]}
     assert {"restructure", "divide", "sgraph", "merge"} <= set(calls)
