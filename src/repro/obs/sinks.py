@@ -36,10 +36,6 @@ class MemorySink:
     def emit(self, event: "SpanEvent") -> None:
         self.events.append(event)
 
-    def clear(self) -> None:
-        """Drop all collected events."""
-        self.events.clear()
-
 
 class JSONLSink:
     """Write one JSON object per event to ``path`` (JSON-Lines).

@@ -13,7 +13,7 @@ reference.
 """
 
 from .app import ServeConfig, ReproServer
-from .queries import QUERY_KINDS, QueryEngine
+from .queries import QueryEngine
 from .store import (
     SCHEMA_VERSION,
     ArtifactRef,
@@ -24,7 +24,6 @@ from .store import (
 )
 
 __all__ = [
-    "QUERY_KINDS",
     "SCHEMA_VERSION",
     "ArtifactRef",
     "ArtifactStore",

@@ -14,8 +14,8 @@ Endpoints (all JSON):
 * ``GET /artifacts`` — catalogue of names and versions.
 * ``GET /artifacts/<name>`` — one artifact's manifest summary.
 * ``GET|POST /v1/query/<kind>?artifact=<name[@vN]>&…`` — run a query
-  (kinds in :data:`~repro.serve.queries.QUERY_KINDS`; POST accepts the
-  same parameters as a JSON object body).
+  (kinds in :attr:`~repro.serve.queries.QueryEngine.kinds`; POST accepts
+  the same parameters as a JSON object body).
 
 Failures return typed JSON ``{"error": {"code", "message"}}``: 400 for
 malformed requests, 404 for unknown artifacts/routes, 409 for questions

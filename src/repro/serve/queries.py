@@ -71,6 +71,7 @@ class QueryEngine:
 
     @property
     def kinds(self) -> Tuple[str, ...]:
+        """The query kinds this engine answers, sorted."""
         return tuple(sorted(self._handlers))
 
     def execute(
@@ -184,18 +185,3 @@ class QueryEngine:
             "offset": offset,
             "nodes": nodes[offset:offset + limit],
         }
-
-
-#: The query kinds one engine answers (for docs and the CLI).
-QUERY_KINDS: Tuple[str, ...] = (
-    "ancestor",
-    "cycle",
-    "order",
-    "path",
-    "position",
-    "reachable",
-    "reachable-set",
-    "scc",
-    "toposort",
-    "topo-position",
-)
