@@ -28,7 +28,10 @@ def server(tmp_path, device):
         publish_graph(store, device, graph, "mixed", sources=(0, 3))
     config = ServeConfig(store_root=root, port=0, deadline_seconds=5.0)
     srv = ReproServer(config)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    # a short poll lets shutdown() return without waiting out the 0.5 s default
+    thread = threading.Thread(
+        target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield srv, srv.server_address[1]
