@@ -460,6 +460,7 @@ def _tree_columns(
     pre = [-1] * n
     size = [0] * n
     parent = [_NO_PARENT] * n
+    # ``index.pre`` is built from the preorder, so it iterates in it.
     for node, number in index.pre.items():
         if tree.is_virtual(node):
             if node != root:
