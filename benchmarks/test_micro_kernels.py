@@ -3,9 +3,11 @@
 Times the three per-edge operations the restructure loop lives in —
 classify, pack, unpack — on a single large edge block (1M edges by
 default; override with ``REPRO_MICRO_KERNEL_EDGES``), the division-scan
-ops, the delta-varint decode of the same edges in 64 KB blocks, and the
+ops, the delta-varint decode of the same edges in 64 KB blocks, the
 numpy decode of small 512-byte blocks one call per block versus one call
-per BFS edge group, and emits the measured trajectory into
+per BFS edge group, and the numpy classify of the same edges in 64-edge
+blocks one call per block versus one call per restructure group, and
+emits the measured trajectory into
 ``benchmarks/results/BENCH_micro_kernels.json``.
 
 Run directly (``pytest benchmarks/test_micro_kernels.py``) for the
@@ -57,6 +59,13 @@ VARINT_BLOCK_BYTES = 64 * 1024
 SMALL_BODY_BYTES = 512
 SMALL_BODY_GRAPH = (4_000, 25)
 GROUP_EDGES = 3_600
+
+#: The ``batch-random`` regime: 64-edge blocks classified against one
+#: index, one numpy call per block or one per group of at most 360 edges
+#: (that workload's ``M − 3n``), the way restructure's scan groups them
+#: when a batch has that much room left.
+SMALL_BLOCK_EDGES = 64
+CLASSIFY_GROUP_EDGES = 360
 
 
 class _ChainForestWorkload:
@@ -194,7 +203,7 @@ def varint_op(backend: str, load: _ChainForestWorkload):
 
 def small_body_groups() -> List[List[bytes]]:
     """512-byte delta-varint bodies grouped as ``scan_columns`` groups
-    them under ``max_edges=GROUP_EDGES``: consecutive whole bodies."""
+    them under a room of ``GROUP_EDGES``: consecutive whole bodies."""
     encoder = DeltaVarintBlockEncoder(SMALL_BODY_BYTES)
     closed = [
         encoder.add(u, v) for u, v in random_graph_edges(*SMALL_BODY_GRAPH)
@@ -223,6 +232,30 @@ def varint_group_op(groups: Sequence[Sequence[bytes]]) -> Callable[[], int]:
         return edges
 
     return unpack_groups
+
+
+def classify_group_op(
+    load: _ChainForestWorkload, group_edges: int
+) -> Callable[[], int]:
+    """Classify the workload's 64-edge blocks against one index with one
+    numpy ``classify_slice`` per group of whole blocks holding at most
+    ``group_edges`` edges (at least one block)."""
+    kernel = resolve_kernel("numpy")
+    index = kernel.make_index(load.tree)
+    span = max(group_edges // SMALL_BLOCK_EDGES, 1) * SMALL_BLOCK_EDGES
+    columns = [
+        kernel.unpack_edge_columns(load.data[first * 8 : (first + span) * 8])
+        for first in range(0, len(load.edges), span)
+    ]
+    no_limit = 2 * len(load.edges) + 1
+
+    def classify_groups():
+        counted = 0
+        for u_col, v_col in columns:
+            counted += kernel.classify_slice(index, u_col, v_col, 0, no_limit)[1]
+        return counted
+
+    return classify_groups
 
 
 def test_kernel_speedup_trajectory(report_text):
@@ -276,6 +309,18 @@ def test_kernel_speedup_trajectory(report_text):
             "grouped_s": grouped_s,
             "speedup": per_body_s / grouped_s,
         }
+        per_block = classify_group_op(load, SMALL_BLOCK_EDGES)
+        grouped = classify_group_op(load, CLASSIFY_GROUP_EDGES)
+        assert per_block() == grouped()
+        per_block_s = best_of(per_block, repeats=5)
+        grouped_s = best_of(grouped, repeats=5)
+        results["small_classify_groups"] = {
+            "blocks": -(-len(load.edges) // SMALL_BLOCK_EDGES),
+            "group_edges": CLASSIFY_GROUP_EDGES,
+            "per_block_s": per_block_s,
+            "grouped_s": grouped_s,
+            "speedup": per_block_s / grouped_s,
+        }
 
     os.makedirs(RESULTS_DIR, exist_ok=True)
     path = os.path.join(RESULTS_DIR, "BENCH_micro_kernels.json")
@@ -307,6 +352,16 @@ def test_kernel_speedup_trajectory(report_text):
             f"{small['grouped_s'] / small['bodies'] * 1e6:.1f}us "
             f"({small['speedup']:.1f}x)"
         )
+    blocks = results.get("small_classify_groups")
+    if blocks:
+        lines.append(
+            f"  numpy classify, {blocks['blocks']} blocks of "
+            f"{SMALL_BLOCK_EDGES} edges: per block "
+            f"{blocks['per_block_s'] / blocks['blocks'] * 1e6:.1f}us, in "
+            f"groups of <= {CLASSIFY_GROUP_EDGES} edges "
+            f"{blocks['grouped_s'] / blocks['blocks'] * 1e6:.1f}us a block "
+            f"({blocks['speedup']:.1f}x)"
+        )
     report_text("micro_kernels", "\n".join(lines))
 
     if numpy_available():
@@ -320,6 +375,12 @@ def test_kernel_speedup_trajectory(report_text):
         assert small["speedup"] >= 1.5, (
             f"grouped small-body decode only {small['speedup']:.2f}x faster "
             f"({small['per_body_s']:.4f}s vs {small['grouped_s']:.4f}s)"
+        )
+        blocks = results["small_classify_groups"]
+        assert blocks["speedup"] >= 1.5, (
+            f"grouped small-block classify only {blocks['speedup']:.2f}x "
+            f"faster ({blocks['per_block_s']:.4f}s vs "
+            f"{blocks['grouped_s']:.4f}s)"
         )
 
 

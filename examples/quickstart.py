@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Quickstart: DFS a graph that lives on disk, under a memory budget.
 
-Builds a 20k-node power-law graph, stores its edges on a simulated block
-device, and computes a DFS-Tree with each of the four semi-external
+Builds a 1,200-node power-law graph, stores its edges on a simulated
+block device, and computes a DFS-Tree with each of the four semi-external
 algorithms — comparing their I/O cost and verifying every result against
 the defining DFS-Tree property (no forward-cross edges on a full scan).
 

@@ -148,7 +148,9 @@ def semi_external_bfs(
                 "relax", nodes=node_count,
                 kernel=kernel.name, codec=graph.device.block_codec,
             ) as span:
-                for u_col, v_col in edge_file.scan_columns(max_edges=free):
+                # The room never changes during a pass: every group holds
+                # at most M - 3n edges, or one block.
+                for u_col, v_col in edge_file.scan_columns(lambda: free):
                     context.check_deadline()
                     for v, level, parent in kernel.relax_levels(
                         frozen, u_col, v_col

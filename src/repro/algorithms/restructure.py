@@ -1,13 +1,25 @@
 """The shared ``Restructure(G, T, M)`` procedure (Algorithm 1, lines 7–16).
 
 One call makes one pass over the edge file in memory-sized batches.  Per
-batch it classifies every edge against the current tree, block by block
-through the device kernel's ``classify_slice`` (O(1) per edge via an
-interval index rebuilt only when the tree changes) and, if at least one
-forward-cross edge was loaded, rebuilds the tree with the
-tree-order-preferring in-memory DFS over ``G_M = T ∪ (batch edges)``.
-The DFS hands back its visit order, from which the kernel indexes the
-rebuilt tree; only the pass's first index walks the tree it is given.
+batch it classifies every edge against the current tree through the
+device kernel's ``classify_slice`` (O(1) per edge via an interval index
+rebuilt only when the tree changes) and, if at least one forward-cross
+edge was loaded, rebuilds the tree with the tree-order-preferring
+in-memory DFS over ``G_M = T ∪ (batch edges)``.  The DFS hands back its
+visit order, from which the kernel indexes the rebuilt tree; only the
+pass's first index walks the tree it is given.
+
+The scan loads ``G_M`` one memory-load at a time, as Algorithm 1 does:
+before each group of blocks it asks for the batch's remaining room,
+``batch_capacity − loaded``, so each kernel call classifies the
+consecutive whole blocks that still fit in the batch (or one block, when
+not even one fits).  A group that fills the batch mid-block is resumed
+against the rebuilt tree at the offset ``classify_slice`` returns, so
+batch boundaries fall on the same edge whatever the grouping.  During a
+pass the edges in memory are the retained cross edges plus the current
+group, which holds at most the batch's remaining room, plus one block
+read ahead of it: within ``M − 3·|V_i|`` plus one block, the bound
+semi-external BFS keeps.
 
 Only *cross* edges are retained in the batch adjacency: forward and
 backward edges (ancestor-related endpoints) provably cannot become
@@ -106,7 +118,7 @@ def restructure(
         batch_has_forward_cross = False
 
     classify = kernel.classify_slice
-    for u_col, v_col in edge_file.scan_columns():
+    for u_col, v_col in edge_file.scan_columns(lambda: batch_capacity - loaded):
         length = len(u_col)
         position = 0
         while position < length:

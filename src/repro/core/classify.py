@@ -166,8 +166,10 @@ class CutLabels:
 def _preorder(tree: SpanningTree) -> List[int]:
     """Every node reachable from the root, in preorder.
 
-    An inlined child-list walk: it runs once per restructure batch and
-    per division, where a generator's indirection is measurable.
+    An inlined child-list walk: it runs once per restructure pass (for
+    the pass's first index; a rebuilt tree comes with its
+    :class:`Preorder`) and once per division, where a generator's
+    indirection is measurable.
     """
     root = tree.root
     if root is None:

@@ -3,7 +3,7 @@
 Blocks move as flat little-endian int32 arrays (``frombuffer`` in,
 ``tobytes`` out; delta-varint bodies decode by array arithmetic too) and
 classification happens with whole-block mask arithmetic against a
-*dense* interval index — ``pre`` / ``size`` / ``parent`` as arrays
+*dense* interval index — ``pre`` / ``end`` / ``parent`` as arrays
 indexed by node id, filled straight from the tree's
 :class:`~repro.core.classify.Preorder` without a dict index — so only
 the rare cross edges drop back into Python objects.  Every index (tree,
@@ -38,24 +38,27 @@ _VARINT32_BYTES = 5
 
 
 class DenseIntervalIndex:
-    """Array-backed ``pre`` / ``size`` / ``parent`` keyed by node id.
+    """Array-backed ``pre`` / ``end`` / ``parent`` keyed by node id.
 
-    Holes (ids absent from the tree, or not reachable from its root)
-    carry ``-1`` in ``pre``/``size`` and ``-1`` in ``parent``; well-formed
-    inputs never read them, exactly as the dict index would raise
-    ``KeyError`` on a foreign node.
+    ``end[u]`` is one past the last preorder position of ``u``'s subtree
+    (the :class:`~repro.core.classify.Preorder` ends, as
+    :class:`~repro.core.classify.CutLabels` keeps them), so ``u`` is an
+    ancestor of ``v`` iff ``pre[u] <= pre[v] < end[u]``.  Holes (ids
+    absent from the tree, or not reachable from its root) carry ``-1``
+    in every column; well-formed inputs never read them, exactly as the
+    dict index would raise ``KeyError`` on a foreign node.
     """
 
-    __slots__ = ("pre", "size", "parent")
+    __slots__ = ("pre", "end", "parent")
 
     def __init__(
         self,
         pre: "npt.NDArray[np.int64]",
-        size: "npt.NDArray[np.int64]",
+        end: "npt.NDArray[np.int64]",
         parent: "npt.NDArray[np.int64]",
     ) -> None:
         self.pre: "npt.NDArray[np.int64]" = pre
-        self.size: "npt.NDArray[np.int64]" = size
+        self.end: "npt.NDArray[np.int64]" = end
         self.parent: "npt.NDArray[np.int64]" = parent
 
 
@@ -268,17 +271,16 @@ class NumpyKernel:
         self, tree: SpanningTree, preorder: Optional[Preorder] = None
     ) -> DenseIntervalIndex:
         """Dense index over ``tree``: columns of ``max(id) + 1`` slots,
-        filled by scattering the preorder's positions, subtree sizes and
+        filled by scattering the preorder's positions, subtree ends and
         parents into them with the node array."""
         nodes, ends = preorder if preorder is not None else Preorder.of(tree)
         count = len(nodes)
         length = max(tree.parent, default=-1) + 1
         ids = np.array(nodes, dtype=np.int64)
-        positions = np.arange(count, dtype=np.int64)
         pre = np.full(length, -1, dtype=np.int64)
-        pre[ids] = positions
-        size = np.full(length, -1, dtype=np.int64)
-        size[ids] = np.array(ends, dtype=np.int64) - positions
+        pre[ids] = np.arange(count, dtype=np.int64)
+        end = np.full(length, -1, dtype=np.int64)
+        end[ids] = ends
         parent = np.full(length, -1, dtype=np.int64)
         # Only the root (first in preorder) has no parent.
         parent[ids[1:]] = np.fromiter(
@@ -286,7 +288,7 @@ class NumpyKernel:
             dtype=np.int64,
             count=max(count - 1, 0),
         )
-        return DenseIntervalIndex(pre=pre, size=size, parent=parent)
+        return DenseIntervalIndex(pre=pre, end=end, parent=parent)
 
     def classify_slice(
         self,
@@ -301,37 +303,35 @@ class NumpyKernel:
         Whole-slice mask arithmetic; when the batch capacity lands inside
         the slice, a cumulative count pinpoints the exact edge the scalar
         loop would have flushed after, so batch boundaries are identical.
+
+        ``pre[v] >= end[u]`` alone is the forward-cross test: it puts
+        ``v`` after ``u`` and outside ``u``'s subtree, which also rules
+        out self-loops and tree edges; ``pre[u] >= end[v]`` is its
+        backward twin.  So only the batch count reads ``parent``.
         """
         u = u_col[start:] if start else u_col
         v = v_col[start:] if start else v_col
         pre_u = index.pre[u]
         pre_v = index.pre[v]
+        end = index.end
+        forward = pre_v >= end[u]
+        cross = forward | (pre_u >= end[v])
         counted_mask = (u != v) & (index.parent[v] != u)
-        ahead = pre_u < pre_v
-        forward_cross = counted_mask & ahead & (pre_v >= pre_u + index.size[u])
-        backward_cross = (
-            counted_mask & ~ahead & (pre_u >= pre_v + index.size[v])
-        )
         total = int(np.count_nonzero(counted_mask))
         if total >= capacity:
             cumulative = np.cumsum(counted_mask)
             cut = int(np.searchsorted(cumulative, capacity, side="left")) + 1
             counted = capacity
             stop = start + cut
-            forward_cross = forward_cross[:cut]
-            backward_cross = backward_cross[:cut]
-            u = u[:cut]
-            v = v[:cut]
+            forward = forward[:cut]
+            cross = cross[:cut]
         else:
             counted = total
             stop = len(u_col)
-        has_forward_cross = bool(forward_cross.any())
-        cross_mask = forward_cross | backward_cross
-        cross: List[Tuple[int, int]] = []
-        if cross_mask.any():
-            positions = np.nonzero(cross_mask)[0]
-            cross = list(zip(u[positions].tolist(), v[positions].tolist()))
-        return stop, counted, has_forward_cross, cross
+        positions = np.flatnonzero(cross)
+        return stop, counted, bool(forward.any()), list(
+            zip(u[positions].tolist(), v[positions].tolist())
+        )
 
     # -- division primitives -------------------------------------------
     def make_columns(
@@ -349,16 +349,12 @@ class NumpyKernel:
         """Vectorized twin of ``PythonKernel.collect_cross_edges``.
 
         Pure interval arithmetic: tree/forward/backward edges and
-        self-loops fail both cross masks, so no parent column is read.
+        self-loops fail both cross tests, so no parent column is read.
         """
         pre_u = index.pre[u_col]
         pre_v = index.pre[v_col]
-        ahead = pre_u < pre_v
-        cross_mask = np.where(
-            ahead,
-            pre_v >= pre_u + index.size[u_col],
-            pre_u >= pre_v + index.size[v_col],
-        )
+        end = index.end
+        cross_mask = (pre_v >= end[u_col]) | (pre_u >= end[v_col])
         if not cross_mask.any():
             return []
         positions = np.nonzero(cross_mask)[0]

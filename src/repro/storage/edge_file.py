@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import os
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..errors import ClosedFileError, StorageError
 from .block_device import BlockDevice
@@ -282,7 +284,7 @@ class EdgeFile:
                 yield block
 
     def scan_columns(
-        self, max_edges: Optional[int] = None
+        self, room: Optional[Callable[[], int]] = None
     ) -> Iterator[Tuple[Sequence[int], Sequence[int]]]:
         """Yield ``(u, v)`` columns of the file's blocks, charging one read
         I/O per block.
@@ -293,13 +295,19 @@ class EdgeFile:
         backend, stdlib ``array`` columns on the pure-Python one) instead
         of lists of per-edge tuples.
 
-        Without ``max_edges`` each yield is one block.  With it, each
-        yield holds the consecutive whole blocks whose edges together
-        number at most ``max_edges`` — always at least one block, and
-        never blocks of two codecs (a codec switch closes the group), so
-        one kernel call sees a memory-load of edges instead of a block.
-        Every block is still one ``read_block``, and its edge bytes are
-        counted.
+        Without ``room`` each yield is one block.  With it, each yield
+        holds the consecutive whole blocks whose edges together number at
+        most ``room()`` — always at least one block, and never blocks of
+        two codecs (a codec switch closes the group), so one kernel call
+        sees a memory-load of edges instead of a block.  ``room`` is a
+        zero-argument callable read once per group, when the group
+        starts: at the start of the scan and again after each yield, so
+        a caller whose free memory shrinks as it consumes a group (a
+        restructure batch filling up) sizes the next group by what is
+        left.  A group is yielded as soon as it is full; only a block
+        that would overflow it is read ahead, and it opens the next
+        group.  Every block is still one ``read_block``, and its edge
+        bytes are counted.
 
         A delta-varint group goes to the kernel's
         ``unpack_varint_columns`` first; when the kernel declines it (the
@@ -314,7 +322,8 @@ class EdgeFile:
         """
         self._check_readable()
         device = self.device
-        limit = 0 if max_edges is None else max_edges
+        ask = (lambda: 0) if room is None else room
+        limit = ask()
         codec = CODEC_FIXED32
         bodies: List[bytes] = []
         loaded = stored = 0
@@ -331,6 +340,7 @@ class EdgeFile:
                     yield self._group_columns(codec, bodies, stored)
                     bodies = []
                     loaded = stored = 0
+                    limit = ask()
                 codec = block_codec
                 bodies.append(body)
                 loaded += count
@@ -339,6 +349,7 @@ class EdgeFile:
                     yield self._group_columns(codec, bodies, stored)
                     bodies = []
                     loaded = stored = 0
+                    limit = ask()
         if bodies:
             yield self._group_columns(codec, bodies, stored)
 

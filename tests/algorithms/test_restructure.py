@@ -2,11 +2,14 @@
 
 import math
 
-from repro import DiskGraph
-from repro.algorithms import initial_star_tree, restructure
+import pytest
+
+from repro import BlockDevice, DiskGraph
+from repro.algorithms import edge_by_batch, initial_star_tree, restructure
 from repro.core import verify_dfs_tree
 from repro.core.tree import VirtualNodeAllocator
 from repro.graph import random_graph
+from repro.kernels import available_backends
 
 
 def setup_run(device, graph, memory):
@@ -134,3 +137,70 @@ class TestPerBatchDeadline:
         # the aborted pass stopped reading: strictly fewer blocks than a scan
         delta = device.stats.snapshot() - before
         assert delta.reads < disk.edge_file.block_count
+
+
+def classify_calls(monkeypatch, graph, memory, codec, kernel):
+    """``(calls, edges per block, passes)`` of an edge-by-batch run with a
+    spy on the device kernel's ``classify_slice``; each call is recorded
+    as ``(start, edges handed over, capacity, stop)``."""
+    with BlockDevice(
+        block_elements=16, block_codec=codec, kernel=kernel
+    ) as device:
+        disk = DiskGraph.from_digraph(device, graph)
+        blocks = [len(u_col) for u_col, _ in disk.edge_file.scan_columns()]
+        classify = device.kernel.classify_slice
+        calls = []
+
+        def spy(index, u_col, v_col, start, capacity):
+            classified = classify(index, u_col, v_col, start, capacity)
+            calls.append((start, len(u_col), capacity, classified[0]))
+            return classified
+
+        monkeypatch.setattr(device.kernel, "classify_slice", spy)
+        result = edge_by_batch(disk, memory)
+    return calls, blocks, result.passes
+
+
+@pytest.mark.parametrize("kernel", available_backends())
+@pytest.mark.parametrize("codec", ["fixed32", "delta-varint"])
+@pytest.mark.parametrize("free", [1, 40, 150, "m"])
+def test_classify_calls_hold_at_most_the_batch_room(
+    monkeypatch, kernel, codec, free
+):
+    """A group starts with a ``start == 0`` call and holds consecutive
+    whole blocks totalling at most that call's capacity (the batch's
+    remaining room), or one block; it ends only where the next block
+    would overflow that room.  A mid-group flush resumes the same group
+    where the last call stopped.  At ``M = 3n + 1`` every group is one
+    block; at ``M = 3n + m`` one group covers the file."""
+    graph = random_graph(90, 5, seed=21)
+    if free == "m":
+        free = graph.edge_count
+    calls, blocks, passes = classify_calls(
+        monkeypatch, graph, 3 * graph.node_count + free, codec, kernel
+    )
+    assert passes > 1
+    groups = []
+    position = 0
+    previous_stop = None
+    for start, size, capacity, stop in calls:
+        if start:  # resumed after a flush, against the rebuilt tree
+            assert start == previous_stop and size == groups[-1]
+            previous_stop = stop
+            continue
+        assert not groups or previous_stop == groups[-1]  # it was done
+        group = []
+        while sum(group) < size:
+            group.append(blocks[position % len(blocks)])
+            position += 1
+        assert sum(group) == size  # whole blocks only
+        assert size <= capacity <= free or len(group) == 1
+        if position % len(blocks):  # not the last group of its pass
+            assert size + blocks[position % len(blocks)] > capacity
+        groups.append(size)
+        previous_stop = stop
+    assert position == passes * len(blocks)
+    if free == 1:
+        assert groups == blocks * passes
+    if free == graph.edge_count:
+        assert groups == [graph.edge_count] * passes

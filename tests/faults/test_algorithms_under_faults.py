@@ -31,14 +31,18 @@ def tree_bytes(tree) -> bytes:
     return pack_ints(values)
 
 
-def run_algorithm(algorithm, graph, *, fault_plan=None, **device_kwargs):
+def run_algorithm(algorithm, graph, *, fault_plan=None, free=64,
+                  **device_kwargs):
+    """``(result, the run's I/O, faults injected, device totals)`` of one
+    run at ``M = 3n + free``."""
     device_kwargs.setdefault("block_elements", 64)
     with BlockDevice(fault_plan=fault_plan, backoff_seconds=0.0,
                      **device_kwargs) as device:
         disk_graph = DiskGraph.from_digraph(device, graph)
         baseline = device.stats.snapshot()
         result = semi_external_dfs(
-            disk_graph, memory=3 * graph.node_count + 64, algorithm=algorithm
+            disk_graph, memory=3 * graph.node_count + free,
+            algorithm=algorithm,
         )
         injected = device.faults.injected if device.faults else 0
         return result, device.stats.snapshot() - baseline, injected, device.stats.snapshot()
@@ -84,6 +88,30 @@ class TestSurvivablePlans:
         faulty_result, faulty_io, injected, _ = run_algorithm(
             algorithm, graph, fault_plan=plan, max_retries=32,
             block_elements=16,
+        )
+        assert injected > 0
+        assert faulty_result.order == clean_result.order
+        assert tree_bytes(faulty_result.tree) == tree_bytes(clean_result.tree)
+        assert (faulty_io.reads, faulty_io.writes) == (
+            clean_io.reads, clean_io.writes
+        )
+        assert faulty_result.passes == clean_result.passes
+
+    @pytest.mark.parametrize("algorithm", ["edge-by-batch", "divide-td"])
+    def test_faults_in_multi_block_groups_change_nothing(
+        self, algorithm, fault_seed
+    ):
+        """At ``M = 3n + 8·64`` a restructure group spans up to eight
+        64-edge blocks, so faults also land in blocks read ahead of a
+        group's first kernel call."""
+        graph = random_graph(400, 6, seed=fault_seed + 2)
+        free = 8 * 64
+        clean_result, clean_io, _, _ = run_algorithm(
+            algorithm, graph, free=free
+        )
+        faulty_result, faulty_io, injected, _ = run_algorithm(
+            algorithm, graph, fault_plan=FaultPlan.transient(fault_seed),
+            max_retries=16, free=free,
         )
         assert injected > 0
         assert faulty_result.order == clean_result.order

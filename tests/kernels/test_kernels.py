@@ -442,12 +442,14 @@ def rebuilt_tree(seed, virtual_above_n=False):
 
 
 def index_columns(index):
-    """An index's ``pre``, ``size`` and ``parent`` as plain python values
-    (dicts for the python kernel, whole lists for numpy's arrays)."""
-    return tuple(
-        column.tolist() if hasattr(column, "tolist") else dict(column)
-        for column in (index.pre, index.size, index.parent)
-    )
+    """An index's ``pre``, subtree bound and ``parent`` as plain python
+    values: dicts for the python kernel (whose bound is ``size``), whole
+    lists for numpy's arrays (whose bound is ``end``)."""
+    if hasattr(index, "end"):
+        return tuple(
+            column.tolist() for column in (index.pre, index.end, index.parent)
+        )
+    return tuple(dict(column) for column in (index.pre, index.size, index.parent))
 
 
 class TestClassifySlice:
@@ -525,10 +527,10 @@ class TestClassifySlice:
         assert len(dense.pre) == max(tree.nodes) + 1
         holes = [slot for slot in range(len(dense.pre)) if slot not in tree.parent]
         for slot in holes:
-            assert dense.pre[slot] == dense.size[slot] == dense.parent[slot] == -1
+            assert dense.pre[slot] == dense.end[slot] == dense.parent[slot] == -1
         for node in tree.nodes:
             assert dense.pre[node] == dict_index.pre[node]
-            assert dense.size[node] == dict_index.size[node]
+            assert dense.end[node] - dense.pre[node] == dict_index.size[node]
             parent = tree.parent[node]
             assert dense.parent[node] == (-1 if parent is None else parent)
 

@@ -9,6 +9,7 @@ interop — fixed32 files read under a delta-varint device and vice versa.
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import pytest
@@ -316,13 +317,13 @@ def adopt_payloads(device, directory, payloads, edge_count):
     return EdgeFile.open_sealed(device, path, edge_count, len(payloads))
 
 
-def grouped_scan(edge_file, max_edges):
+def grouped_scan(edge_file, room):
     """``(edges per yield, the edges, reads, raw bytes, stored bytes)`` of
-    one ``scan_columns(max_edges)``."""
+    one ``scan_columns(room)``."""
     stats = edge_file.device.stats
     before = stats.snapshot()
     sizes, scanned = [], []
-    for u_col, v_col in edge_file.scan_columns(max_edges):
+    for u_col, v_col in edge_file.scan_columns(room):
         sizes.append(len(u_col))
         scanned.extend(zip(map(int, u_col), map(int, v_col)))
     delta = stats.snapshot() - before
@@ -355,8 +356,36 @@ def mixed_file(device, directory):
     return edge_file, edge_list, blocks, switches
 
 
+class Rooms:
+    """A ``scan_columns`` room that returns ``values`` in turn, round and
+    round, and keeps every value it returned in ``asked``."""
+
+    def __init__(self, values):
+        self._values = itertools.cycle(values)
+        self.asked = []
+
+    def __call__(self):
+        self.asked.append(next(self._values))
+        return self.asked[-1]
+
+
+def block_groups(sizes, blocks):
+    """The block sizes in each yield of ``sizes``; every yield must end on
+    a block boundary."""
+    groups, position = [], 0
+    for size in sizes:
+        group = []
+        while sum(group) < size:
+            group.append(blocks[position])
+            position += 1
+        assert sum(group) == size  # whole blocks only
+        groups.append(group)
+    assert position == len(blocks)
+    return groups
+
+
 class TestGroupedScan:
-    """``scan_columns(max_edges)`` yields whole blocks together; only the
+    """``scan_columns(room)`` yields whole blocks together; only the
     grouping moves, never the edges, the reads or the bytes counted."""
 
     @pytest.mark.parametrize("kernel", available_backends())
@@ -371,7 +400,7 @@ class TestGroupedScan:
             assert per_block[2] == len(blocks)
             assert per_block[3] == len(edge_list) * EDGE_BYTES
             for max_edges in (0, 1, 4, 8, 9, 15, 33, len(edge_list)):
-                sizes, *rest = grouped_scan(edge_file, max_edges)
+                sizes, *rest = grouped_scan(edge_file, lambda: max_edges)
                 assert rest == list(per_block[1:])
                 ends = [sum(sizes[: i + 1]) for i in range(len(sizes))]
                 block_ends = [sum(blocks[: i + 1]) for i in range(len(blocks))]
@@ -379,6 +408,36 @@ class TestGroupedScan:
                 assert set(switches) <= set(ends)  # a codec switch closes
                 for size in sizes:
                     assert size <= max_edges or size in blocks
+
+    @pytest.mark.parametrize("kernel", available_backends())
+    @pytest.mark.parametrize(
+        "values", [(9, 1, 33, 0), (0, 20, 4), (12, 2, 8, 40, 1)]
+    )
+    def test_a_room_changing_between_groups_sizes_each_group(
+        self, tmp_path, kernel, values
+    ):
+        """The room is read once when each group starts; that value alone
+        bounds the group, and a block read ahead opens the next group
+        whatever room that group gets."""
+        with BlockDevice(directory=str(tmp_path), kernel=kernel) as device:
+            edge_file, edge_list, blocks, switches = mixed_file(
+                device, tmp_path
+            )
+            per_block = grouped_scan(edge_file, None)
+            room = Rooms(values)
+            sizes, *rest = grouped_scan(edge_file, room)
+            assert rest == list(per_block[1:])
+            groups = block_groups(sizes, blocks)
+            ends = list(itertools.accumulate(sizes))
+            assert set(switches) <= set(ends)  # a codec switch closes
+            # read at the start and after each yield, the last one too
+            # unless the scan ended with a group the file cut short
+            assert len(room.asked) - len(groups) in (0, 1)
+            for at, (group, limit) in enumerate(zip(groups, room.asked)):
+                assert sum(group) <= limit or len(group) == 1
+                if at + 1 < len(groups) and ends[at] not in switches:
+                    # closed only where the next block would overflow it
+                    assert sum(group) + groups[at + 1][0] > limit
 
     @staticmethod
     def malformed_payloads():
@@ -402,7 +461,7 @@ class TestGroupedScan:
                 list(edge_file.scan_columns())
             for max_edges in (1, 12, 10_000):
                 with pytest.raises(CorruptBlockError) as grouped:
-                    list(edge_file.scan_columns(max_edges))
+                    list(edge_file.scan_columns(lambda: max_edges))
                 assert str(grouped.value) == str(per_block.value)
         return str(per_block.value)
 
@@ -418,6 +477,26 @@ class TestGroupedScan:
         payloads = [payload for payload, _ in good][:5]
         payloads.insert(position, malformed[bad])
         self.assert_grouped_scans_raise_alike(tmp_path, kernel, payloads)
+
+    @pytest.mark.parametrize("kernel", available_backends())
+    @pytest.mark.parametrize("position", [0, 2, 5])
+    @pytest.mark.parametrize(
+        "bad", ["out-of-range", "truncated", "tag-zero", "count-too-wide"]
+    )
+    def test_malformed_block_raises_alike_under_a_changing_room(
+        self, tmp_path, kernel, position, bad
+    ):
+        good, malformed = self.malformed_payloads()
+        payloads = [payload for payload, _ in good][:5]
+        payloads.insert(position, malformed[bad])
+        with BlockDevice(directory=str(tmp_path), kernel=kernel) as device:
+            edge_file = adopt_payloads(device, tmp_path, payloads, 1)
+            with pytest.raises(CorruptBlockError) as per_block:
+                list(edge_file.scan_columns())
+            for values in ((9, 1, 33, 0), (0, 20, 4)):
+                with pytest.raises(CorruptBlockError) as grouped:
+                    list(edge_file.scan_columns(Rooms(values)))
+                assert str(grouped.value) == str(per_block.value)
 
     @pytest.mark.parametrize("kernel", available_backends())
     def test_first_malformed_block_in_file_order_raises(self, tmp_path, kernel):

@@ -14,16 +14,26 @@ DFS-Tree check, (b) reproduce under the σ-preferring oracle, and (c) be
 bit-for-bit independent of the kernel backend.
 """
 
+from unittest import mock
+
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import BlockDevice, DiskGraph
-from repro.algorithms import divide_td_dfs, edge_by_batch, edge_by_edge
+from repro.algorithms import (
+    divide_td_dfs,
+    edge_by_batch,
+    edge_by_edge,
+    initial_star_tree,
+    restructure,
+)
 from repro.core import verify_dfs_tree
+from repro.core.classify import Preorder
 from repro.core.inmemory import dfs_preferring_tree
-from repro.core.tree import SpanningTree
+from repro.core.tree import SpanningTree, VirtualNodeAllocator
 from repro.graph import Digraph
 from repro.kernels import available_backends
+from repro.storage.edge_file import EdgeFile
 
 from .conftest import assert_valid_dfs_result
 
@@ -191,3 +201,63 @@ def test_explicit_codec_matches_the_default_run(graph):
         assert default.block_codec == pinned.block_codec == ambient
         assert pinned.order == default.order, name
         assert pinned.io == default.io, name
+
+
+def restructure_passes(graph, memory, kernel, codec):
+    """Every pass of restructure from the initial star to a fixpoint, as
+    ``(batches, rebuilds, update, parents, child lists, preorder)``, and
+    the run's ``(reads, writes, raw edge bytes, stored edge bytes)``; the
+    in-memory DFS spills its stack to the graph's device, as in
+    edge-by-batch."""
+    with BlockDevice(
+        block_elements=8, kernel=kernel, block_codec=codec
+    ) as device:
+        disk = DiskGraph.from_digraph(device, graph)
+        tree = initial_star_tree(disk, VirtualNodeAllocator(graph.node_count))
+        before = device.stats.snapshot()
+        passes = []
+        update = True
+        while update:
+            outcome = restructure(
+                disk.edge_file, tree, memory - 3 * graph.node_count, device
+            )
+            tree, update = outcome.tree, outcome.update
+            passes.append((
+                outcome.batches, outcome.rebuilds, update, dict(tree.parent),
+                {node: list(kids) for node, kids in tree.child_lists.items()},
+                Preorder.of(tree),
+            ))
+        delta = device.stats.snapshot() - before
+    io = (delta.reads, delta.writes, delta.edge_bytes_raw,
+          delta.edge_bytes_stored)
+    return passes, io
+
+
+def one_block_per_yield(scan_columns):
+    """``EdgeFile.scan_columns`` that ignores the room it is given."""
+    def scan(self, room=None):
+        return scan_columns(self)
+    return scan
+
+
+@settings(differential_settings, max_examples=15)
+@given(digraphs())
+@example(BATCH_FILLS_MID_BLOCK)
+def test_grouped_restructure_matches_one_block_per_call(graph):
+    """Handing the kernel a memory-load per call moves no outcome: the same
+    trees, preorders, batches, rebuilds, reads, writes (stack spills
+    included) and edge bytes as a scan of one block per yield, on every
+    kernel and codec, from one edge per batch to the whole file."""
+    n, m = graph.node_count, graph.edge_count
+    for kernel in KERNELS:
+        for codec in ("fixed32", "delta-varint"):
+            for memory in (3 * n + 1, 3 * n + 60, 3 * n + max(m, 1)):
+                grouped = restructure_passes(graph, memory, kernel, codec)
+                with mock.patch.object(
+                    EdgeFile, "scan_columns",
+                    one_block_per_yield(EdgeFile.scan_columns),
+                ):
+                    per_block = restructure_passes(
+                        graph, memory, kernel, codec
+                    )
+                assert grouped == per_block, (kernel, codec, memory)
