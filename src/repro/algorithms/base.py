@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from types import TracebackType
+from typing import Callable, Dict, List, Optional, Sequence, Type, TypeVar
 
-from ..errors import MemoryBudgetExceeded
+from ..errors import ConvergenceError, MemoryBudgetExceeded
 from ..graph.disk_graph import DiskGraph
-from ..obs import NULL_TRACER, Tracer
+from ..obs import NULL_TRACER, Span, Tracer
 from ..storage.io_stats import IOSnapshot
 from ..core.tree import SpanningTree, VirtualNodeAllocator
 from ..core.validation import real_preorder
+from .restructure import RestructureOutcome
 
 #: The paper's example constant ``k``: an in-memory spanning tree over ``n``
 #: nodes costs ``k * n`` elements (parent pointer, sibling order key, depth).
@@ -144,17 +146,19 @@ ResultT = TypeVar("ResultT", bound=RunResult)
 class RunContext:
     """Mutable bookkeeping shared by one algorithm invocation.
 
-    The context is the one place that knows the run's limits: it checks
-    the semi-external model's ``M >= 3·|V|`` once, hands out the memory
-    left next to a spanning tree (:meth:`free_memory`) and resolves the
-    pass cap (:attr:`pass_limit`).
+    The context is the one place that knows the run's limits and its
+    skeleton: it checks the semi-external model's ``M >= 3·|V|`` once,
+    hands out the memory left next to a spanning tree
+    (:meth:`free_memory`), counts the run's passes and stops it at the
+    pass cap (:meth:`end_pass`), and records every Restructure pass the
+    same way (:meth:`record_restructure`).
 
-    It also binds the given :class:`~repro.obs.Tracer` (or the shared
+    A runner's body runs inside ``with RunContext(...) as context:``.
+    Entering binds the given :class:`~repro.obs.Tracer` (or the shared
     null tracer) to the device's I/O counter, so every span of the run
-    records its phase's I/O delta.  Runners must call :meth:`release`
-    when done — :meth:`finish` does it for them on the success path;
-    every check that can reject an argument belongs inside the runner's
-    ``try/finally``, so a rejected call unbinds too.
+    records its phase's I/O delta; leaving unbinds it, whether the run
+    returned or raised (a cap, a deadline, a rejected argument), so an
+    abandoned run cannot keep attributing later I/O to its tracer.
     """
 
     def __init__(
@@ -185,7 +189,6 @@ class RunContext:
         self.max_depth = 0
         self.details: Dict[str, int] = {}
         self.tracer: Tracer = tracer if tracer is not None else NULL_TRACER
-        self.tracer.bind(graph.device.stats)
         self._start_io = graph.device.stats.snapshot()
         # repro: allow[SEX302] observational timing metric; never feeds tree construction
         self._start_time = time.perf_counter()
@@ -194,6 +197,18 @@ class RunContext:
             if deadline_seconds is None
             else self._start_time + deadline_seconds
         )
+
+    def __enter__(self) -> "RunContext":
+        self.tracer.bind(self.graph.device.stats)
+        return self
+
+    def __exit__(
+        self,
+        exc_type: Optional[Type[BaseException]],
+        exc: Optional[BaseException],
+        tb: Optional[TracebackType],
+    ) -> None:
+        self.tracer.bind(None)
 
     def free_memory(self, node_count: int) -> int:
         """Elements of ``M`` left next to a spanning tree over
@@ -213,22 +228,39 @@ class RunContext:
         """
         # repro: allow[SEX302] deadline aborts with ConvergenceError; it never alters the result tree
         if self._deadline is not None and time.perf_counter() > self._deadline:
-            from ..errors import ConvergenceError
-
             raise ConvergenceError(
                 f"{self.algorithm} exceeded its wall-clock deadline"
             )
 
+    def end_pass(self, changed: bool) -> bool:
+        """Count one finished pass; ``True`` when it changed nothing.
+
+        A pass that changed something and was the :attr:`pass_limit`-th
+        raises :class:`ConvergenceError`.  The cap is checked only here,
+        after a pass, so no run stops before its first pass.
+        """
+        self.passes += 1
+        if changed and self.passes >= self.pass_limit:
+            raise ConvergenceError(
+                f"{self.algorithm} did not converge within "
+                f"{self.pass_limit} passes"
+            )
+        return not changed
+
+    def record_restructure(
+        self, span: Span, edges: int, outcome: RestructureOutcome
+    ) -> None:
+        """Record one Restructure pass over ``edges`` edges: annotate its
+        span and count its batches and rebuilds."""
+        span.annotate(
+            edges=edges, batches=outcome.batches, update=outcome.update,
+        )
+        self.bump("batches", outcome.batches)
+        self.bump("rebuilds", outcome.rebuilds)
+
     def bump(self, key: str, amount: int = 1) -> None:
         """Increment a free-form counter."""
         self.details[key] = self.details.get(key, 0) + amount
-
-    def release(self) -> None:
-        """Unbind the tracer from the device's I/O counter (idempotent),
-        so an abandoned context (``ConvergenceError``, deadline, rejected
-        argument) cannot keep attributing later I/O to its tracer.
-        """
-        self.tracer.bind(None)
 
     def finish_result(
         self,
@@ -240,15 +272,14 @@ class RunContext:
         """Package the final tree into a :class:`RunResult` subclass.
 
         Fills every algorithm-neutral field from the context (I/O window,
-        elapsed time, pass count, kernel/codec, counters) and releases
-        the tracer; ``extra_fields`` carry the
-        specialization's own fields (``divisions=...``, ``levels=...``).
-        ``order`` defaults to the tree's non-virtual preorder.
+        elapsed time, pass count, kernel/codec, counters); ``extra_fields``
+        carry the specialization's own fields (``divisions=...``,
+        ``levels=...``).  ``order`` defaults to the tree's non-virtual
+        preorder.
         """
         io = self.graph.device.stats.snapshot() - self._start_io
         # repro: allow[SEX302] observational timing metric; never feeds tree construction
         elapsed = time.perf_counter() - self._start_time
-        self.release()
         return factory(
             tree=tree,
             order=real_preorder(tree) if order is None else order,

@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..core.tree import SpanningTree
-from ..errors import ConvergenceError
 from ..graph.disk_graph import DiskGraph
 from ..obs import Tracer
 from .base import BFSResult, RunContext
@@ -116,11 +115,10 @@ def semi_external_bfs(
         ConvergenceError: the pass cap or the deadline was exceeded.
         ValueError: ``start`` out of range.
     """
-    context = RunContext(
-        graph, memory, "bfs", deadline_seconds, tracer, max_passes
-    )
     node_count = graph.node_count
-    try:
+    with RunContext(
+        graph, memory, "bfs", deadline_seconds, tracer, max_passes
+    ) as context:
         if start is None and node_count:
             start = 0
         if start is not None and not 0 <= start < node_count:
@@ -134,10 +132,6 @@ def semi_external_bfs(
         free = context.free_memory(node_count)
         while True:
             context.check_deadline()
-            if context.passes >= context.pass_limit:
-                raise ConvergenceError(
-                    f"bfs did not converge within {context.pass_limit} passes"
-                )
             frozen = kernel.make_level_column(levels)
             # Merged proposals for this pass: v -> (level, parent).  The
             # strictly-less replacement mirrors the kernels' own rule, so
@@ -161,12 +155,11 @@ def semi_external_bfs(
                 span.annotate(
                     edges=edge_file.edge_count, improved=len(best),
                 )
-            context.passes += 1
             for v, (level, parent) in best.items():
                 levels[v] = level
                 parents[v] = parent
             context.bump("improvements", len(best))
-            if not best:
+            if context.end_pass(bool(best)):
                 break
         return context.finish_result(
             BFSResult, _build_bfs_tree(context, levels, parents, start),
@@ -175,5 +168,3 @@ def semi_external_bfs(
                 None if level == UNREACHED else level for level in levels
             ],
         )
-    finally:
-        context.release()

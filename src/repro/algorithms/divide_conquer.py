@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..errors import ConvergenceError
 from ..graph.disk_graph import DiskGraph
 from ..obs import Tracer
 from ..storage.edge_file import EdgeFile
@@ -161,25 +160,17 @@ def _divide_conquer(
             outcome = restructure(
                 edge_file, tree, free, check_deadline=context.check_deadline
             )
-            restructure_span.annotate(
-                edges=edge_file.edge_count, batches=outcome.batches,
-                update=outcome.update,
+            context.record_restructure(
+                restructure_span, edge_file.edge_count, outcome
             )
         tree = outcome.tree
-        context.passes += 1
         level_passes += 1
-        context.bump("batches", outcome.batches)
-        if not outcome.update:
+        if context.end_pass(outcome.update):
             # No forward-cross edge anywhere: the tree is a DFS-Tree.
             splice_non_root_virtuals(tree)
             if depth > 0:
                 edge_file.delete()
             return tree
-        if context.passes >= context.pass_limit:
-            raise ConvergenceError(
-                f"divide & conquer exceeded {context.pass_limit} "
-                "restructure passes"
-            )
         # Divide as early as possible (paper §4.2), but back off after
         # failed attempts: a failed attempt costs a full scan, and on
         # hard-to-divide graphs (one giant SCC) paying it every pass would
@@ -267,17 +258,14 @@ def _run(
     deadline_seconds: Optional[float],
     tracer: Optional[Tracer],
 ) -> DFSResult:
-    context = RunContext(
+    with RunContext(
         graph, memory, name, deadline_seconds, tracer, max_passes
-    )
-    try:
+    ) as context:
         tree = initial_star_tree(graph, context.allocator, start)
         final = _divide_conquer(
             graph.edge_file, graph.node_count, tree, context, strategy, depth=0
         )
         return context.finish(final)
-    finally:
-        context.release()
 
 
 def divide_star_dfs(

@@ -16,7 +16,6 @@ from ..core.tree import SpanningTree
 from ..errors import ConvergenceError, InvalidGraphError
 from ..graph.disk_graph import DiskGraph
 from ..obs import Tracer
-from ..serve.store import ArtifactStore
 from .base import DFSResult, RunContext, initial_star_tree
 from .restructure import restructure
 
@@ -78,13 +77,15 @@ def edge_by_batch(
         InvalidGraphError: if ``initial_tree`` has no root or its real
             nodes are not exactly the graph's ``0..n-1``.
     """
-    context = RunContext(
-        graph, memory, "edge-by-batch", deadline_seconds, tracer, max_passes
-    )
     checkpoint_ref: Optional[str] = None
 
     def take_checkpoint() -> None:
         nonlocal checkpoint_ref
+        # Imported here, not at module level, so that importing repro does
+        # not load the serving stack the store pulls in (HTTP server,
+        # hashlib, OpenSSL): only a run that checkpoints needs it.
+        from ..serve.store import ArtifactStore
+
         with context.tracer.span("checkpoint", passes=context.passes):
             ref = ArtifactStore.for_run(graph.device).publish_tree(
                 tree, "edge-by-batch-ckpt", kind="checkpoint",
@@ -93,7 +94,9 @@ def edge_by_batch(
             )
             checkpoint_ref = ref.path
 
-    try:
+    with RunContext(
+        graph, memory, "edge-by-batch", deadline_seconds, tracer, max_passes
+    ) as context:
         if initial_tree is not None:
             if start is not None or order is not None:
                 raise ValueError("initial_tree excludes start/order")
@@ -105,13 +108,13 @@ def edge_by_batch(
                     context.allocator.allocate()
         else:
             tree = initial_star_tree(graph, context.allocator, start, order)
-        while True:
-            # The deadline is checked per pass here *and* per batch inside
-            # restructure (check_deadline=): a single pass over a huge edge
-            # file can dwarf the remaining budget, and checking only
-            # between passes would overshoot the limit by a whole scan.
-            # Either raise takes the same checkpoint-on-deadline path.
-            try:
+        # The deadline is checked per pass here *and* per batch inside
+        # restructure (check_deadline=): a single pass over a huge edge
+        # file can dwarf the remaining budget, and checking only between
+        # passes would overshoot the limit by a whole scan.  A deadline
+        # and the pass cap take the same checkpoint-on-error path.
+        try:
+            while True:
                 context.check_deadline()
                 with context.tracer.span(
                     "restructure", nodes=graph.node_count
@@ -121,33 +124,19 @@ def edge_by_batch(
                         context.free_memory(graph.node_count), graph.device,
                         check_deadline=context.check_deadline,
                     )
-                    span.annotate(
-                        edges=graph.edge_file.edge_count,
-                        batches=outcome.batches, update=outcome.update,
+                    context.record_restructure(
+                        span, graph.edge_file.edge_count, outcome
                     )
-            except ConvergenceError as exc:
-                if checkpoint_every:
+                tree = outcome.tree
+                converged = context.end_pass(outcome.update)
+                if checkpoint_every and context.passes % checkpoint_every == 0:
                     take_checkpoint()
-                    exc.artifact_ref = checkpoint_ref
-                raise
-            tree = outcome.tree
-            context.passes += 1
-            context.bump("batches", outcome.batches)
-            context.bump("rebuilds", outcome.rebuilds)
-            if checkpoint_every and context.passes % checkpoint_every == 0:
+                if converged:
+                    result = context.finish(tree)
+                    result.artifact_ref = checkpoint_ref
+                    return result
+        except ConvergenceError as exc:
+            if checkpoint_every:
                 take_checkpoint()
-            if not outcome.update:
-                result = context.finish(tree)
-                result.artifact_ref = checkpoint_ref
-                return result
-            if context.passes >= context.pass_limit:
-                error = ConvergenceError(
-                    "edge-by-batch did not converge within "
-                    f"{context.pass_limit} passes"
-                )
-                if checkpoint_every:
-                    take_checkpoint()
-                    error.artifact_ref = checkpoint_ref
-                raise error
-    finally:
-        context.release()
+                exc.artifact_ref = checkpoint_ref
+            raise

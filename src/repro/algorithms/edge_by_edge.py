@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..errors import ConvergenceError
 from ..graph.disk_graph import DiskGraph
 from ..obs import Tracer
 from ..core.classify import EdgeType, IntervalIndex
@@ -44,9 +43,6 @@ def edge_by_edge(
     Raises:
         ConvergenceError: if the heuristic exceeds ``max_passes``.
     """
-    context = RunContext(
-        graph, memory, "edge-by-edge", deadline_seconds, tracer, max_passes
-    )
     # Adaptive classification: while the tree is unchanged this pass an
     # O(1)-per-edge interval index answers; after a fix the index is
     # stale.  A bounded number of O(n) rebuilds is worth paying (late,
@@ -56,7 +52,9 @@ def edge_by_edge(
     # implementation's.
     rebuild_allowance = max(1, graph.edge_count // max(1, graph.node_count))
 
-    try:
+    with RunContext(
+        graph, memory, "edge-by-edge", deadline_seconds, tracer, max_passes
+    ) as context:
         tree = initial_star_tree(graph, context.allocator, start)
         while True:
             context.check_deadline()
@@ -86,14 +84,6 @@ def edge_by_edge(
                         else:
                             index = None
                 span.annotate(reattachments=fixes, update=update)
-            context.passes += 1
             context.bump("reattachments", fixes)
-            if not update:
+            if context.end_pass(update):
                 return context.finish(tree)
-            if context.passes >= context.pass_limit:
-                raise ConvergenceError(
-                    "edge-by-edge did not converge within "
-                    f"{context.pass_limit} passes"
-                )
-    finally:
-        context.release()

@@ -61,10 +61,11 @@ def check_eulerian(graph: DiskGraph) -> EulerReport:
 
     surplus_out = [node for node in range(n) if out_degree[node] == in_degree[node] + 1]
     surplus_in = [node for node in range(n) if in_degree[node] == out_degree[node] + 1]
+    off_by_one = set(surplus_out) | set(surplus_in)
     balanced = all(
         out_degree[node] == in_degree[node]
         for node in range(n)
-        if node not in set(surplus_out) | set(surplus_in)
+        if node not in off_by_one
     )
     if not balanced or len(surplus_out) > 1 or len(surplus_in) > 1:
         return EulerReport(False, False, None, "degree imbalance")

@@ -191,7 +191,17 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self._handle(body_params=None)
 
     def do_POST(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            # Only RFC 9110's 1*DIGIT says where the body ends (``-1``
+            # would read to EOF); past a bad length the connection
+            # cannot be reused.
+            self.close_connection = True
+            self._send_error_json(
+                400, "bad-query", f"invalid Content-Length {declared!r}"
+            )
+            return
+        length = int(declared)
         raw = self.rfile.read(length) if length else b""
         body_params: Dict[str, str] = {}
         if raw:

@@ -179,7 +179,9 @@ class TestFailureCleanup:
         device = device_factory(64)
         disk = DiskGraph.from_digraph(device, dense_clusters())
         files_before = set(os.listdir(device.directory))
-        with pytest.raises(ConvergenceError, match="restructure passes"):
+        with pytest.raises(
+            ConvergenceError, match="did not converge within 2 passes"
+        ):
             divide_star_dfs(disk, DENSE_MEMORY, max_passes=2)
         assert set(os.listdir(device.directory)) == files_before
 

@@ -86,6 +86,19 @@ class TestCheckpointResume:
         full = edge_by_batch(disk, 3 * 400 + 150)
         assert resumed.passes <= full.passes
 
+    def test_pass_cap_publishes_one_checkpoint(self, device):
+        # the cap's checkpoint is the periodic one of the capped pass,
+        # not a second copy of the same tree
+        graph = power_law_graph(400, 5, seed=5)
+        disk = DiskGraph.from_digraph(device, graph)
+        with pytest.raises(ConvergenceError) as exc_info:
+            edge_by_batch(disk, 3 * 400 + 150, max_passes=2, checkpoint_every=1)
+        store = ArtifactStore.for_run(device)
+        assert store.versions("edge-by-batch-ckpt") == [1, 2]
+        assert os.path.basename(exc_info.value.artifact_ref) == "v000002"
+        latest = store.open("edge-by-batch-ckpt", 2)
+        assert latest.manifest["details"] == {"passes": 2}
+
     def test_resume_excludes_start_and_order(self, device):
         graph = power_law_graph(100, 3, seed=6)
         disk = DiskGraph.from_digraph(device, graph)

@@ -54,6 +54,18 @@ class TestCheckEulerian:
         assert not report.has_path
         assert "imbalance" in report.reason
 
+    def test_many_off_by_one_nodes_rejected(self, device):
+        # a 4,000-cycle plus 1,000 chords (2j, 2j+1): 1,000 nodes with one
+        # surplus out-edge and 1,000 with one surplus in-edge
+        n = 4000
+        edges = [(node, (node + 1) % n) for node in range(n)]
+        edges += [(2 * j, 2 * j + 1) for j in range(n // 4)]
+        graph = Digraph.from_edges(n, edges)
+        report = check_eulerian(DiskGraph.from_digraph(device, graph))
+        assert not report.has_circuit
+        assert not report.has_path
+        assert report.reason == "degree imbalance"
+
     def test_disconnected_edges_rejected(self, device):
         graph = Digraph.from_edges(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
         report = check_eulerian(DiskGraph.from_digraph(device, graph))

@@ -4,6 +4,7 @@ zero-graph-I/O guarantee for served queries."""
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.client import HTTPConnection
 
@@ -136,6 +137,44 @@ class TestTypedErrors:
         )
         assert status == 504
         assert body["error"]["code"] == "deadline-exceeded"
+
+
+def post_with_length(port: int, declared: str):
+    """POST with a hand-written ``Content-Length`` and no body over a raw
+    socket; read until the server closes.  The 2 s timeout turns a server
+    that waits for a body into a failure, not a hang."""
+    request = (
+        "POST /v1/query/order?artifact=mixed HTTP/1.1\r\n"
+        "Host: 127.0.0.1\r\n"
+        f"Content-Length: {declared}\r\n"
+        "\r\n"
+    ).encode("ascii")
+    with socket.create_connection(("127.0.0.1", port), timeout=2) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 "), head
+    return int(head.split(b" ", 2)[1]), json.loads(body.decode("utf-8"))
+
+
+class TestMalformedContentLength:
+    @pytest.mark.parametrize("declared", ["-1", "abc", "+5"])
+    def test_answered_400_and_closed(self, server, declared):
+        _, port = server
+        status, body = post_with_length(port, declared)
+        assert status == 400
+        assert body["error"] == {
+            "code": "bad-query",
+            "message": f"invalid Content-Length {declared!r}",
+        }
+        # the server still answers a fresh connection
+        status, _ = get(port, "/healthz")
+        assert status == 200
 
 
 class TestServedQueriesDoNoGraphIO:

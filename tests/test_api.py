@@ -1,5 +1,9 @@
 """Tests for the top-level facade."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -77,3 +81,25 @@ class TestFacade:
         graph = DiskGraph.from_digraph(device, random_graph(1000, 5, seed=1))
         result = semi_external_dfs(graph, memory=4000, algorithm="divide-td")
         assert len(result.order) == 1000
+
+
+def test_import_loads_no_serving_stack():
+    # Compared against the child's own start, so a site hook that preloads
+    # ssl does not count; a run without checkpoints needs none of these.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import repro, repro.api\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    paths = [source, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    added = set(child.stdout.split())
+    assert "repro.api" in added
+    assert not added & {"repro.serve", "http.server", "_ssl", "_hashlib"}
